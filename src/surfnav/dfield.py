@@ -2,10 +2,13 @@
 
 A state is a boundary state when some cardinal direction offers it no
 connected neighbor: every height in the adjacent column is either absent
-from the surface or beyond the step bound. The distance field is the
-hop count (over the same connectivity) to the nearest boundary state,
-computed by multi-source BFS. Planning uses it to bias paths away from
-edges and obstacles.
+from the surface or beyond the step bound. Both read off the surface's
+column index: a direction's neighbors are one run of the sorted keys, and
+a boundary state is one with an empty run. The distance field is the hop
+count to the nearest boundary state, computed by multi-source BFS over
+the same CSR adjacency the search graph uses, so its memory scales with
+the surface, not the grid. Planning uses it to bias paths away from edges
+and obstacles.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extract import Surface, step_offsets
+from .extract import Surface, _runs
 
 __all__ = ["DistanceField", "boundary_states", "distance_field"]
 
@@ -39,63 +42,24 @@ class DistanceField:
         return int(self.distances[self.surface.ordinal(state)])
 
 
-def _neighbor_matrix(surface: Surface) -> np.ndarray:
-    """(N, 4*(2k+1)) ordinals of each state's connected neighbors, -1 absent."""
-    states = surface.states
-    n = states.shape[0]
-    offsets = step_offsets(surface.params.step_voxels)
-    m = offsets.shape[0]
-    if n == 0:
-        return np.full((0, m), -1, dtype=np.int64)
-    nx, ny, nz = surface.dims
-    ord_of = np.full(nx * ny * nz, -1, dtype=np.int64)
-    flat_states = (states[:, 0] * ny + states[:, 1]) * nz + states[:, 2]
-    ord_of[flat_states] = np.arange(n, dtype=np.int64)
-    nb = states[:, None, :] + offsets[None, :, :]
-    inb = (
-        (nb[..., 0] >= 0) & (nb[..., 0] < nx)
-        & (nb[..., 1] >= 0) & (nb[..., 1] < ny)
-        & (nb[..., 2] >= 0) & (nb[..., 2] < nz)
-    )
-    flat = (nb[..., 0] * ny + nb[..., 1]) * nz + nb[..., 2]
-    flat[~inb] = 0
-    out = ord_of[flat]
-    out[~inb] = -1
-    return out
-
-
 def boundary_states(surface: Surface) -> np.ndarray:
     """Ordinals of states missing a connected neighbor in some direction."""
-    n = surface.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    k = surface.params.step_voxels
-    per_dir = 2 * k + 1
-    nbrs = _neighbor_matrix(surface)
-    # any direction whose whole dz fan is absent marks the state
-    has_dir = (nbrs.reshape(n, 4, per_dir) >= 0).any(axis=2)
-    return np.nonzero(~has_dir.all(axis=1))[0].astype(np.int64)
+    _, _, missing = surface._adjacency(surface.states)
+    return np.nonzero(missing.any(axis=1))[0]
 
 
 def distance_field(surface: Surface) -> DistanceField:
     """Multi-source BFS from the boundary over surface connectivity."""
-    n = surface.size
-    dist = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return DistanceField(dist, surface)
-    nbrs = _neighbor_matrix(surface)
-    frontier = boundary_states(surface)
+    dist = np.full(surface.size, -1, dtype=np.int64)
+    indptr, targets, missing = surface._adjacency(surface.states)
+    frontier = np.nonzero(missing.any(axis=1))[0]
     dist[frontier] = 0
     d = 0
     while frontier.size:
         d += 1
-        nxt = nbrs[frontier].ravel()
-        nxt = nxt[nxt >= 0]
-        nxt = nxt[dist[nxt] < 0]
-        if nxt.size:
-            nxt = np.unique(nxt)
-            dist[nxt] = d
-        frontier = nxt
+        nxt = targets[_runs(indptr[frontier], indptr[frontier + 1])]
+        dist[nxt[dist[nxt] < 0]] = d
+        frontier = np.flatnonzero(dist == d)
     # a connected surface with any state has a boundary, so all reachable
     # states get a distance; isolated anomalies would surface here
     if np.any(dist < 0):

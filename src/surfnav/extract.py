@@ -240,6 +240,9 @@ def select_seed(pose, candidates: CandidateSet, max_snap: float) -> tuple[int, i
     return (int(x), int(y), int(z))
 
 
+_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 def step_offsets(step_voxels: int) -> np.ndarray:
     """Neighbor offsets in deterministic expansion order.
 
@@ -250,19 +253,57 @@ def step_offsets(step_voxels: int) -> np.ndarray:
     for d in range(1, step_voxels + 1):
         dz_order.extend((d, -d))
     out = []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+    for dx, dy in _DIRECTIONS:
         for dz in dz_order:
             out.append((dx, dy, dz))
     return np.array(out, dtype=np.int64)
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Concatenation of the index runs [lo[i], hi[i]), in run order."""
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    return np.repeat(lo - starts, counts) + np.arange(counts.sum())
+
+
+def _neighbor_ranges(keys: np.ndarray, coords: np.ndarray, dims, k: int):
+    """The bounded-step adjacency, as runs of a sorted column index.
+
+    ``keys`` are the sorted flat keys (x * ny + y) * nz + z of a voxel set,
+    so each column is a contiguous, z-ascending run. For every voxel of
+    ``coords`` and every direction of :func:`step_offsets`, returns the run
+    [lo, hi) of ``keys`` holding the adjacent column's voxels within k of
+    its height, as two (n, 4) arrays. An empty run means no neighbor.
+    """
+    nx, ny, nz = dims
+    x, y, z = coords.T
+    col = (x * ny + y) * nz  # key of the voxel's own column at z = 0
+    # clipped so a window never spills into the next or previous column
+    zlo = col + np.clip(z - k, 0, nz)
+    zhi = col + np.clip(z + k, -1, nz - 1)
+    dx, dy = np.array(_DIRECTIONS).T[:, :, None]  # (4, 1): broadcast per direction
+    shift = (dx * ny + dy) * nz
+    lo = np.searchsorted(keys, zlo + shift, side="left")
+    hi = np.searchsorted(keys, zhi + shift, side="right")
+    cx, cy = x + dx, y + dy
+    off_grid = (cx < 0) | (cx >= nx) | (cy < 0) | (cy >= ny)
+    hi[off_grid] = lo[off_grid]
+    return lo.T, hi.T
 
 
 @dataclass(frozen=True, eq=False)
 class Surface:
     """Seed-reachable standing voxels with stable ordinals.
 
-    ``states[i]`` is the i-th voxel in BFS discovery order; ``state_index``
-    inverts it; ``levels`` maps each column (x, y) to its sorted standing
-    heights (multi-story columns have several).
+    ``states[i]`` is the i-th voxel in BFS discovery order. The column
+    index inverts it: the states' flat keys (x * ny + y) * nz + z, sorted,
+    with the ordinal of each. A column (x, y) is a contiguous, z-ascending
+    run of the keys, so multi-story columns keep every level, and lookups
+    and ``levels`` are binary searches. A state's neighbors in one
+    direction are one run too, and a state with an empty run in some
+    direction is a boundary state. Nothing grid-sized survives extraction:
+    memory scales with the surface. Building the index rejects states
+    outside ``dims`` and duplicate states with ValueError.
     """
 
     states: np.ndarray
@@ -271,20 +312,69 @@ class Surface:
     resolution: float
     origin: np.ndarray
     params: DerivedVoxelParams
-    state_index: dict = field(repr=False)
-    levels: dict = field(repr=False)
     bfs_seconds: float = 0.0
     extraction: ExtractionParams | None = None
+    _keys: np.ndarray = field(init=False, repr=False)
+    _ordinals: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        states = self.states
+        outside = np.any((states < 0) | (states >= self.dims), axis=1)
+        if outside.any():
+            bad = states[outside][0].tolist()
+            raise ValueError(f"state {bad} lies outside dims {self.dims}")
+        keys = np.ravel_multi_index(tuple(states.T), self.dims)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        twice = np.nonzero(keys[1:] == keys[:-1])[0]
+        if twice.size:
+            raise ValueError(f"state {states[order[twice[0]]].tolist()} appears twice")
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_ordinals", order)
 
     @property
     def size(self) -> int:
         return int(self.states.shape[0])
 
+    def _position(self, state) -> int:
+        """Index of ``state`` in the sorted keys, or -1 if it is absent."""
+        x, y, z = map(int, state)
+        nx, ny, nz = self.dims
+        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
+            return -1
+        key = (x * ny + y) * nz + z
+        i = int(self._keys.searchsorted(key))
+        return i if i < self._keys.size and self._keys[i] == key else -1
+
     def __contains__(self, state) -> bool:
-        return tuple(state) in self.state_index
+        return self._position(state) >= 0
 
     def ordinal(self, state) -> int:
-        return self.state_index[tuple(state)]
+        i = self._position(state)
+        if i < 0:
+            raise KeyError(tuple(state))
+        return int(self._ordinals[i])
+
+    @property
+    def levels(self) -> dict:
+        """Column (x, y) -> z-ascending standing heights, built on access."""
+        ny, nz = self.dims[1], self.dims[2]
+        columns, starts = np.unique(self._keys // nz, return_index=True)
+        heights = np.split(self._keys % nz, starts[1:])
+        return {
+            (c // ny, c % ny): zs for c, zs in zip(columns.tolist(), heights)
+        }
+
+    def _adjacency(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR of the moves out of ``coords``, plus the empty directions.
+
+        Returns (indptr, targets, missing): target ordinals per voxel of
+        ``coords``, sorted by (direction, height), and an (n, 4) mask of
+        the directions without a neighbor.
+        """
+        lo, hi = _neighbor_ranges(self._keys, coords, self.dims, self.params.step_voxels)
+        indptr = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
+        return indptr, self._ordinals[_runs(lo.ravel(), hi.ravel())], lo == hi
 
     def state_centers(self) -> np.ndarray:
         """World centers of all states, ordinal order, (N, 3)."""
@@ -296,25 +386,6 @@ class Surface:
             return 0
         zs = self.states[:, 2]
         return int(zs.max() - zs.min())
-
-
-def _flat_index(coords: np.ndarray, ny: int, nz: int) -> np.ndarray:
-    return (coords[:, 0] * ny + coords[:, 1]) * nz + coords[:, 2]
-
-
-def _levels_from_states(states: np.ndarray) -> dict:
-    """Group states by column: (x, y) -> sorted array of z."""
-    levels: dict[tuple[int, int], np.ndarray] = {}
-    if states.shape[0] == 0:
-        return levels
-    order = np.lexsort((states[:, 2], states[:, 1], states[:, 0]))
-    srt = states[order]
-    change = (np.diff(srt[:, 0]) != 0) | (np.diff(srt[:, 1]) != 0)
-    starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
-    bounds = np.concatenate((starts[1:], [srt.shape[0]]))
-    for s, e in zip(starts.tolist(), bounds.tolist()):
-        levels[(int(srt[s, 0]), int(srt[s, 1]))] = np.ascontiguousarray(srt[s:e, 2])
-    return levels
 
 
 def extract_surface(
@@ -330,8 +401,7 @@ def extract_surface(
     is recorded as canonical.
     """
     t0 = time.perf_counter()
-    mask = candidates.mask
-    nx, ny, nz = mask.shape
+    dims = candidates.mask.shape
     seed_list = [tuple(int(c) for c in s) for s in seeds]
     if not seed_list:
         raise InvalidSeedError("invalid seed: no seeds given")
@@ -339,57 +409,38 @@ def extract_surface(
         if s not in candidates:
             raise InvalidSeedError(f"invalid seed: {s} is not a candidate voxel")
 
-    offsets = step_offsets(candidates.params.step_voxels)
-    flat_mask = mask.ravel()
-    visited = np.zeros(mask.size, dtype=bool)
-
-    first = []
-    for s in seed_list:
-        fi = (s[0] * ny + s[1]) * nz + s[2]
-        if not visited[fi]:
-            visited[fi] = True
-            first.append(s)
-    frontier = np.array(first, dtype=np.int64)
-
+    # the candidates' own column index: flatnonzero keys come out sorted
+    keys = np.flatnonzero(candidates.mask)
+    coords = np.stack(np.unravel_index(keys, dims), axis=1)
+    k = candidates.params.step_voxels
+    seen = np.zeros(keys.size, dtype=bool)
+    nb = np.searchsorted(keys, np.ravel_multi_index(tuple(np.array(seed_list).T), dims))
     chunks = []
-    while frontier.shape[0]:
+    while nb.size:
+        # keep the first occurrence of each voxel: rows are in (parent
+        # ordinal, offset order) sequence, i.e. discovery order
+        _, idx = np.unique(nb, return_index=True)
+        frontier = nb[np.sort(idx)]
+        seen[frontier] = True
         chunks.append(frontier)
-        nb = (frontier[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-        inb = (
-            (nb[:, 0] >= 0) & (nb[:, 0] < nx)
-            & (nb[:, 1] >= 0) & (nb[:, 1] < ny)
-            & (nb[:, 2] >= 0) & (nb[:, 2] < nz)
-        )
-        nb = nb[inb]
-        fi = _flat_index(nb, ny, nz)
-        ok = flat_mask[fi] & ~visited[fi]
-        nb = nb[ok]
-        fi = fi[ok]
-        if fi.shape[0]:
-            # keep the first occurrence of each voxel: rows are already in
-            # (parent ordinal, offset order) sequence, i.e. discovery order
-            _, idx = np.unique(fi, return_index=True)
-            idx.sort()
-            nb = nb[idx]
-            fi = fi[idx]
-            visited[fi] = True
-        frontier = nb
-
-    states = np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int64)
-    state_index = {
-        (int(x), int(y), int(z)): i for i, (x, y, z) in enumerate(states.tolist())
-    }
-    levels = _levels_from_states(states)
+        lo, hi = _neighbor_ranges(keys, coords[frontier], dims, k)
+        # row = parent * 4 + direction, for every neighbor in the runs
+        row = np.repeat(np.arange(lo.size), (hi - lo).ravel())
+        nb = _runs(lo.ravel(), hi.ravel())
+        fresh = ~seen[nb]
+        row, nb = row[fresh], nb[fresh]
+        # runs are z-ascending; reorder each (parent, direction) run into
+        # step_offsets order: dz = 0, +1, -1, ..., +k, -k
+        dz = coords[nb, 2] - coords[frontier[row // 4], 2]
+        nb = nb[np.lexsort((2 * np.abs(dz) - (dz > 0), row))]
 
     return Surface(
-        states=states,
+        states=coords[np.concatenate(chunks)],
         seed=seed_list[0],
-        dims=(nx, ny, nz),
+        dims=dims,
         resolution=candidates.grid.resolution,
         origin=candidates.grid.origin,
         params=candidates.params,
-        state_index=state_index,
-        levels=levels,
         bfs_seconds=time.perf_counter() - t0,
         extraction=extraction,
     )
@@ -397,10 +448,12 @@ def extract_surface(
 
 def levels_at(surface: Surface, x: int, y: int) -> list[int]:
     """Sorted standing heights of column (x, y); empty if off the surface."""
-    zs = surface.levels.get((int(x), int(y)))
-    if zs is None:
+    nx, ny, nz = surface.dims
+    if not (0 <= x < nx and 0 <= y < ny):
         return []
-    return [int(z) for z in zs]
+    base = (int(x) * ny + int(y)) * nz
+    lo, hi = surface._keys.searchsorted((base, base + nz))
+    return [key - base for key in surface._keys[lo:hi].tolist()]
 
 
 @dataclass(frozen=True)
@@ -494,7 +547,11 @@ def save_surface(surface: Surface, destination) -> None:
 
 
 def load_surface(source) -> Surface:
-    """Read a surface written by :func:`save_surface`."""
+    """Read a surface written by :func:`save_surface`.
+
+    Rebuilds the column index, so states outside ``dims``, duplicate
+    states and a seed that is not a state raise SurfaceFormatError.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -525,26 +582,20 @@ def load_surface(source) -> Surface:
         if states.ndim != 2 or states.shape[1] != 3:
             raise SurfaceFormatError(f"bad states array of shape {states.shape}")
         dims = tuple(int(d) for d in doc["dims"])
+        if len(dims) != 3 or min(dims) < 1:
+            raise SurfaceFormatError(f"bad dims {dims}")
         seed = tuple(int(c) for c in doc["seed"])
-        origin = np.asarray(doc["origin"], dtype=np.float64)
+        surface = Surface(
+            states=states,
+            seed=seed,
+            dims=dims,
+            resolution=float(doc["resolution"]),
+            origin=np.asarray(doc["origin"], dtype=np.float64),
+            params=params,
+            extraction=extraction,
+        )
+        if surface.size and seed not in surface:
+            raise SurfaceFormatError(f"seed {seed} is not among the states")
     except (KeyError, TypeError, ValueError) as exc:
         raise SurfaceFormatError(f"bad surface file: {exc}") from exc
-    if len(dims) != 3 or min(dims) < 1:
-        raise SurfaceFormatError(f"bad dims {dims}")
-    state_index = {
-        (int(x), int(y), int(z)): i for i, (x, y, z) in enumerate(states.tolist())
-    }
-    if states.shape[0] and seed not in state_index:
-        raise SurfaceFormatError(f"seed {seed} is not among the states")
-    return Surface(
-        states=states,
-        seed=seed,
-        dims=dims,
-        resolution=float(doc["resolution"]),
-        origin=origin,
-        params=params,
-        state_index=state_index,
-        levels=_levels_from_states(states),
-        bfs_seconds=0.0,
-        extraction=extraction,
-    )
+    return surface

@@ -159,7 +159,7 @@ def dijkstra_reference(
     k = surface.params.step_voxels
     r = surface.resolution
     dist_to_boundary = dfield.distances
-    index = surface.state_index
+    index = {tuple(state): i for i, state in enumerate(surface.states.tolist())}
 
     def weight(u, v) -> float:
         # cost of the original-graph edge; (u, v) is the relaxation

@@ -50,9 +50,6 @@ __all__ = [
     "successors",
 ]
 
-_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
 @dataclass(frozen=True)
 class PlanParams:
     """Search weights.
@@ -86,18 +83,8 @@ class PlanParams:
 
 def successors(surface: Surface, state) -> list[tuple[int, int, int]]:
     """Connected neighbors of ``state``, direction-major, ascending height."""
-    x, y, z = (int(c) for c in state)
-    k = surface.params.step_voxels
-    out = []
-    for dx, dy in _DIRECTIONS:
-        zs = surface.levels.get((x + dx, y + dy))
-        if zs is None:
-            continue
-        lo = np.searchsorted(zs, z - k, side="left")
-        hi = np.searchsorted(zs, z + k, side="right")
-        for zz in zs[lo:hi].tolist():
-            out.append((x + dx, y + dy, int(zz)))
-    return out
+    _, targets, _ = surface._adjacency(np.array([state], dtype=np.int64))
+    return [tuple(s) for s in surface.states[targets].tolist()]
 
 
 def edge_cost(src, dst, dst_boundary_distance: int, params: PlanParams, resolution: float) -> float:
@@ -148,48 +135,13 @@ class SearchGraph:
     @classmethod
     def build(cls, surface: Surface) -> "SearchGraph":
         t0 = time.perf_counter()
-        states = surface.states
-        n = states.shape[0]
-        k = surface.params.step_voxels
-        dz_fan = np.arange(-k, k + 1, dtype=np.int64)
-        offsets = np.array(
-            [(dx, dy, dz) for dx, dy in _DIRECTIONS for dz in dz_fan.tolist()],
-            dtype=np.int64,
-        )
-        m = offsets.shape[0]
-        if n == 0:
-            return cls(
-                indptr=np.zeros(1, dtype=np.int64),
-                targets=np.empty(0, dtype=np.int64),
-                dz=np.empty(0, dtype=np.int64),
-                surface=surface,
-                build_seconds=time.perf_counter() - t0,
-            )
-        nx, ny, nz = surface.dims
-        ord_of = np.full(nx * ny * nz, -1, dtype=np.int64)
-        flat_states = (states[:, 0] * ny + states[:, 1]) * nz + states[:, 2]
-        ord_of[flat_states] = np.arange(n, dtype=np.int64)
-        nb = states[:, None, :] + offsets[None, :, :]
-        inb = (
-            (nb[..., 0] >= 0) & (nb[..., 0] < nx)
-            & (nb[..., 1] >= 0) & (nb[..., 1] < ny)
-            & (nb[..., 2] >= 0) & (nb[..., 2] < nz)
-        )
-        flat = (nb[..., 0] * ny + nb[..., 1]) * nz + nb[..., 2]
-        flat[~inb] = 0
-        hit = ord_of[flat]
-        hit[~inb] = -1
-        present = hit >= 0
-        # row-major flatten keeps (source, direction, dz) order
-        targets = hit[present]
-        dz_edge = np.broadcast_to(np.tile(dz_fan, 4), (n, m))[present]
-        counts = present.sum(axis=1)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        indptr, targets, _ = surface._adjacency(surface.states)
+        zs = surface.states[:, 2]
+        dz = zs[targets] - np.repeat(zs, np.diff(indptr))
         return cls(
             indptr=indptr,
-            targets=np.ascontiguousarray(targets),
-            dz=np.ascontiguousarray(dz_edge),
+            targets=targets,
+            dz=dz,
             surface=surface,
             build_seconds=time.perf_counter() - t0,
         )

@@ -283,6 +283,27 @@ class TestPlan:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("tamper", ["negative", "beyond_dims", "duplicate"])
+    def test_tampered_states_are_input_errors(self, room, tmp_path, capsys, tamper):
+        doc = json.loads(open(room["surface"]).read())
+        state = doc["states"][5]
+        if tamper == "negative":
+            state[0] = -1
+        elif tamper == "beyond_dims":
+            state[0] = doc["dims"][0] + 3
+        else:
+            doc["states"].append(list(state))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["plan", str(bad), str(tmp_path / "p.xyz"),
+             "--start", "8.6,8.6,1.1", "--goal", "2.0,2.0,1.1"],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestBench:
     def test_deterministic_modulo_timing(self, capsys):

@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import numpy as np
@@ -12,11 +13,13 @@ from surfnav import (
     InvalidSeedError,
     NoCandidatesError,
     OccupancyGrid,
+    SearchGraph,
     SeedSnapError,
     Surface,
     SurfaceFormatError,
     candidate_set,
     collision_filter,
+    distance_field,
     extract_pipeline,
     extract_surface,
     levels_at,
@@ -26,6 +29,7 @@ from surfnav import (
     select_seed,
     step_offsets,
 )
+from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
 
 
 def dv(k=1, kc=3, rad=0, res=0.2):
@@ -327,6 +331,17 @@ class TestExtractSurface:
         cands = CandidateSet(mask, grid, dv(k=k, kc=k + 1))
         surface = extract_surface(cands, [seed])
         assert [tuple(s) for s in surface.states.tolist()] == bfs_fifo(mask, seed, k)
+        # random masks put several heights of a neighbor column inside the
+        # step window, which no preset does: check the adjacency runs here
+        assert np.array_equal(
+            distance_field(surface).distances, boundary_distance_reference(surface)
+        )
+        graph = SearchGraph.build(surface)
+        cols = _column_map(surface)
+        for i, state in enumerate(surface.states.tolist()):
+            row = graph.targets[graph.indptr[i] : graph.indptr[i + 1]]
+            got = [tuple(surface.states[j]) for j in row.tolist()]
+            assert got == list(_adjacent(cols, tuple(state), k))
 
 
 class TestSurfaceAccessors:
@@ -444,5 +459,24 @@ class TestSurfaceFile:
             '"seed": [\n    0,\n    0,\n    1\n  ]', '"seed": [\n    5,\n    5,\n    5\n  ]'
         )
         p.write_text(doc)
+        with pytest.raises(SurfaceFormatError):
+            load_surface(p)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["states"][5].__setitem__(0, -1),
+            lambda doc: doc["states"][5].__setitem__(0, doc["dims"][0] + 3),
+            lambda doc: doc["states"].append(doc["states"][5]),
+        ],
+        ids=["negative", "beyond_dims", "duplicate"],
+    )
+    def test_states_the_index_cannot_hold(self, tmp_path, edit):
+        # an out-of-range state's flat key aliases another column
+        p = tmp_path / "s.json"
+        save_surface(self.build(), p)
+        doc = json.loads(p.read_text())
+        edit(doc)
+        p.write_text(json.dumps(doc))
         with pytest.raises(SurfaceFormatError):
             load_surface(p)

@@ -18,6 +18,7 @@ from surfnav import (
     plan,
     successors,
 )
+from surfnav.oracle import _adjacent, _column_map
 
 
 def flat(n=10, post=None):
@@ -92,12 +93,18 @@ class TestSuccessors:
         assert (3, 3, 6) not in successors(surface, (2, 3, 1))
 
     def test_graph_matches_successors(self):
+        # graph and successors() share one adjacency, so both are held to
+        # the oracle's independent column map
         surface = self.layered()
         graph = SearchGraph.build(surface)
+        cols = _column_map(surface)
+        k = surface.params.step_voxels
         for i in range(surface.size):
+            state = tuple(surface.states[i].tolist())
+            expected = list(_adjacent(cols, state, k))
             row = graph.targets[graph.indptr[i] : graph.indptr[i + 1]]
-            got = [tuple(surface.states[j]) for j in row.tolist()]
-            assert got == successors(surface, tuple(surface.states[i]))
+            assert [tuple(surface.states[j]) for j in row.tolist()] == expected
+            assert successors(surface, state) == expected
 
     def test_graph_dz_matches_geometry(self):
         surface = self.layered()
