@@ -8,14 +8,16 @@ heuristic underestimates every term it models and is consistent, which
 keeps plain A* (epsilon = 1) exact; epsilon > 1 trades cost for speed
 with the usual bounded-suboptimality guarantee.
 
-Two engines share one graph and one tie-break rule (min f, then max g,
-then lexicographic coordinates), so their outputs are bit-identical: a
-compiled kernel for throughput and a plain-Python one that doubles as
-its readable specification.
+The search is written once, as plain Python over numpy arrays and a
+heapq of tuples (tie-break: min f, then max g, then lexicographic
+coordinates). Where numba imports, the same function is also compiled
+and serves as the "numba" engine; the "python" engine interprets it.
+One specification, so the two engines return bit-identical results.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -25,20 +27,6 @@ import numpy as np
 from .dfield import DistanceField
 from .errors import NoPathError, OffSurfaceError
 from .extract import Surface
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 __all__ = [
     "PathResult",
@@ -87,15 +75,9 @@ def successors(surface: Surface, state) -> list[tuple[int, int, int]]:
     return [tuple(s) for s in surface.states[targets].tolist()]
 
 
-def edge_cost(src, dst, dst_boundary_distance: int, params: PlanParams, resolution: float) -> float:
-    """Cost of the move src -> dst.
-
-    metric length + |dz| * resolution * (w_up rising, w_down falling)
-    + w_obstacle * resolution / (boundary distance of dst + 1).
-    """
-    dx = dst[0] - src[0]
-    dy = dst[1] - src[1]
-    dz = dst[2] - src[2]
+def _move_cost(dx, dy, dz, params: PlanParams, resolution: float) -> float:
+    """Metric length of a move plus |dz| * resolution * (w_up rising,
+    w_down falling): every edge-cost term except the target's bias."""
     base = resolution * math.sqrt(dx * dx + dy * dy + dz * dz)
     if dz > 0:
         vert = resolution * dz * params.w_up
@@ -103,7 +85,17 @@ def edge_cost(src, dst, dst_boundary_distance: int, params: PlanParams, resoluti
         vert = resolution * -dz * params.w_down
     else:
         vert = 0.0
-    return base + vert + params.w_obstacle * resolution / (dst_boundary_distance + 1)
+    return base + vert
+
+
+def edge_cost(src, dst, dst_boundary_distance: int, params: PlanParams, resolution: float) -> float:
+    """Cost of the move src -> dst.
+
+    metric length + |dz| * resolution * (w_up rising, w_down falling)
+    + w_obstacle * resolution / (boundary distance of dst + 1).
+    """
+    move = _move_cost(dst[0] - src[0], dst[1] - src[1], dst[2] - src[2], params, resolution)
+    return move + params.w_obstacle * resolution / (dst_boundary_distance + 1)
 
 
 def heuristic(state, goal, params: PlanParams, resolution: float) -> float:
@@ -161,180 +153,70 @@ class PathResult:
     engine: str
 
 
-@njit(cache=True)
-def _heap_less(hf, hg, hk, i, j):
-    # min f, then max g, then lexicographic (x,y,z) packed into hk. Pushes
-    # of one node carry strictly decreasing g, so (f, g, key) is already a
-    # total order over live entries and no insertion counter is needed.
-    if hf[i] != hf[j]:
-        return hf[i] < hf[j]
-    if hg[i] != hg[j]:
-        return hg[i] > hg[j]
-    return hk[i] < hk[j]
+def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, start, goal, epsilon, res, w_down, k):
+    """A* over the CSR graph from ordinal ``start`` to ``goal``.
 
-
-@njit(cache=True)
-def _heap_swap(hf, hg, hk, hn, i, j):
-    hf[i], hf[j] = hf[j], hf[i]
-    hg[i], hg[j] = hg[j], hg[i]
-    hk[i], hk[j] = hk[j], hk[i]
-    hn[i], hn[j] = hn[j], hn[i]
-
-
-@njit(cache=True)
-def _sift_up(hf, hg, hk, hn, i):
-    while i > 0:
-        p = (i - 1) // 2
-        if _heap_less(hf, hg, hk, i, p):
-            _heap_swap(hf, hg, hk, hn, i, p)
-            i = p
-        else:
-            break
-
-
-@njit(cache=True)
-def _sift_down(hf, hg, hk, hn, size):
-    i = 0
-    while True:
-        l = 2 * i + 1
-        if l >= size:
-            break
-        small = l
-        r = l + 1
-        if r < size and _heap_less(hf, hg, hk, r, l):
-            small = r
-        if _heap_less(hf, hg, hk, small, i):
-            _heap_swap(hf, hg, hk, hn, i, small)
-            i = small
-        else:
-            break
-
-
-@njit(cache=True)
-def _astar_kernel(
-    indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, start, goal, epsilon, res, w_down, k
-):
+    Heap entries are (f, -g, packed (x, y, z), ordinal): min f, then max g,
+    then lexicographic coordinates. Pushes of one state carry strictly
+    decreasing g, so that order is total over live entries and no insertion
+    counter is needed. Coordinates and targets are read through ``int`` so
+    the interpreted search does its arithmetic on Python ints; compiled, the
+    calls are no-ops. Returns (parent, g, expanded, found).
+    """
     n = xs.shape[0]
     g = np.full(n, np.inf)
     parent = np.full(n, -1, np.int64)
     closed = np.zeros(n, np.bool_)
-    cap = targets.shape[0] + 2
-    hf = np.empty(cap)
-    hg = np.empty(cap)
-    hk = np.empty(cap, np.int64)
-    hn = np.empty(cap, np.int64)
-    gx, gy, gz = xs[goal], ys[goal], zs[goal]
-
-    dx = xs[start] - gx
-    dy = ys[start] - gy
-    dz = zs[start] - gz
-    h0 = res * math.sqrt(float(dx * dx + dy * dy + dz * dz)) + res * abs(dz) * w_down
-    g[start] = 0.0
-    hf[0] = 0.0 + epsilon * h0
-    hg[0] = 0.0
-    hk[0] = (xs[start] << 42) | (ys[start] << 21) | zs[start]
-    hn[0] = start
-    size = 1
-    expanded = 0
-    found = False
-    while size > 0:
-        pg = hg[0]
-        pn = hn[0]
-        size -= 1
-        hf[0], hg[0], hk[0], hn[0] = hf[size], hg[size], hk[size], hn[size]
-        _sift_down(hf, hg, hk, hn, size)
-        if closed[pn] or pg != g[pn]:
-            continue
-        if pn == goal:
-            found = True
-            break
-        closed[pn] = True
-        expanded += 1
-        for e in range(indptr[pn], indptr[pn + 1]):
-            v = targets[e]
-            if closed[v]:
-                continue
-            ng = pg + cost_by_dz[dzs[e] + k] + bias[v]
-            if ng < g[v]:
-                g[v] = ng
-                parent[v] = pn
-                dx = xs[v] - gx
-                dy = ys[v] - gy
-                dz = zs[v] - gz
-                hv = res * math.sqrt(float(dx * dx + dy * dy + dz * dz)) + res * abs(dz) * w_down
-                hf[size] = ng + epsilon * hv
-                hg[size] = ng
-                hk[size] = (xs[v] << 42) | (ys[v] << 21) | zs[v]
-                hn[size] = v
-                size += 1
-                _sift_up(hf, hg, hk, hn, size - 1)
-    return parent, g, expanded, found
-
-
-def _astar_python(graph, cost_by_dz, bias, start, goal, epsilon, res, w_down, k):
-    """Reference engine. Must mirror the kernel move for move."""
-    import heapq
-
-    states = graph.surface.states
-    xs, ys, zs = states[:, 0], states[:, 1], states[:, 2]
-    n = states.shape[0]
-    g = np.full(n, np.inf)
-    parent = np.full(n, -1, np.int64)
-    closed = np.zeros(n, np.bool_)
-    indptr, targets, dzs = graph.indptr, graph.targets, graph.dz
     gx, gy, gz = int(xs[goal]), int(ys[goal]), int(zs[goal])
 
-    def h(v):
-        dx = int(xs[v]) - gx
-        dy = int(ys[v]) - gy
-        dz = int(zs[v]) - gz
-        return res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
-
+    x, y, z = int(xs[start]), int(ys[start]), int(zs[start])
+    dx, dy, dz = x - gx, y - gy, z - gz
+    h = res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
     g[start] = 0.0
-    # tuple order implements: min f, max g, lexicographic coords, insertion
-    heap = [(0.0 + epsilon * h(start), -0.0, int(xs[start]), int(ys[start]), int(zs[start]), 0, start)]
-    seq = 1
+    heap = [(0.0 + epsilon * h, -0.0, (x << 42) | (y << 21) | z, start)]
     expanded = 0
     found = False
     while heap:
-        _, neg_g, _, _, _, _, pn = heapq.heappop(heap)
+        _f, neg_g, _key, u = heapq.heappop(heap)
         pg = -neg_g
-        if closed[pn] or pg != g[pn]:
+        if closed[u] or pg != g[u]:
             continue
-        if pn == goal:
+        if u == goal:
             found = True
             break
-        closed[pn] = True
+        closed[u] = True
         expanded += 1
-        for e in range(indptr[pn], indptr[pn + 1]):
+        for e in range(indptr[u], indptr[u + 1]):
             v = int(targets[e])
             if closed[v]:
                 continue
             ng = pg + cost_by_dz[dzs[e] + k] + bias[v]
             if ng < g[v]:
                 g[v] = ng
-                parent[v] = pn
-                heapq.heappush(
-                    heap,
-                    (ng + epsilon * h(v), -ng, int(xs[v]), int(ys[v]), int(zs[v]), seq, v),
-                )
-                seq += 1
+                parent[v] = u
+                x, y, z = int(xs[v]), int(ys[v]), int(zs[v])
+                dx, dy, dz = x - gx, y - gy, z - gz
+                h = res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
+                heapq.heappush(heap, (ng + epsilon * h, -ng, (x << 42) | (y << 21) | z, v))
     return parent, g, expanded, found
+
+
+_ENGINES = {"python": _astar}
+try:
+    from numba import njit
+except ImportError:
+    pass
+else:
+    _ENGINES["numba"] = njit(cache=True)(_astar)
+_HAVE_NUMBA = "numba" in _ENGINES
 
 
 def _cost_table(params: PlanParams, resolution: float, k: int) -> np.ndarray:
     """Edge cost by height change, excluding the per-target bias."""
-    table = np.empty(2 * k + 1, dtype=np.float64)
-    for dz in range(-k, k + 1):
-        base = resolution * math.sqrt(1.0 + dz * dz)
-        if dz > 0:
-            vert = resolution * dz * params.w_up
-        elif dz < 0:
-            vert = resolution * -dz * params.w_down
-        else:
-            vert = 0.0
-        table[dz + k] = base + vert
-    return table
+    return np.array(
+        [_move_cost(1, 0, dz, params, resolution) for dz in range(-k, k + 1)],
+        dtype=np.float64,
+    )
 
 
 def _metric_lengths(states: np.ndarray, resolution: float) -> tuple[float, float]:
@@ -378,7 +260,7 @@ def plan(
         engine = "numba" if _HAVE_NUMBA else "python"
     if engine == "numba" and not _HAVE_NUMBA:
         raise ValueError("numba engine requested but numba is not importable")
-    if engine not in ("numba", "python"):
+    if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
 
     if start == goal:
@@ -401,29 +283,24 @@ def plan(
     s = surface.ordinal(start)
     t = surface.ordinal(goal)
 
+    states = surface.states
     t0 = time.perf_counter()
-    if engine == "numba":
-        states = surface.states
-        parent, g, expanded, found = _astar_kernel(
-            graph.indptr,
-            graph.targets,
-            graph.dz,
-            cost_by_dz,
-            bias,
-            states[:, 0],
-            states[:, 1],
-            states[:, 2],
-            s,
-            t,
-            params.epsilon,
-            res,
-            params.w_down,
-            k,
-        )
-    else:
-        parent, g, expanded, found = _astar_python(
-            graph, cost_by_dz, bias, s, t, params.epsilon, res, params.w_down, k
-        )
+    parent, g, expanded, found = _ENGINES[engine](
+        graph.indptr,
+        graph.targets,
+        graph.dz,
+        cost_by_dz,
+        bias,
+        states[:, 0],
+        states[:, 1],
+        states[:, 2],
+        s,
+        t,
+        params.epsilon,
+        res,
+        params.w_down,
+        k,
+    )
     elapsed = time.perf_counter() - t0
 
     if not found:
