@@ -176,7 +176,14 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
     XY Euclidean distance <= inflation_voxels, (x', y') != (x, y), and
     z' in [z+1, z+clearance_voxels]. The candidate's own column is already
     covered by the clearance test; the support plane never collides.
-    Columns outside the grid read as occupied.
+    Voxels outside the grid read as occupied, so a window that passes the
+    grid top always hits.
+
+    Candidates are taken one height level at a time. At level z, a column
+    is blocked when its window (z, z + kc] holds an occupied voxel; the
+    disk count of a candidate is then a sum of 1-D row windows
+    [y - w, y + w], w = isqrt(rad^2 - dx^2), over a prefix sum of the
+    blocked map along y, cropped to the level's candidates grown by rad.
     """
     params = candidates.params
     rad = params.inflation_voxels
@@ -189,26 +196,31 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
     xs, ys, zs = np.nonzero(candidates.mask)
     if xs.size == 0:
         return candidates
-    cum = np.cumsum(occ, axis=2, dtype=np.int32)
-    keep = np.ones(xs.size, dtype=bool)
-    for dx in range(-rad, rad + 1):
-        for dy in range(-rad, rad + 1):
-            if dx == 0 and dy == 0:
-                continue
-            if dx * dx + dy * dy > rad * rad:
-                continue
-            cx = xs + dx
-            cy = ys + dy
-            inb = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
-            hit = ~inb  # out-of-bounds columns are occupied
-            sel = np.nonzero(inb)[0]
-            if sel.size:
-                # candidates always satisfy z + kc <= nz - 1
-                span = cum[cx[sel], cy[sel], zs[sel] + kc] - cum[cx[sel], cy[sel], zs[sel]]
-                hit[sel] = span > 0
-            keep &= ~hit
-    mask = np.zeros_like(candidates.mask)
-    mask[xs[keep], ys[keep], zs[keep]] = True
+    hit = np.empty(xs.size, dtype=bool)
+    order = np.argsort(zs, kind="stable")
+    levels, starts = np.unique(zs[order], return_index=True)
+    for z, idx in zip(levels.tolist(), np.split(order, starts[1:])):
+        x, y = xs[idx], ys[idx]
+        x0, y0 = int(x.min()) - rad, int(y.min()) - rad
+        x1, y1 = int(x.max()) + rad + 1, int(y.max()) + rad + 1
+        # padding outside the grid reads occupied
+        blocked = np.ones((x1 - x0, y1 - y0), dtype=bool)
+        if z + kc < nz:
+            gx0, gy0 = max(x0, 0), max(y0, 0)
+            gx1, gy1 = min(x1, nx), min(y1, ny)
+            blocked[gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = occ[
+                gx0:gx1, gy0:gy1, z + 1 : z + kc + 1
+            ].any(axis=2)
+        rows = np.zeros((x1 - x0, y1 - y0 + 1), dtype=np.int32)
+        np.cumsum(blocked, axis=1, out=rows[:, 1:])
+        lx, ly = x - x0, y - y0
+        count = -blocked[lx, ly].astype(np.int32)  # the disk excludes (0, 0)
+        for dx in range(-rad, rad + 1):
+            w = math.isqrt(rad * rad - dx * dx)
+            count += rows[lx + dx, ly + w + 1] - rows[lx + dx, ly - w]
+        hit[idx] = count > 0
+    mask = candidates.mask.copy()
+    mask[xs[hit], ys[hit], zs[hit]] = False
     return CandidateSet(mask, candidates.grid, params)
 
 
@@ -519,7 +531,7 @@ def extract_pipeline(
 
 
 def save_surface(surface: Surface, destination) -> None:
-    """Write a surface as a JSON document (states in ordinal order)."""
+    """Write a surface as one line of JSON (states in ordinal order)."""
     params = surface.params
     extraction = surface.extraction
     doc = {
@@ -539,7 +551,8 @@ def save_surface(surface: Surface, destination) -> None:
         },
         "states": surface.states.tolist(),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # compact separators keep json.dumps on its C encoder; indent does not
+    text = json.dumps(doc, sort_keys=True)
     if hasattr(destination, "write"):
         destination.write(text + "\n")
     else:
@@ -550,7 +563,9 @@ def load_surface(source) -> Surface:
     """Read a surface written by :func:`save_surface`.
 
     Rebuilds the column index, so states outside ``dims``, duplicate
-    states and a seed that is not a state raise SurfaceFormatError.
+    states and a seed that is not a state raise SurfaceFormatError, as do
+    non-integer states or seed, an origin that is not 3 finite numbers, and
+    voxel params that disagree with the thresholds in meters beside them.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -566,31 +581,48 @@ def load_surface(source) -> Surface:
         raise SurfaceFormatError(f"unsupported surface version {doc.get('version')!r}")
     try:
         p = doc["params"]
+        resolution = float(doc["resolution"])
         params = DerivedVoxelParams(
             step_voxels=int(p["step_voxels"]),
             clearance_voxels=int(p["clearance_voxels"]),
             inflation_voxels=int(p["inflation_voxels"]),
-            resolution=float(doc["resolution"]),
+            resolution=resolution,
         )
         meters = (p.get("step_height"), p.get("clearance_height"), p.get("inflation_radius"))
         extraction = None
         if all(v is not None for v in meters):
             extraction = ExtractionParams(*(float(v) for v in meters))
-        states = np.asarray(doc["states"], dtype=np.int64)
+            derived = DerivedVoxelParams.from_params(extraction, resolution)
+            for name in ("step_voxels", "clearance_voxels", "inflation_voxels"):
+                if getattr(derived, name) != getattr(params, name):
+                    raise SurfaceFormatError(
+                        f"params.{name} is {getattr(params, name)}, but the "
+                        f"thresholds in meters give {getattr(derived, name)} "
+                        f"at resolution {resolution}"
+                    )
+        origin = np.asarray(doc["origin"], dtype=np.float64)
+        if origin.shape != (3,) or not np.all(np.isfinite(origin)):
+            raise SurfaceFormatError(f"origin must be 3 finite numbers, got {doc['origin']!r}")
+        states = np.asarray(doc["states"])
         if states.size == 0:
             states = np.empty((0, 3), dtype=np.int64)
+        if states.dtype.kind not in "iu":
+            raise SurfaceFormatError(f"states must be integers, got dtype {states.dtype}")
         if states.ndim != 2 or states.shape[1] != 3:
             raise SurfaceFormatError(f"bad states array of shape {states.shape}")
         dims = tuple(int(d) for d in doc["dims"])
         if len(dims) != 3 or min(dims) < 1:
             raise SurfaceFormatError(f"bad dims {dims}")
-        seed = tuple(int(c) for c in doc["seed"])
+        seed = np.asarray(doc["seed"])
+        if seed.shape != (3,) or seed.dtype.kind not in "iu":
+            raise SurfaceFormatError(f"seed must be 3 integers, got {doc['seed']!r}")
+        seed = tuple(seed.tolist())
         surface = Surface(
-            states=states,
+            states=states.astype(np.int64, copy=False),
             seed=seed,
             dims=dims,
-            resolution=float(doc["resolution"]),
-            origin=np.asarray(doc["origin"], dtype=np.float64),
+            resolution=resolution,
+            origin=origin,
             params=params,
             extraction=extraction,
         )

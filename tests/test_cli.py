@@ -318,6 +318,33 @@ class TestPlan:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "tamper, field",
+        [("nan_origin", "origin"), ("short_origin", "origin"),
+         ("float_state", "states"), ("step_voxels", "step_voxels")],
+    )
+    def test_tampered_fields_are_input_errors(self, room, tmp_path, capsys, tamper, field):
+        doc = json.loads(open(room["surface"]).read())
+        if tamper == "nan_origin":
+            doc["origin"][0] = float("nan")
+        elif tamper == "short_origin":
+            doc["origin"] = doc["origin"][:2]
+        elif tamper == "float_state":
+            doc["states"][5][2] += 0.7
+        else:
+            doc["params"]["step_voxels"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["plan", str(bad), str(tmp_path / "p.xyz"),
+             "--start", "8.6,8.6,1.1", "--goal", "2.0,2.0,1.1"],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert field in err
+        assert "Traceback" not in err
+
 
 class TestBench:
     def test_deterministic_modulo_timing(self, capsys):

@@ -56,6 +56,23 @@ def table_grid():
     return grid_from(occ)
 
 
+def collision_reference(cands):
+    """The collision filter's definition, one body voxel at a time."""
+    g, kc, rad = cands.grid, cands.params.clearance_voxels, cands.params.inflation_voxels
+    expect = np.zeros_like(cands.mask)
+    for x, y, z in cands.triples():
+        hit = False
+        for dx in range(-rad, rad + 1):
+            for dy in range(-rad, rad + 1):
+                if (dx, dy) == (0, 0) or dx * dx + dy * dy > rad * rad:
+                    continue
+                for zz in range(z + 1, z + kc + 1):
+                    if g.is_occupied(x + dx, y + dy, zz):
+                        hit = True
+        expect[x, y, z] = not hit
+    return expect
+
+
 class TestDerivedParams:
     def test_defaults_at_coarse_resolution(self):
         d = DerivedVoxelParams.from_params(ExtractionParams(), 0.2)
@@ -146,30 +163,51 @@ class TestCollisionFilter:
         assert (2, 5, 1) in cands  # distance 3
         assert (3, 3, 1) in cands  # distance sqrt(8) > 2
 
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    @pytest.mark.parametrize("rad", [1, 2, 3, 4])
+    def test_matches_brute_force(self, rad, seed):
+        rng = np.random.default_rng(seed)
         occ = np.zeros((9, 9, 9), dtype=bool)
         occ[:, :, 0] = True
         blocks = rng.integers(0, 9, size=(12, 2))
         for x, y in blocks:
             occ[x, y, 1 : rng.integers(2, 8)] = True
         g = grid_from(occ)
-        params = dv(kc=3, rad=2)
+        params = dv(kc=3, rad=rad)
         cands = candidate_set(g, params)
-        got = collision_filter(cands)
+        assert np.array_equal(collision_filter(cands).mask, collision_reference(cands))
 
-        expect = np.zeros_like(cands.mask)
-        for x, y, z in cands.triples():
-            hit = False
-            for dx in range(-2, 3):
-                for dy in range(-2, 3):
-                    if (dx, dy) == (0, 0) or dx * dx + dy * dy > 4:
-                        continue
-                    for zz in range(z + 1, z + params.clearance_voxels + 1):
-                        if g.is_occupied(x + dx, y + dy, zz):
-                            hit = True
-            expect[x, y, z] = not hit
-        assert np.array_equal(got.mask, expect)
+        # masks no candidate_set would give: voxels inside posts, on all
+        # four edges, and with clearance windows past the grid top
+        mask = rng.random(occ.shape) < 0.2
+        mask[[0, 8, 4, 4], [4, 4, 0, 8], 1] = True
+        mask[4, 4, 5:] = True
+        hand = CandidateSet(mask, g, params)
+        assert np.array_equal(collision_filter(hand).mask, collision_reference(hand))
+
+    def test_own_column_is_not_in_the_disk(self):
+        occ = np.zeros((11, 11, 12), dtype=bool)
+        occ[:, :, 0] = True
+        occ[5, 5, 1:8] = True
+        mask = np.zeros(occ.shape, dtype=bool)
+        mask[5, 5, 1] = mask[3, 5, 1] = True
+        hand = CandidateSet(mask, grid_from(occ), dv(kc=3, rad=2))
+        got = collision_filter(hand)
+        assert (5, 5, 1) in got  # only its own column is occupied
+        assert (3, 5, 1) not in got
+        assert np.array_equal(got.mask, collision_reference(hand))
+
+    def test_window_past_grid_top_hits(self):
+        # the window (4, 6] leaves a 5-voxel-tall grid: it reads occupied
+        occ = np.zeros((6, 6, 5), dtype=bool)
+        occ[:, :, 0] = True
+        mask = np.zeros(occ.shape, dtype=bool)
+        mask[3, 3, 4] = mask[3, 3, 1] = True
+        hand = CandidateSet(mask, grid_from(occ), dv(kc=2, rad=1))
+        got = collision_filter(hand)
+        assert (3, 3, 4) not in got
+        assert (3, 3, 1) in got
+        assert np.array_equal(got.mask, collision_reference(hand))
 
     def test_standing_plane_never_collides(self):
         # a one-voxel curb inside the disk sits at standing height, below
@@ -455,10 +493,9 @@ class TestSurfaceFile:
         surface = self.build()
         p = tmp_path / "s.json"
         save_surface(surface, p)
-        doc = p.read_text().replace(
-            '"seed": [\n    0,\n    0,\n    1\n  ]', '"seed": [\n    5,\n    5,\n    5\n  ]'
-        )
-        p.write_text(doc)
+        doc = json.loads(p.read_text())
+        doc["seed"] = [5, 5, 5]
+        p.write_text(json.dumps(doc))
         with pytest.raises(SurfaceFormatError):
             load_surface(p)
 
@@ -480,3 +517,31 @@ class TestSurfaceFile:
         p.write_text(json.dumps(doc))
         with pytest.raises(SurfaceFormatError):
             load_surface(p)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.__setitem__("origin", [float("nan"), 0.0, 0.0]), "origin"),
+            (lambda doc: doc.__setitem__("origin", [0.0, 0.0]), "origin"),
+            (lambda doc: doc["states"][5].__setitem__(2, doc["states"][5][2] + 0.7), "states"),
+            (lambda doc: doc["params"].__setitem__("step_voxels", 0), "step_voxels"),
+            (lambda doc: doc["seed"].__setitem__(0, doc["seed"][0] + 0.7), "seed"),
+        ],
+        ids=["nan_origin", "short_origin", "float_state", "step_voxels", "float_seed"],
+    )
+    def test_fields_that_cannot_be_trusted(self, tmp_path, edit, field):
+        p = tmp_path / "s.json"
+        save_surface(self.build(), p)
+        doc = json.loads(p.read_text())
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SurfaceFormatError, match=field):
+            load_surface(p)
+
+    def test_loads_the_indented_layout(self, tmp_path):
+        # files written with indent=2 before the compact layout still load
+        surface = self.build()
+        p = tmp_path / "s.json"
+        save_surface(surface, p)
+        p.write_text(json.dumps(json.loads(p.read_text()), indent=2, sort_keys=True))
+        assert np.array_equal(load_surface(p).states, surface.states)
