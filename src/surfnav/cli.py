@@ -39,6 +39,8 @@ from .errors import (
 )
 from .extract import (
     ExtractionParams,
+    _params_doc,
+    _snap,
     extract_pipeline,
     load_surface,
     reduction_stats,
@@ -70,7 +72,6 @@ TIMING_KEYS = frozenset(
         "T_e_candidates",
         "T_e_collision",
         "T_e_bfs",
-        "T_ext",
         "T_dfield",
         "T_graph",
         "T_s",
@@ -128,33 +129,13 @@ def _triple(text: str, kind: str = "pose") -> tuple:
 
 
 def _snap_to_surface(surface, pose, max_snap: float, role: str) -> tuple[int, int, int]:
-    """Nearest surface state to a world pose, within max_snap meters."""
-    centers = surface.state_centers()
-    if centers.shape[0] == 0:
+    """Nearest surface state to a world pose, within max_snap meters;
+    exact ties go to the lowest ordinal."""
+    if surface.size == 0:
         raise SeedSnapError(f"seed snap failed ({role}): surface has no states", distance=math.inf)
-    d2 = ((centers - np.asarray(pose, dtype=np.float64)) ** 2).sum(axis=1)
-    best = int(np.argmin(d2))
-    dist = math.sqrt(float(d2[best]))
-    if dist > max_snap:
-        raise SeedSnapError(
-            f"seed snap failed ({role}): nearest surface state is {dist:.3f} m "
-            f"from pose, max_snap is {max_snap} m",
-            distance=dist,
-        )
+    best = _snap(surface.state_centers(), pose, max_snap,
+                 f"seed snap failed ({role}): nearest surface state")
     return tuple(int(c) for c in surface.states[best])
-
-
-def _params_dict(surface) -> dict:
-    p = surface.params
-    e = surface.extraction
-    return {
-        "step_height": e.step_height if e else None,
-        "clearance_height": e.clearance_height if e else None,
-        "inflation_radius": e.inflation_radius if e else None,
-        "step_voxels": p.step_voxels,
-        "clearance_voxels": p.clearance_voxels,
-        "inflation_voxels": p.inflation_voxels,
-    }
 
 
 def _resolve_mode(surface, mode: str) -> str:
@@ -340,7 +321,7 @@ def _cmd_extract(args) -> int:
     save_surface(surface, args.surface)
     if args.export_points:
         _export_states(surface, dfield, args.export_points)
-    stats = reduction_stats(grid, surface, extract_seconds=timings.total_seconds)
+    stats = reduction_stats(grid, surface)
     _emit(
         {
             "command": "extract",
@@ -350,14 +331,13 @@ def _cmd_extract(args) -> int:
             "seed": list(surface.seed),
             "dims": list(surface.dims),
             "resolution": surface.resolution,
-            "params": _params_dict(surface),
+            "params": _params_doc(surface),
             "surface": args.surface,
             "T_p": t_load,
             "T_e_candidates": timings.candidate_seconds,
             "T_e_collision": timings.collision_seconds,
             "T_e_bfs": timings.bfs_seconds,
             "T_e": timings.total_seconds,
-            "T_ext": timings.total_seconds,
             "T_dfield": t_dfield,
         },
         args.output,
@@ -385,6 +365,7 @@ def _cmd_plan(args) -> int:
 
     t0 = time.perf_counter()
     graph = SearchGraph.build(surface)
+    t_graph = time.perf_counter() - t0
     result = plan(surface, dfield, start, goal, params=plan_params, engine=args.engine,
                   graph=graph)
     centers = surface.origin + (result.states + 0.5) * surface.resolution
@@ -403,7 +384,7 @@ def _cmd_plan(args) -> int:
             "engine": result.engine,
             "epsilon": plan_params.epsilon,
             "path": args.path,
-            "T_graph": graph.build_seconds,
+            "T_graph": t_graph,
             "T_s": result.search_seconds,
             "T_all": time.perf_counter() - t0,
         },
@@ -439,7 +420,9 @@ def _cmd_bench(args) -> int:
     t1 = time.perf_counter()
     dfield = distance_field(surface)
     t_dfield = time.perf_counter() - t1
+    t2 = time.perf_counter()
     graph = SearchGraph.build(surface)
+    t_graph = time.perf_counter() - t2
 
     mode = _resolve_mode(surface, args.mode)
     pairs = sample_queries(surface, args.queries, mode=mode, rng_seed=args.rng_seed)
@@ -493,7 +476,7 @@ def _cmd_bench(args) -> int:
     successes = sum(1 for rec in records if rec["success"])
     ok = [rec for rec in records if rec["success"]]
     t_search_total = float(times.sum())
-    stats = reduction_stats(grid, surface, extract_seconds=timings.total_seconds)
+    stats = reduction_stats(grid, surface)
     report = {
         "command": "bench",
         "scene": scene_id,
@@ -502,7 +485,7 @@ def _cmd_bench(args) -> int:
         "reduction": stats.reduction,
         "resolution": surface.resolution,
         "seed": list(surface.seed),
-        "params": _params_dict(surface),
+        "params": _params_doc(surface),
         "plan_params": {
             "epsilon": plan_params.epsilon,
             "w_up": plan_params.w_up,
@@ -524,14 +507,12 @@ def _cmd_bench(args) -> int:
         "T_e_collision": timings.collision_seconds,
         "T_e_bfs": timings.bfs_seconds,
         "T_e": timings.total_seconds,
-        "T_ext": timings.total_seconds,
         "T_dfield": t_dfield,
-        "T_graph": graph.build_seconds,
+        "T_graph": t_graph,
         "T_s_mean": float(times.mean()) if len(pairs) else 0.0,
         "T_s_std": float(times.std()) if len(pairs) else 0.0,
         "T_s_total": t_search_total,
-        "T_all": t_build + timings.total_seconds + t_dfield + graph.build_seconds
-        + t_search_total,
+        "T_all": t_build + timings.total_seconds + t_dfield + t_graph + t_search_total,
     }
     _emit(report, args.output)
     return EXIT_OK

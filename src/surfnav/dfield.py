@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extract import Surface, _runs
+from .extract import Surface, _hops
 
 __all__ = ["DistanceField", "boundary_states", "distance_field"]
 
@@ -44,22 +44,14 @@ class DistanceField:
 
 def boundary_states(surface: Surface) -> np.ndarray:
     """Ordinals of states missing a connected neighbor in some direction."""
-    _, _, missing = surface._adjacency(surface.states)
+    _, _, missing = surface._csr
     return np.nonzero(missing.any(axis=1))[0]
 
 
 def distance_field(surface: Surface) -> DistanceField:
     """Multi-source BFS from the boundary over surface connectivity."""
-    dist = np.full(surface.size, -1, dtype=np.int64)
-    indptr, targets, missing = surface._adjacency(surface.states)
-    frontier = np.nonzero(missing.any(axis=1))[0]
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        d += 1
-        nxt = targets[_runs(indptr[frontier], indptr[frontier + 1])]
-        dist[nxt[dist[nxt] < 0]] = d
-        frontier = np.flatnonzero(dist == d)
+    indptr, targets, _ = surface._csr
+    dist = _hops(indptr, targets, boundary_states(surface))
     # a connected surface with any state has a boundary, so all reachable
     # states get a distance; isolated anomalies would surface here
     if np.any(dist < 0):

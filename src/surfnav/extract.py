@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +27,7 @@ from .errors import (
     SeedSnapError,
     SurfaceFormatError,
 )
-from .grid import OccupancyGrid, ceil_voxels, floor_voxels
+from .grid import OccupancyGrid, ceil_voxels, floor_voxels, voxel_to_world
 
 __all__ = [
     "CandidateSet",
@@ -237,19 +238,26 @@ def select_seed(pose, candidates: CandidateSet, max_snap: float) -> tuple[int, i
     coords = np.argwhere(candidates.mask)  # lexicographic (x, y, z)
     if coords.shape[0] == 0:
         raise NoCandidatesError("no candidates: every voxel failed the geometric filters")
-    grid = candidates.grid
-    centers = grid.origin + (coords + 0.5) * grid.resolution
-    d2 = ((centers - pose) ** 2).sum(axis=1)
-    best = int(np.argmin(d2))  # first minimum = lexicographic tie-break
+    centers = voxel_to_world(candidates.grid, coords)
+    x, y, z = coords[_snap(centers, pose, max_snap, "seed snap failed: nearest candidate")]
+    return (int(x), int(y), int(z))
+
+
+def _snap(centers: np.ndarray, pose, max_snap: float, what: str) -> int:
+    """Row of ``centers`` nearest ``pose``, the first one on exact ties.
+
+    Raises SeedSnapError, its message starting with ``what``, when that
+    row is farther than ``max_snap`` meters.
+    """
+    d2 = ((centers - np.asarray(pose, dtype=np.float64)) ** 2).sum(axis=1)
+    best = int(np.argmin(d2))
     dist = math.sqrt(float(d2[best]))
     if dist > max_snap:
         raise SeedSnapError(
-            f"seed snap failed: nearest candidate is {dist:.3f} m from pose, "
-            f"max_snap is {max_snap} m",
+            f"{what} is {dist:.3f} m from pose, max_snap is {max_snap} m",
             distance=dist,
         )
-    x, y, z = coords[best]
-    return (int(x), int(y), int(z))
+    return best
 
 
 _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -276,6 +284,21 @@ def _runs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     counts = hi - lo
     starts = np.cumsum(counts) - counts
     return np.repeat(lo - starts, counts) + np.arange(counts.sum())
+
+
+def _hops(indptr: np.ndarray, targets: np.ndarray, sources) -> np.ndarray:
+    """Hop count from the nearest of ``sources`` over a CSR adjacency, by
+    frontier-at-a-time BFS; -1 where no source reaches."""
+    dist = np.full(indptr.size - 1, -1, dtype=np.int64)
+    frontier = np.asarray(sources, dtype=np.int64)
+    dist[frontier] = 0
+    d = 0
+    while frontier.size:
+        d += 1
+        nxt = targets[_runs(indptr[frontier], indptr[frontier + 1])]
+        dist[nxt[dist[nxt] < 0]] = d
+        frontier = np.flatnonzero(dist == d)
+    return dist
 
 
 def _neighbor_ranges(keys: np.ndarray, coords: np.ndarray, dims, k: int):
@@ -315,7 +338,8 @@ class Surface:
     direction are one run too, and a state with an empty run in some
     direction is a boundary state. Nothing grid-sized survives extraction:
     memory scales with the surface. Building the index rejects states
-    outside ``dims`` and duplicate states with ValueError.
+    outside ``dims`` and duplicate states with ValueError. The adjacency
+    of all states is built on first use and kept.
     """
 
     states: np.ndarray
@@ -324,7 +348,6 @@ class Surface:
     resolution: float
     origin: np.ndarray
     params: DerivedVoxelParams
-    bfs_seconds: float = 0.0
     extraction: ExtractionParams | None = None
     _keys: np.ndarray = field(init=False, repr=False)
     _ordinals: np.ndarray = field(init=False, repr=False)
@@ -388,6 +411,11 @@ class Surface:
         indptr = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
         return indptr, self._ordinals[_runs(lo.ravel(), hi.ravel())], lo == hi
 
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_adjacency` of every state, in ordinal order."""
+        return self._adjacency(self.states)
+
     def state_centers(self) -> np.ndarray:
         """World centers of all states, ordinal order, (N, 3)."""
         return self.origin + (self.states + 0.5) * self.resolution
@@ -412,7 +440,6 @@ def extract_surface(
     platforms. Seeds landing in one component deduplicate; the first seed
     is recorded as canonical.
     """
-    t0 = time.perf_counter()
     dims = candidates.mask.shape
     seed_list = [tuple(int(c) for c in s) for s in seeds]
     if not seed_list:
@@ -453,7 +480,6 @@ def extract_surface(
         resolution=candidates.grid.resolution,
         origin=candidates.grid.origin,
         params=candidates.params,
-        bfs_seconds=time.perf_counter() - t0,
         extraction=extraction,
     )
 
@@ -473,26 +499,20 @@ class ReductionStats:
     total_voxels: int
     surface_size: int
     reduction: float
-    extract_seconds: float
 
 
-def reduction_stats(
-    grid: OccupancyGrid, surface: Surface, extract_seconds: float | None = None
-) -> ReductionStats:
+def reduction_stats(grid: OccupancyGrid, surface: Surface) -> ReductionStats:
     """Search-space reduction 1 - |surface| / |grid|."""
     total = grid.total_voxels
     n = surface.size
-    seconds = surface.bfs_seconds if extract_seconds is None else extract_seconds
-    return ReductionStats(
-        total_voxels=total,
-        surface_size=n,
-        reduction=1.0 - n / total,
-        extract_seconds=seconds,
-    )
+    return ReductionStats(total_voxels=total, surface_size=n, reduction=1.0 - n / total)
 
 
 @dataclass(frozen=True)
 class ExtractionTimings:
+    """Stage wall seconds, timed by :func:`extract_pipeline`. ``bfs_seconds``
+    is the whole :func:`extract_surface` call, building the column index too."""
+
     candidate_seconds: float
     collision_seconds: float
     bfs_seconds: float
@@ -526,14 +546,27 @@ def extract_pipeline(
         seed = tuple(int(c) for c in seed_voxel)
     else:
         seed = select_seed(seed_pose, filtered, max_snap)
+    t3 = time.perf_counter()
     surface = extract_surface(filtered, [seed], extraction=params)
-    return surface, ExtractionTimings(t1 - t0, t2 - t1, surface.bfs_seconds)
+    return surface, ExtractionTimings(t1 - t0, t2 - t1, time.perf_counter() - t3)
+
+
+def _params_doc(surface: Surface) -> dict:
+    """The thresholds of a surface, in meters (None if unknown) and voxels."""
+    p = surface.params
+    e = surface.extraction
+    return {
+        "step_height": e.step_height if e else None,
+        "clearance_height": e.clearance_height if e else None,
+        "inflation_radius": e.inflation_radius if e else None,
+        "step_voxels": p.step_voxels,
+        "clearance_voxels": p.clearance_voxels,
+        "inflation_voxels": p.inflation_voxels,
+    }
 
 
 def save_surface(surface: Surface, destination) -> None:
     """Write a surface as one line of JSON (states in ordinal order)."""
-    params = surface.params
-    extraction = surface.extraction
     doc = {
         "format": "surfnav-surface",
         "version": 1,
@@ -541,14 +574,7 @@ def save_surface(surface: Surface, destination) -> None:
         "origin": [float(c) for c in surface.origin],
         "dims": list(surface.dims),
         "seed": list(surface.seed),
-        "params": {
-            "step_height": extraction.step_height if extraction else None,
-            "clearance_height": extraction.clearance_height if extraction else None,
-            "inflation_radius": extraction.inflation_radius if extraction else None,
-            "step_voxels": params.step_voxels,
-            "clearance_voxels": params.clearance_voxels,
-            "inflation_voxels": params.inflation_voxels,
-        },
+        "params": _params_doc(surface),
         "states": surface.states.tolist(),
     }
     # compact separators keep json.dumps on its C encoder; indent does not
@@ -564,8 +590,11 @@ def load_surface(source) -> Surface:
 
     Rebuilds the column index, so states outside ``dims``, duplicate
     states and a seed that is not a state raise SurfaceFormatError, as do
-    non-integer states or seed, an origin that is not 3 finite numbers, and
-    voxel params that disagree with the thresholds in meters beside them.
+    non-integer states or seed, an origin that is not 3 finite numbers,
+    voxel params that disagree with the thresholds in meters beside them,
+    and a state the seed does not reach. The reachability check builds
+    the surface's adjacency, which the distance field and search graph
+    then reuse.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -626,8 +655,15 @@ def load_surface(source) -> Surface:
             params=params,
             extraction=extraction,
         )
-        if surface.size and seed not in surface:
-            raise SurfaceFormatError(f"seed {seed} is not among the states")
+        if surface.size:
+            if seed not in surface:
+                raise SurfaceFormatError(f"seed {seed} is not among the states")
+            indptr, targets, _ = surface._csr
+            cut_off = np.flatnonzero(_hops(indptr, targets, [surface.ordinal(seed)]) < 0)
+            if cut_off.size:
+                raise SurfaceFormatError(
+                    f"state {states[cut_off[0]].tolist()} is not reachable from seed {seed}"
+                )
     except (KeyError, TypeError, ValueError) as exc:
         raise SurfaceFormatError(f"bad surface file: {exc}") from exc
     return surface

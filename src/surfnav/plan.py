@@ -118,7 +118,6 @@ class SearchGraph:
     targets: np.ndarray
     dz: np.ndarray
     surface: Surface
-    build_seconds: float
 
     @property
     def edge_count(self) -> int:
@@ -126,17 +125,10 @@ class SearchGraph:
 
     @classmethod
     def build(cls, surface: Surface) -> "SearchGraph":
-        t0 = time.perf_counter()
-        indptr, targets, _ = surface._adjacency(surface.states)
+        indptr, targets, _ = surface._csr
         zs = surface.states[:, 2]
         dz = zs[targets] - np.repeat(zs, np.diff(indptr))
-        return cls(
-            indptr=indptr,
-            targets=targets,
-            dz=dz,
-            surface=surface,
-            build_seconds=time.perf_counter() - t0,
-        )
+        return cls(indptr=indptr, targets=targets, dz=dz, surface=surface)
 
 
 @dataclass(frozen=True)

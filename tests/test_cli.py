@@ -297,7 +297,7 @@ class TestPlan:
         )
         assert code == EXIT_INPUT
 
-    @pytest.mark.parametrize("tamper", ["negative", "beyond_dims", "duplicate"])
+    @pytest.mark.parametrize("tamper", ["negative", "beyond_dims", "duplicate", "cut_off"])
     def test_tampered_states_are_input_errors(self, room, tmp_path, capsys, tamper):
         doc = json.loads(open(room["surface"]).read())
         state = doc["states"][5]
@@ -305,8 +305,11 @@ class TestPlan:
             state[0] = -1
         elif tamper == "beyond_dims":
             state[0] = doc["dims"][0] + 3
-        else:
+        elif tamper == "duplicate":
             doc["states"].append(list(state))
+        else:
+            # a corner voxel at the grid top: no state is within a step of it
+            doc["states"].append([0, 0, doc["dims"][2] - 1])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, _, err = run(
@@ -429,6 +432,24 @@ class TestQueries:
 
 
 class TestHarness:
+    def test_timing_keys_are_the_emitted_timers(self, room, tmp_path, capsys):
+        def timers(doc):
+            if isinstance(doc, dict):
+                own = {k for k in doc if k.startswith("T_")}
+                return own.union(*(timers(v) for v in doc.values()))
+            if isinstance(doc, list):
+                return set().union(*(timers(v) for v in doc))
+            return set()
+
+        extract = json.loads((room["dir"] / "extract.json").read_text())
+        plan = report(
+            ["plan", room["surface"], str(tmp_path / "p.xyz"),
+             "--start", "8.6,8.6,1.1", "--goal", "2.0,2.0,1.1"],
+            capsys,
+        )
+        bench = report(["bench", "--preset", "table1_fixture", "--queries", "2"], capsys)
+        assert timers(extract) | timers(plan) | timers(bench) == TIMING_KEYS
+
     def test_help_exits_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
 

@@ -538,6 +538,16 @@ class TestSurfaceFile:
         with pytest.raises(SurfaceFormatError, match=field):
             load_surface(p)
 
+    def test_state_cut_off_from_the_seed(self, table1, tmp_path):
+        p = tmp_path / "s.json"
+        save_surface(table1.surface, p)
+        doc = json.loads(p.read_text())
+        # a corner voxel at the grid top: no state is within a step of it
+        doc["states"].append([0, 0, doc["dims"][2] - 1])
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SurfaceFormatError, match=rf"state \[0, 0, {doc['dims'][2] - 1}\]"):
+            load_surface(p)
+
     def test_loads_the_indented_layout(self, tmp_path):
         # files written with indent=2 before the compact layout still load
         surface = self.build()
