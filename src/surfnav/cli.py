@@ -380,6 +380,9 @@ def _cmd_plan(args) -> int:
             "L": result.metric_length,
             "L_xy": result.metric_length_xy,
             "N_s": result.expanded,
+            "pushes": result.pushes,
+            "stale_pops": result.stale_pops,
+            "heap_peak": result.heap_peak,
             "steps": int(result.states.shape[0] - 1),
             "engine": result.engine,
             "epsilon": plan_params.epsilon,
@@ -446,6 +449,9 @@ def _cmd_bench(args) -> int:
                         "L": r.metric_length,
                         "L_xy": r.metric_length_xy,
                         "N_s": r.expanded,
+                        "pushes": r.pushes,
+                        "stale_pops": r.stale_pops,
+                        "heap_peak": r.heap_peak,
                         "T_s": r.search_seconds,
                     }
                 )
@@ -459,6 +465,9 @@ def _cmd_bench(args) -> int:
                         "L": None,
                         "L_xy": None,
                         "N_s": None,
+                        "pushes": None,
+                        "stale_pops": None,
+                        "heap_peak": None,
                         "T_s": None,
                     }
                 )

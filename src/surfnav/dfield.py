@@ -13,11 +13,11 @@ and obstacles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extract import Surface, _hops
+from .extract import Surface, _hops, _int64
 
 __all__ = ["DistanceField", "boundary_states", "distance_field"]
 
@@ -28,9 +28,11 @@ class DistanceField:
 
     distances: np.ndarray
     surface: Surface
+    # (w_obstacle, bias) of the last planning weight asked for
+    _bias_cache: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.distances, dtype=np.int64))
+        d = _int64(self.distances, "distances")
         if d.shape != (self.surface.size,):
             raise ValueError(
                 f"distances shape {d.shape} does not match surface size {self.surface.size}"
@@ -40,6 +42,19 @@ class DistanceField:
 
     def at(self, state) -> int:
         return int(self.distances[self.surface.ordinal(state)])
+
+    def _bias(self, w_obstacle: float) -> np.ndarray:
+        """Read-only per-state boundary-proximity cost,
+        w_obstacle * resolution / (distance + 1); kept for the last
+        ``w_obstacle``, so a planner pays for it once, not per query."""
+        cached = self._bias_cache
+        if cached is None or cached[0] != w_obstacle:
+            res = self.surface.resolution
+            bias = w_obstacle * res / (self.distances.astype(np.float64) + 1.0)
+            bias.setflags(write=False)
+            cached = (w_obstacle, bias)
+            object.__setattr__(self, "_bias_cache", cached)
+        return cached[1]
 
 
 def boundary_states(surface: Surface) -> np.ndarray:

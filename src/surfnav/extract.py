@@ -301,6 +301,15 @@ def _hops(indptr: np.ndarray, targets: np.ndarray, sources) -> np.ndarray:
     return dist
 
 
+def _int64(a, name: str) -> np.ndarray:
+    """``a`` as a native, C-contiguous int64 array, copied only if it is not
+    one already; ValueError if it does not hold integers."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
 def _neighbor_ranges(keys: np.ndarray, coords: np.ndarray, dims, k: int):
     """The bounded-step adjacency, as runs of a sorted column index.
 
@@ -337,9 +346,10 @@ class Surface:
     and ``levels`` are binary searches. A state's neighbors in one
     direction are one run too, and a state with an empty run in some
     direction is a boundary state. Nothing grid-sized survives extraction:
-    memory scales with the surface. Building the index rejects states
-    outside ``dims`` and duplicate states with ValueError. The adjacency
-    of all states is built on first use and kept.
+    memory scales with the surface. ``states`` is held as native,
+    C-contiguous int64. Building the index rejects non-integer states,
+    states outside ``dims`` and duplicate states with ValueError. The
+    adjacency of all states is built on first use and kept.
     """
 
     states: np.ndarray
@@ -353,7 +363,8 @@ class Surface:
     _ordinals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = self.states
+        states = _int64(self.states, "states")
+        object.__setattr__(self, "states", states)
         outside = np.any((states < 0) | (states >= self.dims), axis=1)
         if outside.any():
             bad = states[outside][0].tolist()
@@ -635,8 +646,6 @@ def load_surface(source) -> Surface:
         states = np.asarray(doc["states"])
         if states.size == 0:
             states = np.empty((0, 3), dtype=np.int64)
-        if states.dtype.kind not in "iu":
-            raise SurfaceFormatError(f"states must be integers, got dtype {states.dtype}")
         if states.ndim != 2 or states.shape[1] != 3:
             raise SurfaceFormatError(f"bad states array of shape {states.shape}")
         dims = tuple(int(d) for d in doc["dims"])
@@ -647,7 +656,7 @@ def load_surface(source) -> Surface:
             raise SurfaceFormatError(f"seed must be 3 integers, got {doc['seed']!r}")
         seed = tuple(seed.tolist())
         surface = Surface(
-            states=states.astype(np.int64, copy=False),
+            states=states,
             seed=seed,
             dims=dims,
             resolution=resolution,

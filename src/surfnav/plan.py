@@ -8,11 +8,15 @@ heuristic underestimates every term it models and is consistent, which
 keeps plain A* (epsilon = 1) exact; epsilon > 1 trades cost for speed
 with the usual bounded-suboptimality guarantee.
 
-The search is written once, as plain Python over numpy arrays and a
+The search is written once, as plain Python over indexable arrays and a
 heapq of tuples (tie-break: min f, then max g, then lexicographic
 coordinates). Where numba imports, the same function is also compiled
-and serves as the "numba" engine; the "python" engine interprets it.
-One specification, so the two engines return bit-identical results.
+and serves as the "numba" engine, which reads the numpy arrays. The
+"python" engine interprets it over memoryviews of the same arrays:
+indexing a memoryview yields a plain int or float with no copy, where
+indexing an ndarray boxes a numpy scalar. The values are the same IEEE
+doubles and integers either way, so the two engines return bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .dfield import DistanceField
 from .errors import NoPathError, OffSurfaceError
-from .extract import Surface
+from .extract import Surface, _int64
 
 __all__ = [
     "PathResult",
@@ -112,12 +116,17 @@ def heuristic(state, goal, params: PlanParams, resolution: float) -> float:
 class SearchGraph:
     """CSR adjacency of a surface: edges sorted by (source ordinal,
     direction, height). Independent of planning weights, so one graph
-    serves any number of queries."""
+    serves any number of queries. The arrays are held as native,
+    C-contiguous int64, the layout both engines read."""
 
     indptr: np.ndarray
     targets: np.ndarray
     dz: np.ndarray
     surface: Surface
+
+    def __post_init__(self):
+        for name in ("indptr", "targets", "dz"):
+            object.__setattr__(self, name, _int64(getattr(self, name), name))
 
     @property
     def edge_count(self) -> int:
@@ -134,44 +143,51 @@ class SearchGraph:
 @dataclass(frozen=True)
 class PathResult:
     """A* output: states in path order (start first), accumulated cost,
-    metric lengths in meters, and search effort."""
+    metric lengths in meters, and search effort: states expanded, heap
+    pushes (the start's included), stale pops (entries of closed states or
+    superseded g) and the largest heap size."""
 
     states: np.ndarray
     cost: float
     metric_length: float
     metric_length_xy: float
     expanded: int
+    pushes: int
+    stale_pops: int
+    heap_peak: int
     search_seconds: float
     engine: str
 
 
-def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, start, goal, epsilon, res, w_down, k):
+def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, g, parent, closed,
+           start, goal, epsilon, res, w_down, k):
     """A* over the CSR graph from ordinal ``start`` to ``goal``.
 
-    Heap entries are (f, -g, packed (x, y, z), ordinal): min f, then max g,
-    then lexicographic coordinates. Pushes of one state carry strictly
+    ``g`` (all inf), ``parent`` (all -1) and ``closed`` (all False) are the
+    caller's per-state search state, written in place. Heap entries are
+    (f, -g, packed (x, y, z), ordinal): min f, then max g, then
+    lexicographic coordinates. Pushes of one state carry strictly
     decreasing g, so that order is total over live entries and no insertion
-    counter is needed. Coordinates and targets are read through ``int`` so
-    the interpreted search does its arithmetic on Python ints; compiled, the
-    calls are no-ops. Returns (parent, g, expanded, found).
+    counter is needed. Returns (expanded, pushes, stale_pops, heap_peak,
+    found).
     """
-    n = xs.shape[0]
-    g = np.full(n, np.inf)
-    parent = np.full(n, -1, np.int64)
-    closed = np.zeros(n, np.bool_)
-    gx, gy, gz = int(xs[goal]), int(ys[goal]), int(zs[goal])
+    gx, gy, gz = xs[goal], ys[goal], zs[goal]
 
-    x, y, z = int(xs[start]), int(ys[start]), int(zs[start])
+    x, y, z = xs[start], ys[start], zs[start]
     dx, dy, dz = x - gx, y - gy, z - gz
     h = res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
     g[start] = 0.0
     heap = [(0.0 + epsilon * h, -0.0, (x << 42) | (y << 21) | z, start)]
     expanded = 0
+    pushes = 1
+    stale_pops = 0
+    heap_peak = 1
     found = False
     while heap:
         _f, neg_g, _key, u = heapq.heappop(heap)
         pg = -neg_g
         if closed[u] or pg != g[u]:
+            stale_pops += 1
             continue
         if u == goal:
             found = True
@@ -179,21 +195,30 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, start, goal, epsi
         closed[u] = True
         expanded += 1
         for e in range(indptr[u], indptr[u + 1]):
-            v = int(targets[e])
+            v = targets[e]
             if closed[v]:
                 continue
             ng = pg + cost_by_dz[dzs[e] + k] + bias[v]
             if ng < g[v]:
                 g[v] = ng
                 parent[v] = u
-                x, y, z = int(xs[v]), int(ys[v]), int(zs[v])
+                x, y, z = xs[v], ys[v], zs[v]
                 dx, dy, dz = x - gx, y - gy, z - gz
                 h = res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
                 heapq.heappush(heap, (ng + epsilon * h, -ng, (x << 42) | (y << 21) | z, v))
-    return parent, g, expanded, found
+                pushes += 1
+        # pops happen only at the loop head, so this sees every peak
+        if len(heap) > heap_peak:
+            heap_peak = len(heap)
+    return expanded, pushes, stale_pops, heap_peak, found
 
 
-_ENGINES = {"python": _astar}
+def _interpreted(*args):
+    """:func:`_astar` over memoryviews: plain Python scalars, no copies."""
+    return _astar(*(memoryview(a) if isinstance(a, np.ndarray) else a for a in args))
+
+
+_ENGINES = {"python": _interpreted}
 try:
     from numba import njit
 except ImportError:
@@ -262,6 +287,9 @@ def plan(
             metric_length=0.0,
             metric_length_xy=0.0,
             expanded=0,
+            pushes=0,
+            stale_pops=0,
+            heap_peak=0,
             search_seconds=0.0,
             engine=engine,
         )
@@ -271,21 +299,27 @@ def plan(
     k = surface.params.step_voxels
     res = surface.resolution
     cost_by_dz = _cost_table(params, res, k)
-    bias = params.w_obstacle * res / (dfield.distances.astype(np.float64) + 1.0)
     s = surface.ordinal(start)
     t = surface.ordinal(goal)
 
     states = surface.states
+    n = surface.size
+    g = np.full(n, np.inf)
+    parent = np.full(n, -1, np.int64)
+    closed = np.zeros(n, np.bool_)
     t0 = time.perf_counter()
-    parent, g, expanded, found = _ENGINES[engine](
+    expanded, pushes, stale_pops, heap_peak, found = _ENGINES[engine](
         graph.indptr,
         graph.targets,
         graph.dz,
         cost_by_dz,
-        bias,
+        dfield._bias(params.w_obstacle),
         states[:, 0],
         states[:, 1],
         states[:, 2],
+        g,
+        parent,
+        closed,
         s,
         t,
         params.epsilon,
@@ -312,6 +346,9 @@ def plan(
         metric_length=full,
         metric_length_xy=xy,
         expanded=int(expanded),
+        pushes=int(pushes),
+        stale_pops=int(stale_pops),
+        heap_peak=int(heap_peak),
         search_seconds=elapsed,
         engine=engine,
     )

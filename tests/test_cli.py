@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from surfnav import load_grid, load_surface, save_point_cloud
+from surfnav import (
+    PlanParams,
+    distance_field,
+    load_grid,
+    load_surface,
+    plan,
+    save_point_cloud,
+)
 from surfnav.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, TIMING_KEYS, main
 from surfnav.plan import _HAVE_NUMBA
+
+COUNTERS = ("pushes", "stale_pops", "heap_peak")
 
 
 def run(argv, capsys):
@@ -250,6 +259,20 @@ class TestPlan:
         )
         assert doc["success"] is True
 
+    def test_report_carries_search_counters(self, room, tmp_path, capsys):
+        # the report's counters are PathResult's, under the same names
+        surface = load_surface(room["surface"])
+        a, b = surface.states[0], surface.states[-1]
+        doc = report(
+            ["plan", room["surface"], str(tmp_path / "p.xyz"),
+             "--start-voxel", ",".join(map(str, a)), "--goal-voxel", ",".join(map(str, b))],
+            capsys,
+        )
+        result = plan(surface, distance_field(surface), a, b, PlanParams())
+        assert doc["N_s"] == result.expanded
+        assert {k: doc[k] for k in COUNTERS} == {k: getattr(result, k) for k in COUNTERS}
+        assert doc["pushes"] >= doc["N_s"] + doc["stale_pops"] + 1
+
     def test_goal_outside_map(self, room, tmp_path, capsys):
         code, _, err = run(
             ["plan", room["surface"], str(tmp_path / "p.xyz"),
@@ -370,6 +393,8 @@ class TestBench:
         for i, rec in enumerate(doc["per_query"]):
             assert rec["success"] is True
             assert rec["T_s"] >= 0
+            assert all(isinstance(rec[k], int) for k in COUNTERS)
+            assert 1 <= rec["heap_peak"] <= rec["pushes"]
 
     def test_auto_mode_goes_mixed_with_two_floors(self, capsys):
         doc = report(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surfnav import (
+    DistanceField,
     ExtractionParams,
     NoPathError,
     OccupancyGrid,
@@ -21,7 +22,8 @@ from surfnav import (
     successors,
 )
 from surfnav.oracle import _adjacent, _column_map
-from surfnav.plan import _HAVE_NUMBA, _cost_table
+from surfnav.extract import Surface
+from surfnav.plan import _ENGINES, _HAVE_NUMBA, _astar, _cost_table
 
 needs_numba = pytest.mark.skipif(not _HAVE_NUMBA, reason="numba is not importable")
 
@@ -242,6 +244,67 @@ class TestPlan:
             assert rn.expanded == rp.expanded
             assert np.array_equal(rn.states, rp.states)
 
+    @pytest.mark.parametrize("w_obstacle", [0.5, 0.0])
+    def test_arrays_and_memoryviews_search_alike(self, table1, w_obstacle):
+        # numba calls _astar on the ndarrays, reading numpy scalars as its
+        # typed arrays do; the python engine wraps them in memoryviews.
+        # Without numba, calling _astar directly keeps the compiled
+        # engine's calling convention under test.
+        surface, dfield, graph = table1.surface, table1.dfield, table1.graph
+        params = PlanParams(w_obstacle=w_obstacle)
+        res, k, n = surface.resolution, surface.params.step_voxels, surface.size
+        states = surface.states
+        rng = np.random.default_rng(5)  # the pairs of test_engines_bit_identical
+        for a, b in rng.integers(0, surface.size, size=(10, 2)).tolist():
+            runs = []
+            for engine in (_astar, _ENGINES["python"]):
+                g = np.full(n, np.inf)
+                parent = np.full(n, -1, np.int64)
+                closed = np.zeros(n, np.bool_)
+                out = engine(
+                    graph.indptr, graph.targets, graph.dz, _cost_table(params, res, k),
+                    dfield._bias(params.w_obstacle), states[:, 0], states[:, 1],
+                    states[:, 2], g, parent, closed, a, b, params.epsilon, res,
+                    params.w_down, k,
+                )
+                runs.append((tuple(int(c) for c in out), g.tobytes(), parent.tobytes()))
+            assert runs[0] == runs[1]  # counters, then g and parent bit for bit
+            expanded, pushes, stale_pops, heap_peak, found = runs[0][0]
+            assert found
+            # every pop is an expansion, a stale entry or the goal
+            assert pushes >= expanded + stale_pops + (a != b)
+            assert 1 <= heap_peak <= pushes
+
+    def test_interleaved_queries_match_fresh_ones(self, table1):
+        # one graph and distance field serve alternating queries; no search
+        # state may leak from one call into the next
+        surface, dfield, graph = table1.surface, table1.dfield, table1.graph
+        states = [tuple(s) for s in surface.states[[0, -1, 7, surface.size // 2]].tolist()]
+        queries = [(states[0], states[1], PlanParams()),
+                   (states[2], states[3], PlanParams(w_obstacle=0.0)),
+                   (states[1], states[0], PlanParams(epsilon=1.5))]
+
+        def key(r):
+            return (r.cost, r.states.tobytes(), r.expanded, r.pushes, r.stale_pops,
+                    r.heap_peak)
+
+        shared = [key(plan(surface, dfield, a, b, p, graph=graph))
+                  for a, b, p in queries + queries[::-1]]
+        fresh = []
+        for a, b, p in queries + queries[::-1]:
+            d = distance_field(surface)
+            fresh.append(key(plan(surface, d, a, b, p, graph=SearchGraph.build(surface))))
+        assert shared == fresh
+
+    def test_bias_built_once_per_weight(self, table1):
+        surface, dfield = table1.surface, table1.dfield
+        for w in (0.5, 1.3):
+            bias = dfield._bias(w)
+            assert dfield._bias(w) is bias
+            assert not bias.flags.writeable
+            expected = w * surface.resolution / (dfield.distances.astype(np.float64) + 1.0)
+            assert bias.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "w_obstacle, start, goal, expanded, path",
         [
@@ -303,3 +366,68 @@ class TestPlan:
         diffs = np.diff(result.states, axis=0)
         assert np.all(np.abs(diffs[:, 0]) + np.abs(diffs[:, 1]) == 1)
         assert np.all(np.abs(diffs[:, 2]) <= k)
+
+
+class TestArrayLayout:
+    """Surfaces and graphs hold native int64 whatever they are built from,
+    so both engines can read them; non-integer arrays are refused."""
+
+    def rebuilt(self, surface, dfield, dtype):
+        again = Surface(
+            states=surface.states.astype(dtype),
+            seed=surface.seed,
+            dims=surface.dims,
+            resolution=surface.resolution,
+            origin=surface.origin,
+            params=surface.params,
+        )
+        graph = SearchGraph.build(surface)
+        graph = SearchGraph(
+            graph.indptr.astype(dtype),
+            graph.targets.astype(dtype),
+            graph.dz.astype(dtype),
+            again,
+        )
+        return again, DistanceField(dfield.distances.astype(dtype), again), graph
+
+    @pytest.mark.parametrize("dtype", ["<i4", ">i8", ">i4"])
+    def test_other_integer_layouts_plan_identically(self, dtype):
+        surface, dfield = flat(9, post=(4, 4))
+        again, dfield2, graph2 = self.rebuilt(surface, dfield, dtype)
+        for arr in (again.states, graph2.indptr, graph2.targets, graph2.dz, dfield2.distances):
+            assert arr.dtype == np.int64 and arr.dtype.isnative
+            assert arr.flags.c_contiguous
+        for start, goal in [((1, 1, 1), (7, 7, 1)), ((8, 0, 1), (0, 8, 1))]:
+            want = plan(surface, dfield, start, goal)
+            got = plan(again, dfield2, start, goal, graph=graph2)
+            assert got.cost == want.cost
+            assert np.array_equal(got.states, want.states)
+            assert (got.expanded, got.pushes, got.stale_pops, got.heap_peak) == (
+                want.expanded, want.pushes, want.stale_pops, want.heap_peak)
+
+    def test_int64_arrays_are_kept_not_copied(self):
+        surface, _ = flat(5)
+        graph = SearchGraph.build(surface)
+        indptr, targets, _ = surface._csr
+        assert graph.indptr is indptr and graph.targets is targets
+
+    def test_float_states_are_refused(self):
+        surface, _ = flat(5)
+        with pytest.raises(ValueError, match="states must be integers"):
+            Surface(
+                states=surface.states.astype(np.float64),
+                seed=surface.seed,
+                dims=surface.dims,
+                resolution=surface.resolution,
+                origin=surface.origin,
+                params=surface.params,
+            )
+
+    @pytest.mark.parametrize("name", ["indptr", "targets", "dz"])
+    def test_float_graph_arrays_are_refused(self, name):
+        surface, _ = flat(5)
+        graph = SearchGraph.build(surface)
+        arrays = {"indptr": graph.indptr, "targets": graph.targets, "dz": graph.dz}
+        arrays[name] = arrays[name].astype(np.float64)
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            SearchGraph(surface=surface, **arrays)
