@@ -154,19 +154,30 @@ def candidate_set(grid: OccupancyGrid, params: DerivedVoxelParams) -> CandidateS
     occupied convention does not manufacture a floor below the grid.
     Clearance treats out-of-bounds as occupied, so voxels within
     clearance_voxels of the grid top are excluded.
+
+    Works on flat keys (x * ny + y) * nz + z: a free voxel on support is
+    kept when the next occupied key above it lies past key + kc. Besides
+    the mask and one boolean scan of the grid, memory scales with the
+    occupied voxels, not with the grid.
     """
     occ = grid.occupancy
-    nx, ny, nz = occ.shape
+    nz = occ.shape[2]
     kc = params.clearance_voxels
     mask = np.zeros(occ.shape, dtype=bool)
     zmax = nz - 1 - kc  # last z whose clearance column is fully in bounds
     if zmax >= 1:
-        cum = np.cumsum(occ, axis=2, dtype=np.int32)
-        # occupied count in the column (z, z + kc] for z in [1, zmax]
-        blocked = cum[:, :, 1 + kc : zmax + 1 + kc] - cum[:, :, 1 : zmax + 1]
-        mask[:, :, 1 : zmax + 1] = (
-            ~occ[:, :, 1 : zmax + 1] & occ[:, :, 0:zmax] & (blocked == 0)
-        )
+        standing = ~occ[:, :, 1 : zmax + 1]
+        standing &= occ[:, :, :zmax]
+        flat = np.flatnonzero(standing)
+        del standing
+        keys = flat // zmax * nz + flat % zmax + 1
+        occupied = np.flatnonzero(occ)
+        above = np.searchsorted(occupied, keys)
+        nxt = occupied[np.minimum(above, occupied.size - 1)]
+        # z <= zmax keeps key + kc inside the voxel's own column, so an
+        # occupied key in a later column, or none at all, leaves it clear
+        clear = (above == occupied.size) | (nxt > keys + kc)
+        mask.reshape(-1)[keys[clear]] = True
     return CandidateSet(mask, grid, params)
 
 
@@ -194,9 +205,10 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
     nx, ny, nz = occ.shape
     kc = params.clearance_voxels
 
-    xs, ys, zs = np.nonzero(candidates.mask)
-    if xs.size == 0:
+    keys = np.flatnonzero(candidates.mask)
+    if keys.size == 0:
         return candidates
+    xs, ys, zs = np.unravel_index(keys, occ.shape)
     hit = np.empty(xs.size, dtype=bool)
     order = np.argsort(zs, kind="stable")
     levels, starts = np.unique(zs[order], return_index=True)
@@ -221,7 +233,7 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
             count += rows[lx + dx, ly + w + 1] - rows[lx + dx, ly - w]
         hit[idx] = count > 0
     mask = candidates.mask.copy()
-    mask[xs[hit], ys[hit], zs[hit]] = False
+    mask.reshape(-1)[keys[hit]] = False
     return CandidateSet(mask, candidates.grid, params)
 
 
@@ -230,12 +242,14 @@ def select_seed(pose, candidates: CandidateSet, max_snap: float) -> tuple[int, i
 
     Exact distance ties resolve to the lexicographically smallest voxel.
     Raises if the candidate set is empty or the nearest candidate is
-    farther than ``max_snap`` meters.
+    farther than ``max_snap`` meters, and ValueError if ``max_snap`` is
+    NaN or negative (``inf`` means no limit).
     """
     pose = np.asarray(pose, dtype=np.float64)
     if pose.shape != (3,) or not np.all(np.isfinite(pose)):
         raise ValueError(f"pose must be 3 finite coordinates, got {pose!r}")
-    coords = np.argwhere(candidates.mask)  # lexicographic (x, y, z)
+    mask = candidates.mask
+    coords = np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
     if coords.shape[0] == 0:
         raise NoCandidatesError("no candidates: every voxel failed the geometric filters")
     centers = voxel_to_world(candidates.grid, coords)
@@ -247,8 +261,11 @@ def _snap(centers: np.ndarray, pose, max_snap: float, what: str) -> int:
     """Row of ``centers`` nearest ``pose``, the first one on exact ties.
 
     Raises SeedSnapError, its message starting with ``what``, when that
-    row is farther than ``max_snap`` meters.
+    row is farther than ``max_snap`` meters, and ValueError when
+    ``max_snap`` is NaN or negative.
     """
+    if not max_snap >= 0:
+        raise ValueError(f"max_snap must be >= 0 meters (inf for no limit), got {max_snap}")
     d2 = ((centers - np.asarray(pose, dtype=np.float64)) ** 2).sum(axis=1)
     best = int(np.argmin(d2))
     dist = math.sqrt(float(d2[best]))
@@ -335,6 +352,18 @@ def _neighbor_ranges(keys: np.ndarray, coords: np.ndarray, dims, k: int):
     return lo.T, hi.T
 
 
+def _column_adjacency(keys: np.ndarray, coords: np.ndarray, dims, k: int):
+    """:func:`_neighbor_ranges` as a CSR: (indptr, targets, missing).
+
+    ``targets`` holds, for every voxel of ``coords``, the positions in
+    ``keys`` of its neighbors, by direction and z-ascending within one;
+    ``missing`` is the (n, 4) mask of the directions without a neighbor.
+    """
+    lo, hi = _neighbor_ranges(keys, coords, dims, k)
+    indptr = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
+    return indptr, _runs(lo.ravel(), hi.ravel()), lo == hi
+
+
 @dataclass(frozen=True, eq=False)
 class Surface:
     """Seed-reachable standing voxels with stable ordinals.
@@ -349,7 +378,9 @@ class Surface:
     memory scales with the surface. ``states`` is held as native,
     C-contiguous int64. Building the index rejects non-integer states,
     states outside ``dims`` and duplicate states with ValueError. The
-    adjacency of all states is built on first use and kept.
+    adjacency of all states comes from :func:`extract_surface`, which
+    builds it anyway; a surface made otherwise (:func:`load_surface`, or
+    the constructor) builds it on first use. Either way it is kept.
     """
 
     states: np.ndarray
@@ -418,13 +449,15 @@ class Surface:
         ``coords``, sorted by (direction, height), and an (n, 4) mask of
         the directions without a neighbor.
         """
-        lo, hi = _neighbor_ranges(self._keys, coords, self.dims, self.params.step_voxels)
-        indptr = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
-        return indptr, self._ordinals[_runs(lo.ravel(), hi.ravel())], lo == hi
+        indptr, at, missing = _column_adjacency(
+            self._keys, coords, self.dims, self.params.step_voxels
+        )
+        return indptr, self._ordinals[at], missing
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_adjacency` of every state, in ordinal order."""
+        """:meth:`_adjacency` of every state, in ordinal order; set by
+        :func:`extract_surface` to the same arrays."""
         return self._adjacency(self.states)
 
     def state_centers(self) -> np.ndarray:
@@ -450,6 +483,12 @@ def extract_surface(
     in discovery order, so the output is identical across runs and
     platforms. Seeds landing in one component deduplicate; the first seed
     is recorded as canonical.
+
+    The adjacency of all candidates is built once, as a CSR over their
+    sorted flat keys, and each BFS round only gathers its frontier's runs.
+    That CSR, cut to the reached states, becomes the surface's adjacency,
+    so the distance field and search graph do not build it again. Memory
+    scales with the candidates, not with the grid.
     """
     dims = candidates.mask.shape
     seed_list = [tuple(int(c) for c in s) for s in seeds]
@@ -461,31 +500,41 @@ def extract_surface(
 
     # the candidates' own column index: flatnonzero keys come out sorted
     keys = np.flatnonzero(candidates.mask)
-    coords = np.stack(np.unravel_index(keys, dims), axis=1)
+    xs, ys, zs = np.unravel_index(keys, dims)
+    coords = np.stack((xs, ys, zs), axis=1)
     k = candidates.params.step_voxels
+    indptr, targets, missing = _column_adjacency(keys, coords, dims, k)
+    # the BFS takes each voxel's moves in step_offsets order: by direction
+    # (+x, -x, +y, -y), then dz = 0, +1, -1, ..., +k, -k; the CSR runs are
+    # z-ascending within a direction. The direction index is 2 [same x] +
+    # [neighbor column before the voxel's own], and keys sort by column.
+    source = np.repeat(np.arange(keys.size), np.diff(indptr))
+    dz = zs[targets] - zs[source]
+    step = 4 * source + 2 * (xs[targets] == xs[source]) + (targets < source)
+    del source
+    step *= 2 * k + 1
+    step += 2 * np.abs(dz) - (dz > 0)
+    del dz
+    stepped = targets[np.argsort(step, kind="stable")]
+    del step
+
     seen = np.zeros(keys.size, dtype=bool)
     nb = np.searchsorted(keys, np.ravel_multi_index(tuple(np.array(seed_list).T), dims))
     chunks = []
     while nb.size:
         # keep the first occurrence of each voxel: rows are in (parent
-        # ordinal, offset order) sequence, i.e. discovery order
+        # ordinal, step offset) sequence, i.e. discovery order
         _, idx = np.unique(nb, return_index=True)
         frontier = nb[np.sort(idx)]
         seen[frontier] = True
         chunks.append(frontier)
-        lo, hi = _neighbor_ranges(keys, coords[frontier], dims, k)
-        # row = parent * 4 + direction, for every neighbor in the runs
-        row = np.repeat(np.arange(lo.size), (hi - lo).ravel())
-        nb = _runs(lo.ravel(), hi.ravel())
-        fresh = ~seen[nb]
-        row, nb = row[fresh], nb[fresh]
-        # runs are z-ascending; reorder each (parent, direction) run into
-        # step_offsets order: dz = 0, +1, -1, ..., +k, -k
-        dz = coords[nb, 2] - coords[frontier[row // 4], 2]
-        nb = nb[np.lexsort((2 * np.abs(dz) - (dz > 0), row))]
+        nb = stepped[_runs(indptr[frontier], indptr[frontier + 1])]
+        nb = nb[~seen[nb]]
+    order = np.concatenate(chunks)
+    del stepped
 
-    return Surface(
-        states=coords[np.concatenate(chunks)],
+    surface = Surface(
+        states=coords[order],
         seed=seed_list[0],
         dims=dims,
         resolution=candidates.grid.resolution,
@@ -493,6 +542,16 @@ def extract_surface(
         params=candidates.params,
         extraction=extraction,
     )
+    # the candidates' CSR cut to the surface: a reached voxel's neighbors
+    # are all reached, so every target has an ordinal
+    ordinal = np.empty(keys.size, dtype=np.int64)
+    ordinal[order] = np.arange(order.size)
+    object.__setattr__(surface, "_csr", (
+        np.concatenate(([0], np.cumsum(np.diff(indptr)[order]))),
+        ordinal[targets[_runs(indptr[order], indptr[order + 1])]],
+        missing[order],
+    ))
+    return surface
 
 
 def levels_at(surface: Surface, x: int, y: int) -> list[int]:

@@ -196,6 +196,19 @@ class TestExtract:
         assert code == EXIT_PIPELINE
         assert "seed snap failed" in err
 
+    @pytest.mark.parametrize("max_snap", ["nan", "-1"])
+    def test_bad_max_snap(self, room, tmp_path, capsys, max_snap):
+        # with NaN the seed used to snap ~1,700 m off the map and exit 0
+        code, _, err = run(
+            ["extract", room["grid"], str(tmp_path / "s.json"),
+             "--seed-pos", "1000,1000,1000", "--max-snap", max_snap],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "max_snap" in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_non_candidate_seed_voxel(self, room, tmp_path, capsys):
         code, _, err = run(
             ["extract", room["grid"], str(tmp_path / "s.json"), "--seed-voxel", "0,0,0"],
@@ -281,6 +294,26 @@ class TestPlan:
         )
         assert code == EXIT_PIPELINE
         assert "seed snap failed (goal)" in err
+
+    @pytest.mark.parametrize("max_snap", ["nan", "-1"])
+    def test_bad_max_snap(self, room, tmp_path, capsys, max_snap):
+        code, _, err = run(
+            ["plan", room["surface"], str(tmp_path / "p.xyz"),
+             "--start=1000,1000,1000", "--goal", "2.0,2.0,1.1", "--max-snap", max_snap],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "max_snap" in err
+        assert not (tmp_path / "p.xyz").exists()
+
+    def test_infinite_max_snap_is_no_limit(self, room, tmp_path, capsys):
+        doc = report(
+            ["plan", room["surface"], str(tmp_path / "p.xyz"),
+             "--start=1000,1000,1000", "--goal", "2.0,2.0,1.1", "--max-snap", "inf"],
+            capsys,
+        )
+        assert doc["success"] is True
 
     def test_requires_exactly_one_start(self, room, tmp_path, capsys):
         code, _, err = run(

@@ -1,10 +1,12 @@
 import json
+import math
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from surfnav import (
     CandidateSet,
@@ -54,6 +56,30 @@ def table_grid():
     occ[:, :, 0] = True
     occ[4:8, 4:8, 4] = True
     return grid_from(occ)
+
+
+def candidate_reference(occ, kc):
+    """The candidate definition, one voxel at a time: free, on in-bounds
+    occupied support, with (z, z + kc] free and inside the grid."""
+    nz = occ.shape[2]
+    expect = np.zeros(occ.shape, dtype=bool)
+    for x, y, z in np.ndindex(occ.shape):
+        expect[x, y, z] = (
+            not occ[x, y, z]
+            and z >= 1
+            and occ[x, y, z - 1]
+            and z + kc < nz
+            and not occ[x, y, z + 1 : z + kc + 1].any()
+        )
+    return expect
+
+
+def assert_adjacency_prebuilt(surface):
+    """The adjacency extraction hands the surface equals the one the
+    surface would build from its own column index, dtypes included."""
+    for got, want in zip(surface._csr, surface._adjacency(surface.states), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def collision_reference(cands):
@@ -132,6 +158,19 @@ class TestCandidateSet:
             for y in range(4, 8):
                 assert (x, y, 5) in cands
         assert cands.count == 144 - 16 + 16
+
+    @given(
+        occ=arrays(bool, st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 9))),
+        kc=st.integers(1, 5),
+    )
+    @example(occ=np.zeros((3, 4, 8), dtype=bool), kc=2)
+    @example(occ=np.ones((3, 4, 8), dtype=bool), kc=2)
+    @example(occ=np.eye(4, 9, dtype=bool)[None].repeat(3, axis=0), kc=3)
+    @example(occ=np.ones((2, 3, 4), dtype=bool), kc=3)  # zmax = 0
+    @example(occ=np.eye(2, 3, dtype=bool)[None], kc=5)  # zmax < 0
+    def test_matches_voxel_reference(self, occ, kc):
+        cands = candidate_set(grid_from(occ), dv(k=0, kc=kc))
+        assert np.array_equal(cands.mask, candidate_reference(occ, kc))
 
     def test_mask_shape_must_match_grid(self):
         g = floor_grid(4, 4, 6)
@@ -253,6 +292,19 @@ class TestSelectSeed:
         with pytest.raises(ValueError):
             select_seed((np.nan, 0.0, 0.0), cands, 2.0)
 
+    @pytest.mark.parametrize("max_snap", [math.nan, -1.0, -math.inf])
+    def test_bad_max_snap(self, max_snap):
+        # NaN compares false with every distance, so it used to mean no limit
+        cands = candidate_set(floor_grid(), dv())
+        with pytest.raises(ValueError, match="max_snap must be"):
+            select_seed((50.0, 0.0, 0.0), cands, max_snap)
+        with pytest.raises(ValueError, match="max_snap must be"):
+            select_seed((0.9, 1.5, 0.3), cands, max_snap)
+
+    def test_infinite_max_snap_is_no_limit(self):
+        cands = candidate_set(floor_grid(), dv())
+        assert select_seed((50.0, 0.0, 0.0), cands, math.inf) == (9, 0, 1)
+
 
 class TestStepOffsets:
     def test_order(self):
@@ -329,6 +381,8 @@ class TestExtractSurface:
         surface = extract_surface(cands, [(5, 5, 5)])
         assert surface.size == 16
         assert np.all(surface.states[:, 2] == 5)
+        # the candidates' adjacency, cut to a patch of 16 of 144
+        assert_adjacency_prebuilt(surface)
 
     def test_invalid_seed(self):
         cands = candidate_set(table_grid(), dv())
@@ -369,6 +423,7 @@ class TestExtractSurface:
         cands = CandidateSet(mask, grid, dv(k=k, kc=k + 1))
         surface = extract_surface(cands, [seed])
         assert [tuple(s) for s in surface.states.tolist()] == bfs_fifo(mask, seed, k)
+        assert_adjacency_prebuilt(surface)
         # random masks put several heights of a neighbor column inside the
         # step window, which no preset does: check the adjacency runs here
         assert np.array_equal(
@@ -380,6 +435,11 @@ class TestExtractSurface:
             row = graph.targets[graph.indptr[i] : graph.indptr[i + 1]]
             got = [tuple(surface.states[j]) for j in row.tolist()]
             assert got == list(_adjacent(cols, tuple(state), k))
+
+
+def test_adjacency_prebuilt_on_presets(all_presets):
+    for b in all_presets.values():
+        assert_adjacency_prebuilt(b.surface)
 
 
 class TestSurfaceAccessors:
