@@ -131,8 +131,6 @@ def _triple(text: str, kind: str = "pose") -> tuple:
 def _snap_to_surface(surface, pose, max_snap: float, role: str) -> tuple[int, int, int]:
     """Nearest surface state to a world pose, within max_snap meters;
     exact ties go to the lowest ordinal."""
-    if surface.size == 0:
-        raise SeedSnapError(f"seed snap failed ({role}): surface has no states", distance=math.inf)
     best = _snap(surface.state_centers(), pose, max_snap,
                  f"seed snap failed ({role}): nearest surface state")
     return tuple(int(c) for c in surface.states[best])
@@ -171,8 +169,6 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w-up", type=float, default=2.0, help="climb penalty per voxel")
     p.add_argument("--w-down", type=float, default=1.0, help="descent penalty per voxel")
     p.add_argument("--w-obs", type=float, default=0.5, help="boundary proximity bias")
-    p.add_argument("--engine", choices=("auto", "numba", "python"), default="auto",
-                   help="search engine (results are identical)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -366,8 +362,7 @@ def _cmd_plan(args) -> int:
     t0 = time.perf_counter()
     graph = SearchGraph.build(surface)
     t_graph = time.perf_counter() - t0
-    result = plan(surface, dfield, start, goal, params=plan_params, engine=args.engine,
-                  graph=graph)
+    result = plan(surface, dfield, start, goal, params=plan_params, graph=graph)
     centers = surface.origin + (result.states + 0.5) * surface.resolution
     save_point_cloud(centers, args.path)
     _emit(
@@ -438,8 +433,7 @@ def _cmd_bench(args) -> int:
         rep_records = []
         for start, goal in pairs:
             try:
-                r = plan(surface, dfield, start, goal, params=plan_params,
-                         engine=args.engine, graph=graph)
+                r = plan(surface, dfield, start, goal, params=plan_params, graph=graph)
                 rep_records.append(
                     {
                         "start": list(start),

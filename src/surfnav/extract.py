@@ -106,6 +106,9 @@ class DerivedVoxelParams:
     def from_params(cls, params: ExtractionParams, resolution: float) -> "DerivedVoxelParams":
         if not (math.isfinite(resolution) and resolution > 0):
             raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+        meters = (params.step_height, params.clearance_height, params.inflation_radius)
+        if not math.isfinite(max(meters) / resolution):
+            raise ValueError(f"resolution {resolution} is too small to count the thresholds in voxels")
         return cls(
             step_voxels=floor_voxels(params.step_height / resolution),
             clearance_voxels=ceil_voxels(params.clearance_height / resolution),
@@ -261,15 +264,17 @@ def _snap(centers: np.ndarray, pose, max_snap: float, what: str) -> int:
     """Row of ``centers`` nearest ``pose``, the first one on exact ties.
 
     Raises SeedSnapError, its message starting with ``what``, when that
-    row is farther than ``max_snap`` meters, and ValueError when
-    ``max_snap`` is NaN or negative.
+    row is farther than ``max_snap`` meters or its distance overflows (all
+    rows would tie at inf), and ValueError when ``max_snap`` is NaN or
+    negative.
     """
     if not max_snap >= 0:
         raise ValueError(f"max_snap must be >= 0 meters (inf for no limit), got {max_snap}")
-    d2 = ((centers - np.asarray(pose, dtype=np.float64)) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        d2 = ((centers - np.asarray(pose, dtype=np.float64)) ** 2).sum(axis=1)
     best = int(np.argmin(d2))
     dist = math.sqrt(float(d2[best]))
-    if dist > max_snap:
+    if not (math.isfinite(dist) and dist <= max_snap):
         raise SeedSnapError(
             f"{what} is {dist:.3f} m from pose, max_snap is {max_snap} m",
             distance=dist,
@@ -377,7 +382,8 @@ class Surface:
     direction is a boundary state. Nothing grid-sized survives extraction:
     memory scales with the surface. ``states`` is held as native,
     C-contiguous int64. Building the index rejects non-integer states,
-    states outside ``dims`` and duplicate states with ValueError. The
+    states outside ``dims``, duplicate states and a seed that is not a
+    state with ValueError: a surface always holds its seed. The
     adjacency of all states comes from :func:`extract_surface`, which
     builds it anyway; a surface made otherwise (:func:`load_surface`, or
     the constructor) builds it on first use. Either way it is kept.
@@ -408,6 +414,8 @@ class Surface:
             raise ValueError(f"state {states[order[twice[0]]].tolist()} appears twice")
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_ordinals", order)
+        if self._position(self.seed) < 0:
+            raise ValueError(f"seed {tuple(self.seed)} is not among the states")
 
     @property
     def size(self) -> int:
@@ -466,8 +474,6 @@ class Surface:
 
     def z_span(self) -> int:
         """Height difference in voxels between lowest and highest state."""
-        if self.size == 0:
-            return 0
         zs = self.states[:, 2]
         return int(zs.max() - zs.min())
 
@@ -659,12 +665,12 @@ def load_surface(source) -> Surface:
     """Read a surface written by :func:`save_surface`.
 
     Rebuilds the column index, so states outside ``dims``, duplicate
-    states and a seed that is not a state raise SurfaceFormatError, as do
-    non-integer states or seed, an origin that is not 3 finite numbers,
-    voxel params that disagree with the thresholds in meters beside them,
-    and a state the seed does not reach. The reachability check builds
-    the surface's adjacency, which the distance field and search graph
-    then reuse.
+    states and a seed that is not a state (as in a file with no states)
+    raise SurfaceFormatError, as do non-integer states or seed, an origin
+    that is not 3 finite numbers, voxel params that disagree with the
+    thresholds in meters beside them, and a state the seed does not
+    reach. The reachability check builds the surface's adjacency, which
+    the distance field and search graph then reuse.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -723,15 +729,12 @@ def load_surface(source) -> Surface:
             params=params,
             extraction=extraction,
         )
-        if surface.size:
-            if seed not in surface:
-                raise SurfaceFormatError(f"seed {seed} is not among the states")
-            indptr, targets, _ = surface._csr
-            cut_off = np.flatnonzero(_hops(indptr, targets, [surface.ordinal(seed)]) < 0)
-            if cut_off.size:
-                raise SurfaceFormatError(
-                    f"state {states[cut_off[0]].tolist()} is not reachable from seed {seed}"
-                )
+        indptr, targets, _ = surface._csr
+        cut_off = np.flatnonzero(_hops(indptr, targets, [surface.ordinal(seed)]) < 0)
+        if cut_off.size:
+            raise SurfaceFormatError(
+                f"state {states[cut_off[0]].tolist()} is not reachable from seed {seed}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise SurfaceFormatError(f"bad surface file: {exc}") from exc
     return surface

@@ -10,13 +10,13 @@ with the usual bounded-suboptimality guarantee.
 
 The search is written once, as plain Python over indexable arrays and a
 heapq of tuples (tie-break: min f, then max g, then lexicographic
-coordinates). Where numba imports, the same function is also compiled
-and serves as the "numba" engine, which reads the numpy arrays. The
-"python" engine interprets it over memoryviews of the same arrays:
-indexing a memoryview yields a plain int or float with no copy, where
-indexing an ndarray boxes a numpy scalar. The values are the same IEEE
-doubles and integers either way, so the two engines return bit-identical
-results.
+coordinates), and so is the heuristic it calls. Where numba imports,
+both are compiled and the search reads the numpy arrays; otherwise it is
+interpreted over memoryviews of the same arrays: indexing a memoryview
+yields a plain int or float with no copy, where indexing an ndarray
+boxes a numpy scalar. The values are the same IEEE doubles and integers
+either way, so the results do not depend on which of the two runs. The
+choice is made once, at import, and ``PathResult.engine`` names it.
 """
 
 from __future__ import annotations
@@ -102,14 +102,17 @@ def edge_cost(src, dst, dst_boundary_distance: int, params: PlanParams, resoluti
     return move + params.w_obstacle * resolution / (dst_boundary_distance + 1)
 
 
+def _heuristic(dx, dy, dz, res, w_down):
+    """:func:`heuristic` from the offset to the goal in voxels; the search
+    calls it, and numba compiles it along with the search."""
+    return res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
+
+
 def heuristic(state, goal, params: PlanParams, resolution: float) -> float:
     """Admissible cost lower bound: straight-line length plus the cheapest
     possible vertical penalty (w_down per voxel of net height change)."""
-    dx = state[0] - goal[0]
-    dy = state[1] - goal[1]
-    dz = state[2] - goal[2]
-    d2 = dx * dx + dy * dy + dz * dz
-    return resolution * math.sqrt(d2) + resolution * abs(dz) * params.w_down
+    return _heuristic(state[0] - goal[0], state[1] - goal[1], state[2] - goal[2],
+                      resolution, params.w_down)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +120,7 @@ class SearchGraph:
     """CSR adjacency of a surface: edges sorted by (source ordinal,
     direction, height). Independent of planning weights, so one graph
     serves any number of queries. The arrays are held as native,
-    C-contiguous int64, the layout both engines read."""
+    C-contiguous int64, the layout the search reads compiled or not."""
 
     indptr: np.ndarray
     targets: np.ndarray
@@ -172,12 +175,9 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, g, parent, closed
     found).
     """
     gx, gy, gz = xs[goal], ys[goal], zs[goal]
-
-    x, y, z = xs[start], ys[start], zs[start]
-    dx, dy, dz = x - gx, y - gy, z - gz
-    h = res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
     g[start] = 0.0
-    heap = [(0.0 + epsilon * h, -0.0, (x << 42) | (y << 21) | z, start)]
+    # alone in the heap and popped first, the start needs no f or key
+    heap = [(0.0, -0.0, 0, start)]
     expanded = 0
     pushes = 1
     stale_pops = 0
@@ -203,8 +203,7 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, g, parent, closed
                 g[v] = ng
                 parent[v] = u
                 x, y, z = xs[v], ys[v], zs[v]
-                dx, dy, dz = x - gx, y - gy, z - gz
-                h = res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
+                h = _heuristic(x - gx, y - gy, z - gz, res, w_down)
                 heapq.heappush(heap, (ng + epsilon * h, -ng, (x << 42) | (y << 21) | z, v))
                 pushes += 1
         # pops happen only at the loop head, so this sees every peak
@@ -218,14 +217,14 @@ def _interpreted(*args):
     return _astar(*(memoryview(a) if isinstance(a, np.ndarray) else a for a in args))
 
 
-_ENGINES = {"python": _interpreted}
 try:
     from numba import njit
+    from numba.extending import register_jitable
 except ImportError:
-    pass
+    _search, _ENGINE = _interpreted, "python"
 else:
-    _ENGINES["numba"] = njit(cache=True)(_astar)
-_HAVE_NUMBA = "numba" in _ENGINES
+    register_jitable(_heuristic)  # lets the compiled _astar call it
+    _search, _ENGINE = njit(cache=True)(_astar), "numba"
 
 
 def _cost_table(params: PlanParams, resolution: float, k: int) -> np.ndarray:
@@ -251,14 +250,13 @@ def plan(
     start,
     goal,
     params: PlanParams | None = None,
-    engine: str = "auto",
     graph: SearchGraph | None = None,
 ) -> PathResult:
     """Search a path between two surface states.
 
     ``start`` and ``goal`` are voxel triples that must lie on the surface.
     Pass a prebuilt ``graph`` to amortize adjacency construction across
-    queries. ``engine`` is "auto", "numba" or "python".
+    queries. The result's ``engine`` names the search that ran.
     """
     if params is None:
         params = PlanParams()
@@ -273,13 +271,6 @@ def plan(
     if goal not in surface:
         raise OffSurfaceError(f"state {goal} is not on the surface (goal)")
 
-    if engine == "auto":
-        engine = "numba" if _HAVE_NUMBA else "python"
-    if engine == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba engine requested but numba is not importable")
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-
     if start == goal:
         return PathResult(
             states=np.array([start], dtype=np.int64),
@@ -291,7 +282,7 @@ def plan(
             stale_pops=0,
             heap_peak=0,
             search_seconds=0.0,
-            engine=engine,
+            engine=_ENGINE,
         )
 
     if graph is None:
@@ -308,7 +299,7 @@ def plan(
     parent = np.full(n, -1, np.int64)
     closed = np.zeros(n, np.bool_)
     t0 = time.perf_counter()
-    expanded, pushes, stale_pops, heap_peak, found = _ENGINES[engine](
+    expanded, pushes, stale_pops, heap_peak, found = _search(
         graph.indptr,
         graph.targets,
         graph.dz,
@@ -350,5 +341,5 @@ def plan(
         stale_pops=int(stale_pops),
         heap_peak=int(heap_peak),
         search_seconds=elapsed,
-        engine=engine,
+        engine=_ENGINE,
     )

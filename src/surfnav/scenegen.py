@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,8 +130,8 @@ class Staircase:
             )
         if self.tread_depth <= 0 or self.width <= 0 or self.riser <= 0:
             raise SceneSpecError("Staircase: tread_depth, width and riser must be > 0")
-        if self.steps < 1:
-            raise SceneSpecError(f"Staircase: steps must be >= 1, got {self.steps}")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
+            raise SceneSpecError(f"Staircase: steps must be an integer >= 1, got {self.steps!r}")
 
     def boxes(self):
         ox, oy, oz = self.origin
@@ -272,8 +273,11 @@ class SceneSpec:
         object.__setattr__(self, "primitives", tuple(self.primitives))
         if len(self.extent) != 3 or any(e <= 0 or not math.isfinite(e) for e in self.extent):
             raise SceneSpecError(f"extent must be 3 positive sizes, got {self.extent}")
-        if not (math.isfinite(self.resolution) and self.resolution > 0):
-            raise SceneSpecError(f"resolution must be finite and > 0, got {self.resolution}")
+        if not (isinstance(self.resolution, numbers.Real) and math.isfinite(self.resolution)
+                and self.resolution > 0):
+            raise SceneSpecError(f"resolution must be finite and > 0, got {self.resolution!r}")
+        if len(self.seed_hint) != 3:
+            raise SceneSpecError(f"seed_hint must be 3 coordinates, got {self.seed_hint}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,9 +297,12 @@ class Scene:
 
 
 def _box_slices(box, resolution, dims):
-    x0, y0, z0, x1, y1, z1 = box
-    lo = (floor_voxels(x0 / resolution), floor_voxels(y0 / resolution), floor_voxels(z0 / resolution))
-    hi = (ceil_voxels(x1 / resolution), ceil_voxels(y1 / resolution), ceil_voxels(z1 / resolution))
+    # a NaN box, or one too large to count in voxels, leaves the grid too
+    x0, y0, z0, x1, y1, z1 = (c / resolution for c in box)
+    if not all(math.isfinite(c) for c in (x0, y0, z0, x1, y1, z1)):
+        return None
+    lo = (floor_voxels(x0), floor_voxels(y0), floor_voxels(z0))
+    hi = (ceil_voxels(x1), ceil_voxels(y1), ceil_voxels(z1))
     for a in range(3):
         if lo[a] < 0 or hi[a] > dims[a]:
             return None
@@ -310,22 +317,24 @@ def build_scene(spec: SceneSpec) -> Scene:
     labels = np.zeros(dims, dtype=np.int16)
     label_ids: dict[str, int] = {}
     for prim in spec.primitives:
-        if prim.name not in label_ids:
-            label_ids[prim.name] = len(label_ids) + 1
-        lid = label_ids[prim.name]
-        for box, solid in prim.boxes():
-            sl = _box_slices(box, r, dims)
-            if sl is None:
-                raise SceneSpecError(
-                    f"spec out of bounds: {type(prim).__name__} {prim.name!r} box {box} "
-                    f"leaves extent {spec.extent}"
-                )
-            if solid:
-                occ[sl] = True
-                labels[sl] = lid
-            else:
-                occ[sl] = False
-                labels[sl] = 0
+        try:
+            lid = label_ids.setdefault(prim.name, len(label_ids) + 1)
+            for box, solid in prim.boxes():
+                sl = _box_slices(box, r, dims)
+                if sl is None:
+                    raise SceneSpecError(
+                        f"spec out of bounds: {type(prim).__name__} {prim.name!r} box {box} "
+                        f"leaves extent {spec.extent}"
+                    )
+                if solid:
+                    occ[sl] = True
+                    labels[sl] = lid
+                else:
+                    occ[sl] = False
+                    labels[sl] = 0
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a spec file can put a string, null or a list in any field
+            raise SceneSpecError(f"bad {type(prim).__name__} {prim.name!r}: {exc}") from exc
     grid = OccupancyGrid(r, np.zeros(3), occ)
     return Scene(grid=grid, labels=labels, label_ids=label_ids, spec=spec)
 
@@ -341,18 +350,17 @@ def _prim_to_dict(prim) -> dict:
 
 
 def _prim_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise SceneSpecError(f"a primitive must be a JSON object, got {d!r}")
     d = dict(d)
     tag = d.pop("type", None)
     cls = _PRIMITIVE_TYPES.get(tag)
     if cls is None:
         raise SceneSpecError(f"unknown primitive type {tag!r}")
-    try:
-        for f, v in list(d.items()):
-            if isinstance(v, list):
-                d[f] = tuple(tuple(e) if isinstance(e, list) else e for e in v)
-        return cls(**d)
-    except TypeError as exc:
-        raise SceneSpecError(f"bad {tag} primitive: {exc}") from exc
+    for f, v in list(d.items()):
+        if isinstance(v, list):
+            d[f] = tuple(tuple(e) if isinstance(e, list) else e for e in v)
+    return cls(**d)
 
 
 def save_scene_spec(spec: SceneSpec, destination) -> None:
@@ -397,6 +405,8 @@ def load_scene_spec(source) -> SceneSpec:
         )
     except KeyError as exc:
         raise SceneSpecError(f"scene spec missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SceneSpecError(f"bad scene spec: {exc}") from exc
 
 
 def _perimeter_walls(ex, ey, height, z0, thickness=0.4):

@@ -12,7 +12,6 @@ from surfnav import (
     save_point_cloud,
 )
 from surfnav.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, TIMING_KEYS, main
-from surfnav.plan import _HAVE_NUMBA
 
 COUNTERS = ("pushes", "stale_pops", "heap_peak")
 
@@ -143,6 +142,37 @@ class TestScenegen:
         )
         assert doc["resolution"] == 0.4
         assert doc["dims"] == [50, 50, 8]
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("extent", 5, "bad scene spec"), ("resolution", "x", "resolution"),
+         ("resolution", None, "resolution"), ("seed_hint", [1, 2], "seed_hint"),
+         ("primitive", [0.0, 1.0], "primitive"), ("steps", 2.5, "steps"),
+         ("z", 1e308, "out of bounds"), ("z", 10**400, "too large")],
+        ids=["extent", "resolution_str", "resolution_null", "seed_hint", "primitive",
+             "steps", "z_overflow", "z_bigint"],
+    )
+    def test_bad_spec_fields_are_input_errors(self, tmp_path, capsys, field, value, named):
+        spec = tmp_path / "scene.json"
+        report(["scenegen", "--preset", "table1_fixture", str(tmp_path / "a.grid"),
+                "--save-spec", str(spec)], capsys)
+        doc = json.loads(spec.read_text())
+        prims = doc["primitives"]
+        if field == "primitive":
+            prims[0] = value
+        elif field == "steps":
+            next(p for p in prims if p["type"] == "staircase")["steps"] = value
+        elif field == "z":
+            next(p for p in prims if p["type"] == "floor_slab")["z"] = value
+        else:
+            doc[field] = value
+        spec.write_text(json.dumps(doc))
+        grid = tmp_path / "b.grid"
+        code, _, err = run(["scenegen", "--spec", str(spec), str(grid)], capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert named in err
+        assert not grid.exists()
 
     def test_rng_seed_recorded(self, tmp_path, capsys):
         doc = report(
@@ -324,27 +354,6 @@ class TestPlan:
         assert code == EXIT_INPUT
         assert "exactly one of --start" in err
 
-    @pytest.mark.skipif(not _HAVE_NUMBA, reason="numba is not importable")
-    def test_engines_agree(self, room, tmp_path, capsys):
-        args = ["plan", room["surface"], str(tmp_path / "p.xyz"),
-                "--start", "8.6,8.6,1.1", "--goal", "2.0,6.0,1.1"]
-        doc_numba = report(args + ["--engine", "numba"], capsys)
-        doc_python = report(args + ["--engine", "python"], capsys)
-        assert doc_numba["cost"] == doc_python["cost"]
-        assert doc_numba["N_s"] == doc_python["N_s"]
-
-    @pytest.mark.skipif(_HAVE_NUMBA, reason="numba is importable")
-    def test_numba_engine_refused_without_numba(self, room, tmp_path, capsys):
-        code, _, err = run(
-            ["plan", room["surface"], str(tmp_path / "p.xyz"),
-             "--start", "8.6,8.6,1.1", "--goal", "2.0,6.0,1.1", "--engine", "numba"],
-            capsys,
-        )
-        assert code == EXIT_INPUT
-        assert err.startswith("error:")
-        assert "not importable" in err
-        assert "Traceback" not in err
-
     def test_missing_surface(self, tmp_path, capsys):
         code, _, err = run(
             ["plan", str(tmp_path / "absent.json"), str(tmp_path / "p.xyz"),
@@ -353,7 +362,9 @@ class TestPlan:
         )
         assert code == EXIT_INPUT
 
-    @pytest.mark.parametrize("tamper", ["negative", "beyond_dims", "duplicate", "cut_off"])
+    @pytest.mark.parametrize(
+        "tamper", ["negative", "beyond_dims", "duplicate", "cut_off", "empty_states"]
+    )
     def test_tampered_states_are_input_errors(self, room, tmp_path, capsys, tamper):
         doc = json.loads(open(room["surface"]).read())
         state = doc["states"][5]
@@ -363,6 +374,9 @@ class TestPlan:
             state[0] = doc["dims"][0] + 3
         elif tamper == "duplicate":
             doc["states"].append(list(state))
+        elif tamper == "empty_states":
+            # a surface always holds its seed
+            doc["states"] = []
         else:
             # a corner voxel at the grid top: no state is within a step of it
             doc["states"].append([0, 0, doc["dims"][2] - 1])
@@ -487,6 +501,17 @@ class TestQueries:
         )
         assert code == EXIT_PIPELINE
         assert "insufficient floors" in err
+
+    def test_empty_states_are_input_errors(self, room, tmp_path, capsys):
+        doc = json.loads(open(room["surface"]).read())
+        doc["states"] = []
+        doc["seed"] = [999, 999, 999]  # outside dims as well
+        bad = tmp_path / "empty.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["queries", str(bad)], capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "seed" in err
 
 
 class TestHarness:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -114,6 +115,11 @@ class TestDerivedParams:
         )
         assert d.step_voxels == 0
         assert d.inflation_voxels == 0
+
+    def test_subnormal_resolution_is_refused(self):
+        # the thresholds overflow to inf voxels
+        with pytest.raises(ValueError, match="too small"):
+            DerivedVoxelParams.from_params(ExtractionParams(), 2.2e-311)
 
     def test_step_must_stay_below_clearance(self):
         with pytest.raises(ValueError):
@@ -304,6 +310,18 @@ class TestSelectSeed:
     def test_infinite_max_snap_is_no_limit(self):
         cands = candidate_set(floor_grid(), dv())
         assert select_seed((50.0, 0.0, 0.0), cands, math.inf) == (9, 0, 1)
+
+    def test_overflowed_distance_is_no_match(self):
+        # every squared distance overflows to inf, so all candidates would
+        # tie and row 0 would win whatever the pose
+        occ = np.zeros((6, 6, 6), dtype=bool)
+        occ[:, :, 0] = True
+        cands = candidate_set(OccupancyGrid(0.2, np.array([1e300, 0.0, 0.0]), occ), dv())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeedSnapError, match="seed snap failed") as err:
+                select_seed((0.0, 1.1, 0.3), cands, math.inf)
+        assert err.value.distance == math.inf
 
 
 class TestStepOffsets:

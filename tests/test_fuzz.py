@@ -2,10 +2,12 @@
 
 ``table1_fixture`` grid and surface files are corrupted field by field
 (a JSON value or a header field replaced, a key dropped) and byte by byte
-(bytes replaced, inserted or deleted, the file cut short), then run
-through ``cli.main`` in-process: ``extract`` reads the grid, ``plan``
-reads the surface. Every run must exit 0, 1 or 2 without a traceback,
-and exit 0 only with a surface file that ``load_surface`` accepts.
+(bytes replaced, inserted or deleted, the file cut short), and its scene
+spec field by field, then run through ``cli.main`` in-process:
+``extract`` reads the grid, ``plan`` reads the surface and ``scenegen``
+reads the spec. Every run must exit 0, 1 or 2 without a traceback, and
+exit 0 only with a surface or grid file that ``load_surface`` or
+``load_grid`` accepts.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfnav import load_surface
+from surfnav import load_grid, load_surface, preset, save_scene_spec
 from surfnav.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, main
 
 SEED_POS = "8.6,8.6,1.1"
@@ -49,7 +51,9 @@ def files(tmp_path_factory):
     assert main(["scenegen", "--preset", "table1_fixture", str(grid)]) == EXIT_OK
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["extract", str(grid), str(surface), "--seed-pos", SEED_POS]) == EXIT_OK
-    return {"dir": d, "grid": grid.read_bytes(), "surface": surface.read_bytes()}
+    save_scene_spec(preset("table1_fixture"), d / "room.spec.json")
+    return {"dir": d, "grid": grid.read_bytes(), "surface": surface.read_bytes(),
+            "spec": (d / "room.spec.json").read_text()}
 
 
 def run_cli(argv):
@@ -219,3 +223,68 @@ def test_surface_fields(files, edits):
     for edit in edits:
         edit_document(doc, *edit)
     check_plan(files["dir"], json.dumps(doc).encode())
+
+
+# Resolutions SceneSpec must refuse: a tiny positive one would rasterize
+# billions of voxels in-process.
+bad_resolutions = (
+    st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]) | st.none()
+    | st.text(max_size=4) | st.lists(st.floats(0.1, 1.0), max_size=2)
+)
+# Extents up to 40 m keep the grid within 200**3 = 8e6 voxels at 0.2 m.
+extents = st.floats(-1.0, 40.0) | st.sampled_from([math.nan, math.inf, 1e308])
+# Primitive numbers: small integers keep staircases short.
+spec_numbers = (
+    st.floats(-20.0, 20.0) | st.integers(-3, 60) | st.floats(allow_nan=True, allow_infinity=True)
+)
+spec_junk = st.none() | st.booleans() | st.text(max_size=4) | st.dictionaries(
+    st.text(max_size=3), spec_numbers, max_size=2)
+spec_values = spec_junk | spec_numbers | st.lists(spec_numbers | spec_junk, max_size=4)
+PRIMITIVE_FIELDS = [
+    "type", "name", "region", "z", "thickness", "height", "z0", "z1", "origin",
+    "direction", "tread_depth", "width", "riser", "steps", "top_z", "top_thickness",
+    "base_z", "leg_size", "legs", "underside_z", "floor_z", "ceiling_z", "shell_thickness",
+]
+
+
+@st.composite
+def spec_field_edits(draw):
+    """Edits as in :func:`surface_field_edits`, over the scene spec."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([
+            ("format",), ("version",), ("name",), ("rng_seed",), ("resolution",),
+            ("extent",), ("extent", "any"), ("seed_hint",), ("seed_hint", "any"),
+            ("primitives",), ("primitives", "any"),
+        ]) | st.sampled_from(PRIMITIVE_FIELDS).map(lambda f: ("primitives", "any", f))
+          | st.sampled_from(["region", "origin", "legs"]).map(
+              lambda f: ("primitives", "any", f, "any")))
+        action = draw(st.sampled_from(["set", "set", "drop", "append"]))
+        if path == ("resolution",):
+            value = draw(bad_resolutions)
+        elif path[0] == "extent":
+            value = draw(extents if len(path) == 2 else st.lists(extents, max_size=4) | spec_junk)
+        else:
+            value = draw(spec_values)
+        index = draw(st.integers(0, 2**31))
+        edits.append((path, action, value, index))
+    return edits
+
+
+@settings(max_examples=FIELD_EXAMPLES)
+@given(edits=spec_field_edits())
+def test_scene_spec_fields(files, edits):
+    doc = json.loads(files["spec"])
+    for edit in edits:
+        edit_document(doc, *edit)
+    d = files["dir"]
+    spec, grid = d / "bad.spec.json", d / "out.grid"
+    spec.write_text(json.dumps(doc))
+    grid.unlink(missing_ok=True)
+    code, err = run_cli(["scenegen", "--spec", str(spec), str(grid)])
+    assert "Traceback" not in err, err
+    assert code in (EXIT_OK, EXIT_PIPELINE, EXIT_INPUT), err
+    if code == EXIT_OK:
+        load_grid(grid)
+    else:
+        assert err.startswith("error:"), err

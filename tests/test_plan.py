@@ -23,9 +23,9 @@ from surfnav import (
 )
 from surfnav.oracle import _adjacent, _column_map
 from surfnav.extract import Surface
-from surfnav.plan import _ENGINES, _HAVE_NUMBA, _astar, _cost_table
+from surfnav.plan import _ENGINE, _astar, _cost_table, _interpreted, _search
 
-needs_numba = pytest.mark.skipif(not _HAVE_NUMBA, reason="numba is not importable")
+needs_numba = pytest.mark.skipif(_ENGINE != "numba", reason="numba is not importable")
 
 
 def flat(n=10, post=None):
@@ -137,36 +137,36 @@ class TestSuccessors:
                 assert graph.dz[e] == surface.states[j, 2] - surface.states[i, 2]
 
 
-def corner_to_corner(engine):
-    """Plan across a flat 10 x 10 floor and check the exact optimum."""
-    surface, dfield = flat(10)
-    params = PlanParams(w_obstacle=0.0)
-    result = plan(surface, dfield, (0, 0, 1), (9, 9, 1), params, engine=engine)
-    assert result.cost == pytest.approx(18 * 0.2, abs=1e-12)
-    assert result.metric_length == pytest.approx(3.6, abs=1e-12)
-    assert result.metric_length_xy == result.metric_length
-    assert result.states.shape == (19, 3)
-    assert tuple(result.states[0]) == (0, 0, 1)
-    assert tuple(result.states[-1]) == (9, 9, 1)
-    return result
+def run_search(search, fixture, a, b, params=PlanParams()):
+    """Call ``search`` (an :func:`_astar` variant) directly from ordinal
+    ``a`` to ``b``; return its counters, then ``g`` and ``parent`` as bytes."""
+    surface, dfield, graph = fixture.surface, fixture.dfield, fixture.graph
+    res, k, n = surface.resolution, surface.params.step_voxels, surface.size
+    states = surface.states
+    g = np.full(n, np.inf)
+    parent = np.full(n, -1, np.int64)
+    closed = np.zeros(n, np.bool_)
+    out = search(
+        graph.indptr, graph.targets, graph.dz, _cost_table(params, res, k),
+        dfield._bias(params.w_obstacle), states[:, 0], states[:, 1], states[:, 2],
+        g, parent, closed, a, b, params.epsilon, res, params.w_down, k,
+    )
+    return tuple(int(c) for c in out), g.tobytes(), parent.tobytes()
 
 
 class TestPlan:
     def test_corner_to_corner_flat(self):
-        assert corner_to_corner("python").engine == "python"
-        # auto takes the compiled engine when it can and falls back otherwise
-        auto = corner_to_corner("auto")
-        assert auto.engine == ("numba" if _HAVE_NUMBA else "python")
-
-    @needs_numba
-    def test_corner_to_corner_flat_numba(self):
-        assert corner_to_corner("numba").engine == "numba"
-
-    @pytest.mark.skipif(_HAVE_NUMBA, reason="numba is importable")
-    def test_numba_engine_refused_without_numba(self):
-        surface, dfield = flat(4)
-        with pytest.raises(ValueError, match="not importable"):
-            plan(surface, dfield, (0, 0, 1), (1, 1, 1), engine="numba")
+        surface, dfield = flat(10)
+        params = PlanParams(w_obstacle=0.0)
+        result = plan(surface, dfield, (0, 0, 1), (9, 9, 1), params)
+        assert result.cost == pytest.approx(18 * 0.2, abs=1e-12)
+        assert result.metric_length == pytest.approx(3.6, abs=1e-12)
+        assert result.metric_length_xy == result.metric_length
+        assert result.states.shape == (19, 3)
+        assert tuple(result.states[0]) == (0, 0, 1)
+        assert tuple(result.states[-1]) == (9, 9, 1)
+        # compiled where numba imports, interpreted otherwise
+        assert result.engine == _ENGINE
 
     def test_start_equals_goal(self):
         surface, dfield = flat(5)
@@ -232,42 +232,21 @@ class TestPlan:
 
     @needs_numba
     def test_engines_bit_identical(self, table1):
-        surface, dfield, graph = table1.surface, table1.dfield, table1.graph
         rng = np.random.default_rng(5)
-        idx = rng.integers(0, surface.size, size=(10, 2))
-        for a, b in idx:
-            start = tuple(surface.states[a])
-            goal = tuple(surface.states[b])
-            rn = plan(surface, dfield, start, goal, engine="numba", graph=graph)
-            rp = plan(surface, dfield, start, goal, engine="python", graph=graph)
-            assert rn.cost == rp.cost  # bitwise, no tolerance
-            assert rn.expanded == rp.expanded
-            assert np.array_equal(rn.states, rp.states)
+        for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
+            # counters, then g and parent bit for bit
+            assert run_search(_search, table1, a, b) == run_search(_interpreted, table1, a, b)
 
     @pytest.mark.parametrize("w_obstacle", [0.5, 0.0])
     def test_arrays_and_memoryviews_search_alike(self, table1, w_obstacle):
         # numba calls _astar on the ndarrays, reading numpy scalars as its
-        # typed arrays do; the python engine wraps them in memoryviews.
+        # typed arrays do; the interpreted search wraps them in memoryviews.
         # Without numba, calling _astar directly keeps the compiled
-        # engine's calling convention under test.
-        surface, dfield, graph = table1.surface, table1.dfield, table1.graph
+        # search's calling convention under test.
         params = PlanParams(w_obstacle=w_obstacle)
-        res, k, n = surface.resolution, surface.params.step_voxels, surface.size
-        states = surface.states
         rng = np.random.default_rng(5)  # the pairs of test_engines_bit_identical
-        for a, b in rng.integers(0, surface.size, size=(10, 2)).tolist():
-            runs = []
-            for engine in (_astar, _ENGINES["python"]):
-                g = np.full(n, np.inf)
-                parent = np.full(n, -1, np.int64)
-                closed = np.zeros(n, np.bool_)
-                out = engine(
-                    graph.indptr, graph.targets, graph.dz, _cost_table(params, res, k),
-                    dfield._bias(params.w_obstacle), states[:, 0], states[:, 1],
-                    states[:, 2], g, parent, closed, a, b, params.epsilon, res,
-                    params.w_down, k,
-                )
-                runs.append((tuple(int(c) for c in out), g.tobytes(), parent.tobytes()))
+        for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
+            runs = [run_search(search, table1, a, b, params) for search in (_astar, _interpreted)]
             assert runs[0] == runs[1]  # counters, then g and parent bit for bit
             expanded, pushes, stale_pops, heap_peak, found = runs[0][0]
             assert found
@@ -339,11 +318,6 @@ class TestPlan:
         assert r1.cost == r2.cost
         assert np.array_equal(r1.states, r2.states)
 
-    def test_unknown_engine(self):
-        surface, dfield = flat(4)
-        with pytest.raises(ValueError):
-            plan(surface, dfield, (0, 0, 1), (1, 1, 1), engine="gpu")
-
     def test_foreign_dfield_rejected(self):
         surface_a, dfield_a = flat(5)
         surface_b, dfield_b = flat(5)
@@ -370,7 +344,8 @@ class TestPlan:
 
 class TestArrayLayout:
     """Surfaces and graphs hold native int64 whatever they are built from,
-    so both engines can read them; non-integer arrays are refused."""
+    so the compiled and interpreted search can read them; non-integer
+    arrays are refused."""
 
     def rebuilt(self, surface, dfield, dtype):
         again = Surface(
