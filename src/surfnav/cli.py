@@ -89,6 +89,7 @@ _PIPELINE_ERRORS = (
     OffSurfaceError,
     NoPathError,
     QuerySamplingError,
+    MemoryError,  # an input asked for more memory than the machine has
 )
 _INPUT_ERRORS = (
     SceneSpecError,
@@ -559,7 +560,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except _PIPELINE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_PIPELINE
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

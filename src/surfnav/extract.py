@@ -40,7 +40,6 @@ __all__ = [
     "collision_filter",
     "extract_pipeline",
     "extract_surface",
-    "levels_at",
     "load_surface",
     "reduction_stats",
     "save_surface",
@@ -119,35 +118,44 @@ class DerivedVoxelParams:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Standing candidates as a boolean mask aligned with the source grid."""
+    """Standing candidates as the sorted flat keys (x * ny + y) * nz + z of
+    their voxels in the source grid, held read-only as int64. Keys that are
+    not integers, not 1-D, not strictly increasing or outside the grid
+    raise ValueError."""
 
-    mask: np.ndarray
+    keys: np.ndarray
     grid: OccupancyGrid
     params: DerivedVoxelParams
 
     def __post_init__(self):
-        mask = np.asarray(self.mask)
-        if mask.shape != self.grid.dims:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match grid dims {self.grid.dims}"
-            )
-        mask = np.ascontiguousarray(mask.astype(bool))
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
+        keys = np.array(_int64(self.keys, "keys"))  # a copy the set owns
+        if keys.ndim != 1:
+            raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("keys must be strictly increasing")
+        if keys.size and (keys[0] < 0 or keys[-1] >= self.grid.total_voxels):
+            raise ValueError(f"keys must lie in the grid of dims {self.grid.dims}")
+        keys.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
 
     @property
     def count(self) -> int:
-        return int(self.mask.sum())
+        return int(self.keys.size)
 
     def __contains__(self, voxel) -> bool:
-        x, y, z = voxel
-        if not self.grid.in_bounds(x, y, z):
-            return False
-        return bool(self.mask[x, y, z])
+        return _find(self.keys, self.grid.dims, voxel) >= 0
 
-    def triples(self) -> list[tuple[int, int, int]]:
-        """Candidate voxels as tuples, lexicographic order."""
-        return [tuple(v) for v in np.argwhere(self.mask).tolist()]
+
+def _find(keys: np.ndarray, dims, voxel) -> int:
+    """Position of ``voxel`` in the sorted flat ``keys`` of a voxel set
+    over ``dims``, or -1 if it is not in the set."""
+    x, y, z = map(int, voxel)
+    nx, ny, nz = dims
+    if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
+        return -1
+    key = (x * ny + y) * nz + z
+    i = int(keys.searchsorted(key))
+    return i if i < keys.size and keys[i] == key else -1
 
 
 def candidate_set(grid: OccupancyGrid, params: DerivedVoxelParams) -> CandidateSet:
@@ -160,13 +168,13 @@ def candidate_set(grid: OccupancyGrid, params: DerivedVoxelParams) -> CandidateS
 
     Works on flat keys (x * ny + y) * nz + z: a free voxel on support is
     kept when the next occupied key above it lies past key + kc. Besides
-    the mask and one boolean scan of the grid, memory scales with the
-    occupied voxels, not with the grid.
+    one boolean scan of the grid, memory scales with the occupied voxels,
+    not with the grid.
     """
     occ = grid.occupancy
     nz = occ.shape[2]
     kc = params.clearance_voxels
-    mask = np.zeros(occ.shape, dtype=bool)
+    keys = np.empty(0, dtype=np.int64)
     zmax = nz - 1 - kc  # last z whose clearance column is fully in bounds
     if zmax >= 1:
         standing = ~occ[:, :, 1 : zmax + 1]
@@ -180,8 +188,8 @@ def candidate_set(grid: OccupancyGrid, params: DerivedVoxelParams) -> CandidateS
         # z <= zmax keeps key + kc inside the voxel's own column, so an
         # occupied key in a later column, or none at all, leaves it clear
         clear = (above == occupied.size) | (nxt > keys + kc)
-        mask.reshape(-1)[keys[clear]] = True
-    return CandidateSet(mask, grid, params)
+        keys = keys[clear]
+    return CandidateSet(keys, grid, params)
 
 
 def collision_filter(candidates: CandidateSet) -> CandidateSet:
@@ -208,7 +216,7 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
     nx, ny, nz = occ.shape
     kc = params.clearance_voxels
 
-    keys = np.flatnonzero(candidates.mask)
+    keys = candidates.keys
     if keys.size == 0:
         return candidates
     xs, ys, zs = np.unravel_index(keys, occ.shape)
@@ -235,9 +243,7 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
             w = math.isqrt(rad * rad - dx * dx)
             count += rows[lx + dx, ly + w + 1] - rows[lx + dx, ly - w]
         hit[idx] = count > 0
-    mask = candidates.mask.copy()
-    mask.reshape(-1)[keys[hit]] = False
-    return CandidateSet(mask, candidates.grid, params)
+    return CandidateSet(keys[~hit], candidates.grid, params)
 
 
 def select_seed(pose, candidates: CandidateSet, max_snap: float) -> tuple[int, int, int]:
@@ -251,8 +257,7 @@ def select_seed(pose, candidates: CandidateSet, max_snap: float) -> tuple[int, i
     pose = np.asarray(pose, dtype=np.float64)
     if pose.shape != (3,) or not np.all(np.isfinite(pose)):
         raise ValueError(f"pose must be 3 finite coordinates, got {pose!r}")
-    mask = candidates.mask
-    coords = np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
+    coords = np.stack(np.unravel_index(candidates.keys, candidates.grid.dims), axis=1)
     if coords.shape[0] == 0:
         raise NoCandidatesError("no candidates: every voxel failed the geometric filters")
     centers = voxel_to_world(candidates.grid, coords)
@@ -373,11 +378,13 @@ def _column_adjacency(keys: np.ndarray, coords: np.ndarray, dims, k: int):
 class Surface:
     """Seed-reachable standing voxels with stable ordinals.
 
-    ``states[i]`` is the i-th voxel in BFS discovery order. The column
-    index inverts it: the states' flat keys (x * ny + y) * nz + z, sorted,
-    with the ordinal of each. A column (x, y) is a contiguous, z-ascending
-    run of the keys, so multi-story columns keep every level, and lookups
-    and ``levels`` are binary searches. A state's neighbors in one
+    ``states[i]`` is the i-th voxel in BFS discovery order, and
+    ``keys[i]`` its flat key (x * ny + y) * nz + z, the name a voxel has
+    from the candidates to the search's tie-break. The column index
+    inverts it: the keys, sorted, with the ordinal of each. A column
+    (x, y) is a contiguous, z-ascending run of the sorted keys, so
+    multi-story columns keep every level, and lookups and ``levels`` are
+    binary searches. A state's neighbors in one
     direction are one run too, and a state with an empty run in some
     direction is a boundary state. Nothing grid-sized survives extraction:
     memory scales with the surface. ``states`` is held as native,
@@ -396,7 +403,8 @@ class Surface:
     origin: np.ndarray
     params: DerivedVoxelParams
     extraction: ExtractionParams | None = None
-    _keys: np.ndarray = field(init=False, repr=False)
+    keys: np.ndarray = field(init=False, repr=False)
+    _sorted: np.ndarray = field(init=False, repr=False)
     _ordinals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -408,34 +416,24 @@ class Surface:
             raise ValueError(f"state {bad} lies outside dims {self.dims}")
         keys = np.ravel_multi_index(tuple(states.T), self.dims)
         order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        twice = np.nonzero(keys[1:] == keys[:-1])[0]
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "_sorted", keys[order])
+        object.__setattr__(self, "_ordinals", order)
+        twice = np.nonzero(self._sorted[1:] == self._sorted[:-1])[0]
         if twice.size:
             raise ValueError(f"state {states[order[twice[0]]].tolist()} appears twice")
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_ordinals", order)
-        if self._position(self.seed) < 0:
+        if self.seed not in self:
             raise ValueError(f"seed {tuple(self.seed)} is not among the states")
 
     @property
     def size(self) -> int:
         return int(self.states.shape[0])
 
-    def _position(self, state) -> int:
-        """Index of ``state`` in the sorted keys, or -1 if it is absent."""
-        x, y, z = map(int, state)
-        nx, ny, nz = self.dims
-        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-            return -1
-        key = (x * ny + y) * nz + z
-        i = int(self._keys.searchsorted(key))
-        return i if i < self._keys.size and self._keys[i] == key else -1
-
     def __contains__(self, state) -> bool:
-        return self._position(state) >= 0
+        return _find(self._sorted, self.dims, state) >= 0
 
     def ordinal(self, state) -> int:
-        i = self._position(state)
+        i = _find(self._sorted, self.dims, state)
         if i < 0:
             raise KeyError(tuple(state))
         return int(self._ordinals[i])
@@ -444,8 +442,8 @@ class Surface:
     def levels(self) -> dict:
         """Column (x, y) -> z-ascending standing heights, built on access."""
         ny, nz = self.dims[1], self.dims[2]
-        columns, starts = np.unique(self._keys // nz, return_index=True)
-        heights = np.split(self._keys % nz, starts[1:])
+        columns, starts = np.unique(self._sorted // nz, return_index=True)
+        heights = np.split(self._sorted % nz, starts[1:])
         return {
             (c // ny, c % ny): zs for c, zs in zip(columns.tolist(), heights)
         }
@@ -458,7 +456,7 @@ class Surface:
         the directions without a neighbor.
         """
         indptr, at, missing = _column_adjacency(
-            self._keys, coords, self.dims, self.params.step_voxels
+            self._sorted, coords, self.dims, self.params.step_voxels
         )
         return indptr, self._ordinals[at], missing
 
@@ -496,7 +494,7 @@ def extract_surface(
     so the distance field and search graph do not build it again. Memory
     scales with the candidates, not with the grid.
     """
-    dims = candidates.mask.shape
+    dims = candidates.grid.dims
     seed_list = [tuple(int(c) for c in s) for s in seeds]
     if not seed_list:
         raise InvalidSeedError("invalid seed: no seeds given")
@@ -504,8 +502,8 @@ def extract_surface(
         if s not in candidates:
             raise InvalidSeedError(f"invalid seed: {s} is not a candidate voxel")
 
-    # the candidates' own column index: flatnonzero keys come out sorted
-    keys = np.flatnonzero(candidates.mask)
+    # the candidates' sorted keys are their own column index
+    keys = candidates.keys
     xs, ys, zs = np.unravel_index(keys, dims)
     coords = np.stack((xs, ys, zs), axis=1)
     k = candidates.params.step_voxels
@@ -558,16 +556,6 @@ def extract_surface(
         missing[order],
     ))
     return surface
-
-
-def levels_at(surface: Surface, x: int, y: int) -> list[int]:
-    """Sorted standing heights of column (x, y); empty if off the surface."""
-    nx, ny, nz = surface.dims
-    if not (0 <= x < nx and 0 <= y < ny):
-        return []
-    base = (int(x) * ny + int(y)) * nz
-    lo, hi = surface._keys.searchsorted((base, base + nz))
-    return [key - base for key in surface._keys[lo:hi].tolist()]
 
 
 @dataclass(frozen=True)

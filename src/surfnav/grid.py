@@ -132,7 +132,7 @@ def voxelize(points, resolution: float, min_points: int = 1) -> OccupancyGrid:
 
     The grid covers the axis-aligned bounding box of the points padded by
     one voxel on every face; a voxel is occupied iff it holds at least
-    ``min_points`` points.
+    ``min_points`` points. Memory is the boolean grid plus O(points).
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
@@ -160,9 +160,10 @@ def voxelize(points, resolution: float, min_points: int = 1) -> OccupancyGrid:
     idx = np.floor(t + 1e-9 + np.abs(t) * 1e-12).astype(np.int64)
     # The padding guarantees in-bounds indices; clip guards float edge cases.
     idx = np.clip(idx, 0, np.asarray(dims) - 1)
-    counts = np.zeros(dims, dtype=np.int64)
-    np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1)
-    return OccupancyGrid(resolution, origin, counts >= min_points)
+    keys, counts = np.unique(np.ravel_multi_index(tuple(idx.T), dims), return_counts=True)
+    occ = np.zeros(dims, dtype=bool)
+    occ.reshape(-1)[keys[counts >= min_points]] = True
+    return OccupancyGrid(resolution, origin, occ)
 
 
 def save_grid(grid: OccupancyGrid, destination) -> None:

@@ -55,7 +55,8 @@ def flood_fill_reference(
     at most step_voxels) to an already reached voxel until nothing
     changes. Order-free, so it cannot accidentally mirror BFS bookkeeping.
     """
-    remaining = {tuple(v) for v in np.argwhere(candidates.mask).tolist()}
+    xs, ys, zs = np.unravel_index(candidates.keys, candidates.grid.dims)
+    remaining = set(zip(xs.tolist(), ys.tolist(), zs.tolist()))
     seed = tuple(int(c) for c in seed)
     if seed not in remaining:
         raise ValueError(f"seed {seed} is not a candidate")

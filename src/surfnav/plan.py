@@ -10,7 +10,8 @@ with the usual bounded-suboptimality guarantee.
 
 The search is written once, as plain Python over indexable arrays and a
 heapq of tuples (tie-break: min f, then max g, then lexicographic
-coordinates), and so is the heuristic it calls. Where numba imports,
+coordinates, as the flat keys (x * ny + y) * nz + z order them), and so
+is the heuristic it calls. Where numba imports,
 both are compiled and the search reads the numpy arrays; otherwise it is
 interpreted over memoryviews of the same arrays: indexing a memoryview
 yields a plain int or float with no copy, where indexing an ndarray
@@ -162,14 +163,14 @@ class PathResult:
     engine: str
 
 
-def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, g, parent, closed,
-           start, goal, epsilon, res, w_down, k):
+def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, parent,
+           closed, start, goal, epsilon, res, w_down, k):
     """A* over the CSR graph from ordinal ``start`` to ``goal``.
 
     ``g`` (all inf), ``parent`` (all -1) and ``closed`` (all False) are the
     caller's per-state search state, written in place. Heap entries are
-    (f, -g, packed (x, y, z), ordinal): min f, then max g, then
-    lexicographic coordinates. Pushes of one state carry strictly
+    (f, -g, flat key, ordinal): min f, then max g, then lexicographic
+    coordinates. Pushes of one state carry strictly
     decreasing g, so that order is total over live entries and no insertion
     counter is needed. Returns (expanded, pushes, stale_pops, heap_peak,
     found).
@@ -202,9 +203,8 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, g, parent, closed
             if ng < g[v]:
                 g[v] = ng
                 parent[v] = u
-                x, y, z = xs[v], ys[v], zs[v]
-                h = _heuristic(x - gx, y - gy, z - gz, res, w_down)
-                heapq.heappush(heap, (ng + epsilon * h, -ng, (x << 42) | (y << 21) | z, v))
+                h = _heuristic(xs[v] - gx, ys[v] - gy, zs[v] - gz, res, w_down)
+                heapq.heappush(heap, (ng + epsilon * h, -ng, keys[v], v))
                 pushes += 1
         # pops happen only at the loop head, so this sees every peak
         if len(heap) > heap_peak:
@@ -308,6 +308,7 @@ def plan(
         states[:, 0],
         states[:, 1],
         states[:, 2],
+        surface.keys,
         g,
         parent,
         closed,

@@ -271,11 +271,14 @@ class SceneSpec:
         object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
         object.__setattr__(self, "seed_hint", tuple(float(c) for c in self.seed_hint))
         object.__setattr__(self, "primitives", tuple(self.primitives))
-        if len(self.extent) != 3 or any(e <= 0 or not math.isfinite(e) for e in self.extent):
-            raise SceneSpecError(f"extent must be 3 positive sizes, got {self.extent}")
         if not (isinstance(self.resolution, numbers.Real) and math.isfinite(self.resolution)
                 and self.resolution > 0):
             raise SceneSpecError(f"resolution must be finite and > 0, got {self.resolution!r}")
+        # an extent too large to count in voxels would make NaN dims
+        if len(self.extent) != 3 or not all(e > 0 and math.isfinite(e / self.resolution)
+                                            for e in self.extent):
+            raise SceneSpecError(f"extent must be 3 positive sizes countable in voxels at "
+                                 f"resolution {self.resolution}, got {self.extent}")
         if len(self.seed_hint) != 3:
             raise SceneSpecError(f"seed_hint must be 3 coordinates, got {self.seed_hint}")
 

@@ -61,7 +61,8 @@ def test_criterion_01_filter_matrix():
     surface = extract_surface(cands, [seed])
 
     labels = scene.labels
-    cmask = np.asarray(cands.mask)
+    cmask = np.zeros(scene.grid.dims, dtype=bool)
+    cmask.reshape(-1)[cands.keys] = True
     smask = np.zeros_like(cmask)
     s = surface.states
     smask[s[:, 0], s[:, 1], s[:, 2]] = True

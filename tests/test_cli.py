@@ -148,9 +148,10 @@ class TestScenegen:
         [("extent", 5, "bad scene spec"), ("resolution", "x", "resolution"),
          ("resolution", None, "resolution"), ("seed_hint", [1, 2], "seed_hint"),
          ("primitive", [0.0, 1.0], "primitive"), ("steps", 2.5, "steps"),
-         ("z", 1e308, "out of bounds"), ("z", 10**400, "too large")],
+         ("z", 1e308, "out of bounds"), ("z", 10**400, "too large"),
+         ("extent", [1e308, 10, 10], "extent")],
         ids=["extent", "resolution_str", "resolution_null", "seed_hint", "primitive",
-             "steps", "z_overflow", "z_bigint"],
+             "steps", "z_overflow", "z_bigint", "extent_overflow"],
     )
     def test_bad_spec_fields_are_input_errors(self, tmp_path, capsys, field, value, named):
         spec = tmp_path / "scene.json"
@@ -173,6 +174,19 @@ class TestScenegen:
         assert err.startswith("error:")
         assert named in err
         assert not grid.exists()
+
+    def test_memory_error_is_a_pipeline_error(self, tmp_path, capsys):
+        # 5e5 voxels a side: numpy refuses the 111 PiB grid at once
+        spec = tmp_path / "scene.json"
+        report(["scenegen", "--preset", "table1_fixture", str(tmp_path / "a.grid"),
+                "--save-spec", str(spec)], capsys)
+        doc = json.loads(spec.read_text())
+        doc["extent"] = [1e5, 1e5, 1e5]
+        spec.write_text(json.dumps(doc))
+        code, _, err = run(["scenegen", "--spec", str(spec), str(tmp_path / "b.grid")], capsys)
+        assert code == EXIT_PIPELINE
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_rng_seed_recorded(self, tmp_path, capsys):
         doc = report(

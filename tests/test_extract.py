@@ -25,7 +25,6 @@ from surfnav import (
     distance_field,
     extract_pipeline,
     extract_surface,
-    levels_at,
     load_surface,
     reduction_stats,
     save_surface,
@@ -75,6 +74,18 @@ def candidate_reference(occ, kc):
     return expect
 
 
+def mask_of(cands):
+    """The candidates as a boolean mask over their grid."""
+    mask = np.zeros(cands.grid.dims, dtype=bool)
+    mask.reshape(-1)[cands.keys] = True
+    return mask
+
+
+def from_mask(mask, grid, params):
+    """A candidate set holding the voxels of a boolean mask over ``grid``."""
+    return CandidateSet(np.flatnonzero(mask), grid, params)
+
+
 def assert_adjacency_prebuilt(surface):
     """The adjacency extraction hands the surface equals the one the
     surface would build from its own column index, dtypes included."""
@@ -86,8 +97,8 @@ def assert_adjacency_prebuilt(surface):
 def collision_reference(cands):
     """The collision filter's definition, one body voxel at a time."""
     g, kc, rad = cands.grid, cands.params.clearance_voxels, cands.params.inflation_voxels
-    expect = np.zeros_like(cands.mask)
-    for x, y, z in cands.triples():
+    expect = np.zeros(g.dims, dtype=bool)
+    for x, y, z in np.argwhere(mask_of(cands)).tolist():
         hit = False
         for dx in range(-rad, rad + 1):
             for dy in range(-rad, rad + 1):
@@ -138,7 +149,7 @@ class TestCandidateSet:
     def test_flat_floor(self):
         cands = candidate_set(floor_grid(), dv())
         assert cands.count == 100
-        zs = np.argwhere(cands.mask)[:, 2]
+        zs = np.argwhere(mask_of(cands))[:, 2]
         assert np.all(zs == 1)
 
     def test_bottom_layer_never_stands(self):
@@ -176,12 +187,30 @@ class TestCandidateSet:
     @example(occ=np.eye(2, 3, dtype=bool)[None], kc=5)  # zmax < 0
     def test_matches_voxel_reference(self, occ, kc):
         cands = candidate_set(grid_from(occ), dv(k=0, kc=kc))
-        assert np.array_equal(cands.mask, candidate_reference(occ, kc))
+        assert np.array_equal(mask_of(cands), candidate_reference(occ, kc))
 
-    def test_mask_shape_must_match_grid(self):
-        g = floor_grid(4, 4, 6)
-        with pytest.raises(ValueError):
-            CandidateSet(np.zeros((3, 3, 3), dtype=bool), g, dv())
+    def test_keys_must_index_the_grid(self):
+        g = floor_grid(4, 4, 6)  # 96 voxels
+        cases = [
+            (np.zeros(4, dtype=bool), "must be integers"),
+            (np.array([0.0, 1.0]), "must be integers"),
+            (np.array([[0, 1], [2, 3]]), "must be 1-D"),
+            (np.array([0, 2, 2]), "strictly increasing"),
+            (np.array([3, 1]), "strictly increasing"),
+            (np.array([-1, 0]), "in the grid"),
+            (np.array([0, 96]), "in the grid"),
+        ]
+        for keys, match in cases:
+            with pytest.raises(ValueError, match=match):
+                CandidateSet(keys, g, dv())
+
+    def test_keys_are_a_read_only_copy(self):
+        keys = np.array([1, 7, 95])
+        cands = CandidateSet(keys, floor_grid(4, 4, 6), dv())
+        keys[0] = 0
+        assert cands.keys.tolist() == [1, 7, 95]
+        assert cands.keys.dtype == np.int64 and not cands.keys.flags.writeable
+        assert (0, 0, 1) in cands and (3, 3, 5) in cands and (0, 0, 0) not in cands
 
 
 class TestCollisionFilter:
@@ -191,7 +220,7 @@ class TestCollisionFilter:
 
     def test_boundary_columns_read_occupied(self):
         cands = collision_filter(candidate_set(floor_grid(), dv(rad=2)))
-        coords = np.argwhere(cands.mask)
+        coords = np.argwhere(mask_of(cands))
         assert cands.count == 36
         assert coords[:, 0].min() == 2 and coords[:, 0].max() == 7
         assert coords[:, 1].min() == 2 and coords[:, 1].max() == 7
@@ -220,15 +249,15 @@ class TestCollisionFilter:
         g = grid_from(occ)
         params = dv(kc=3, rad=rad)
         cands = candidate_set(g, params)
-        assert np.array_equal(collision_filter(cands).mask, collision_reference(cands))
+        assert np.array_equal(mask_of(collision_filter(cands)), collision_reference(cands))
 
         # masks no candidate_set would give: voxels inside posts, on all
         # four edges, and with clearance windows past the grid top
         mask = rng.random(occ.shape) < 0.2
         mask[[0, 8, 4, 4], [4, 4, 0, 8], 1] = True
         mask[4, 4, 5:] = True
-        hand = CandidateSet(mask, g, params)
-        assert np.array_equal(collision_filter(hand).mask, collision_reference(hand))
+        hand = from_mask(mask, g, params)
+        assert np.array_equal(mask_of(collision_filter(hand)), collision_reference(hand))
 
     def test_own_column_is_not_in_the_disk(self):
         occ = np.zeros((11, 11, 12), dtype=bool)
@@ -236,11 +265,11 @@ class TestCollisionFilter:
         occ[5, 5, 1:8] = True
         mask = np.zeros(occ.shape, dtype=bool)
         mask[5, 5, 1] = mask[3, 5, 1] = True
-        hand = CandidateSet(mask, grid_from(occ), dv(kc=3, rad=2))
+        hand = from_mask(mask, grid_from(occ), dv(kc=3, rad=2))
         got = collision_filter(hand)
         assert (5, 5, 1) in got  # only its own column is occupied
         assert (3, 5, 1) not in got
-        assert np.array_equal(got.mask, collision_reference(hand))
+        assert np.array_equal(mask_of(got), collision_reference(hand))
 
     def test_window_past_grid_top_hits(self):
         # the window (4, 6] leaves a 5-voxel-tall grid: it reads occupied
@@ -248,11 +277,11 @@ class TestCollisionFilter:
         occ[:, :, 0] = True
         mask = np.zeros(occ.shape, dtype=bool)
         mask[3, 3, 4] = mask[3, 3, 1] = True
-        hand = CandidateSet(mask, grid_from(occ), dv(kc=2, rad=1))
+        hand = from_mask(mask, grid_from(occ), dv(kc=2, rad=1))
         got = collision_filter(hand)
         assert (3, 3, 4) not in got
         assert (3, 3, 1) in got
-        assert np.array_equal(got.mask, collision_reference(hand))
+        assert np.array_equal(mask_of(got), collision_reference(hand))
 
     def test_standing_plane_never_collides(self):
         # a one-voxel curb inside the disk sits at standing height, below
@@ -276,7 +305,7 @@ class TestSelectSeed:
         mask = np.zeros((6, 6, 4), dtype=bool)
         mask[2, 3, 1] = True
         mask[3, 2, 1] = True
-        cands = CandidateSet(mask, grid_from(np.zeros((6, 6, 4))), dv())
+        cands = from_mask(mask, grid_from(np.zeros((6, 6, 4))), dv())
         # pose equidistant from both centers
         assert select_seed((0.6, 0.6, 0.3), cands, 2.0) == (2, 3, 1)
 
@@ -424,7 +453,7 @@ class TestExtractSurface:
     def test_ordinals_are_discovery_order(self):
         cands = candidate_set(self.staircase(), dv(k=1))
         surface = extract_surface(cands, [(0, 1, 1)])
-        expected = bfs_fifo(cands.mask, (0, 1, 1), 1)
+        expected = bfs_fifo(mask_of(cands), (0, 1, 1), 1)
         assert [tuple(s) for s in surface.states.tolist()] == expected
         for i, s in enumerate(expected):
             assert surface.ordinal(s) == i
@@ -438,7 +467,7 @@ class TestExtractSurface:
         assume(mask.any())
         seed = tuple(int(c) for c in np.argwhere(mask)[0])
         grid = grid_from(np.zeros((7, 7, 5)))
-        cands = CandidateSet(mask, grid, dv(k=k, kc=k + 1))
+        cands = from_mask(mask, grid, dv(k=k, kc=k + 1))
         surface = extract_surface(cands, [seed])
         assert [tuple(s) for s in surface.states.tolist()] == bfs_fifo(mask, seed, k)
         assert_adjacency_prebuilt(surface)
@@ -468,11 +497,11 @@ class TestSurfaceAccessors:
         cands = candidate_set(grid_from(occ), dv())
         return extract_surface(cands, [(0, 0, 1), (3, 3, 6)])
 
-    def test_levels_at(self):
-        surface = self.two_level()
-        assert levels_at(surface, 3, 3) == [1, 6]
-        assert levels_at(surface, 0, 0) == [1]
-        assert levels_at(surface, 7, 9) == []
+    def test_levels(self):
+        levels = self.two_level().levels
+        assert levels[(3, 3)].tolist() == [1, 6]
+        assert levels[(0, 0)].tolist() == [1]
+        assert (7, 9) not in levels
 
     def test_z_span(self):
         assert self.two_level().z_span() == 5

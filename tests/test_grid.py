@@ -95,7 +95,37 @@ class TestOccupancyQueries:
             make_grid(np.zeros((2, 2)))
 
 
+def dense_voxelize_reference(pts, resolution, min_points):
+    """voxelize's binning with a dense count grid: (dims, origin, occupancy)."""
+    pmin, pmax = pts.min(axis=0), pts.max(axis=0)
+    dims = tuple(max(1, ceil_voxels(e / resolution)) + 2 for e in pmax - pmin)
+    origin = pmin - resolution
+    t = (pts - origin) / resolution
+    idx = np.floor(t + 1e-9 + np.abs(t) * 1e-12).astype(np.int64)
+    idx = np.clip(idx, 0, np.asarray(dims) - 1)
+    counts = np.zeros(dims, dtype=np.int64)
+    np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1)
+    return dims, origin, counts >= min_points
+
+
+# quarter-meter steps put several points in one voxel, floats fall anywhere
+coordinates = st.integers(-4, 4).map(lambda i: i / 4) | st.floats(-1.0, 1.0)
+
+
 class TestVoxelize:
+    @given(
+        pts=st.lists(st.tuples(coordinates, coordinates, coordinates), min_size=1, max_size=40),
+        resolution=st.sampled_from([0.1, 0.25, 0.5]),
+        min_points=st.integers(1, 3),
+    )
+    def test_matches_dense_count(self, pts, resolution, min_points):
+        pts = np.array(pts, dtype=np.float64)
+        g = voxelize(pts, resolution, min_points=min_points)
+        dims, origin, occ = dense_voxelize_reference(pts, resolution, min_points)
+        assert g.dims == dims
+        assert np.array_equal(g.origin, origin)
+        assert np.array_equal(g.occupancy, occ)
+
     def test_single_point(self):
         g = voxelize(np.array([[0.05, 0.05, 0.05]]), 0.1)
         assert g.dims == (3, 3, 3)

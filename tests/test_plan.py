@@ -41,6 +41,25 @@ def flat(n=10, post=None):
     return surface, distance_field(surface)
 
 
+def strip(base, order):
+    """A flat 3 x 10 strip at y = base .. base + 9, its ordinals in
+    ``order``, made with the Surface constructor on a grid 2^21 + 16 wide
+    in y that is never allocated."""
+    xs, ys = np.meshgrid(np.arange(3), np.arange(base, base + 10), indexing="ij")
+    states = np.stack((xs.ravel(), ys.ravel(), np.ones(30, np.int64)), axis=1)[order]
+    surface = Surface(
+        states=states,
+        seed=tuple(states[0].tolist()),
+        dims=(3, 2**21 + 16, 3),
+        resolution=0.2,
+        origin=np.zeros(3),
+        params=DerivedVoxelParams(
+            step_voxels=1, clearance_voxels=2, inflation_voxels=0, resolution=0.2
+        ),
+    )
+    return surface, distance_field(surface)
+
+
 class TestCostModel:
     def test_flat_edge(self):
         c = edge_cost((0, 0, 0), (1, 0, 0), 3, PlanParams(), 0.2)
@@ -149,7 +168,7 @@ def run_search(search, fixture, a, b, params=PlanParams()):
     out = search(
         graph.indptr, graph.targets, graph.dz, _cost_table(params, res, k),
         dfield._bias(params.w_obstacle), states[:, 0], states[:, 1], states[:, 2],
-        g, parent, closed, a, b, params.epsilon, res, params.w_down, k,
+        surface.keys, g, parent, closed, a, b, params.epsilon, res, params.w_down, k,
     )
     return tuple(int(c) for c in out), g.tobytes(), parent.tobytes()
 
@@ -308,6 +327,25 @@ class TestPlan:
         assert result.expanded == expanded
         expected = [tuple(map(int, xy.split(","))) + (1,) for xy in path.split()]
         assert [tuple(st) for st in result.states.tolist()] == expected
+
+    @pytest.mark.parametrize("w_obstacle", [0.0, 0.5])
+    def test_tie_break_past_2_pow_21(self, w_obstacle):
+        # the tie-break orders coordinates lexicographically at any y: the
+        # same strip far up the y axis plans the same paths, translated
+        order = np.random.default_rng(3).permutation(30)  # ordinals != key order
+        params = PlanParams(w_obstacle=w_obstacle)
+        for (x0, y0), (x1, y1) in [((0, 0), (2, 9)), ((2, 0), (0, 9)),
+                                   ((0, 9), (2, 0)), ((2, 9), (0, 0))]:
+            runs = []
+            for base in (0, 2**21):
+                surface, dfield = strip(base, order)
+                result = plan(surface, dfield, (x0, base + y0, 1), (x1, base + y1, 1), params)
+                runs.append((
+                    result.cost,
+                    (result.states - [0, base, 0]).tolist(),
+                    (result.expanded, result.pushes, result.stale_pops, result.heap_peak),
+                ))
+            assert runs[0] == runs[1]
 
     def test_deterministic(self, table1):
         surface, dfield, graph = table1.surface, table1.dfield, table1.graph
