@@ -111,6 +111,20 @@ def _emit(doc: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+_SEARCH_FIELDS = ("cost", "L", "L_xy", "N_s", "pushes", "stale_pops", "heap_peak")
+
+
+def _search_fields(result) -> dict:
+    """A :class:`PathResult`'s cost, lengths and search counters as report
+    fields; all None for a query with no result."""
+    if result is None:
+        return dict.fromkeys(_SEARCH_FIELDS)
+    return dict(zip(_SEARCH_FIELDS, (
+        result.cost, result.metric_length, result.metric_length_xy, result.expanded,
+        result.pushes, result.stale_pops, result.heap_peak,
+    )))
+
+
 def _triple(text: str, kind: str = "pose") -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
@@ -372,13 +386,7 @@ def _cmd_plan(args) -> int:
             "start": list(start),
             "goal": list(goal),
             "success": True,
-            "cost": result.cost,
-            "L": result.metric_length,
-            "L_xy": result.metric_length_xy,
-            "N_s": result.expanded,
-            "pushes": result.pushes,
-            "stale_pops": result.stale_pops,
-            "heap_peak": result.heap_peak,
+            **_search_fields(result),
             "steps": int(result.states.shape[0] - 1),
             "engine": result.engine,
             "epsilon": plan_params.epsilon,
@@ -435,37 +443,17 @@ def _cmd_bench(args) -> int:
         for start, goal in pairs:
             try:
                 r = plan(surface, dfield, start, goal, params=plan_params, graph=graph)
-                rep_records.append(
-                    {
-                        "start": list(start),
-                        "goal": list(goal),
-                        "success": True,
-                        "cost": r.cost,
-                        "L": r.metric_length,
-                        "L_xy": r.metric_length_xy,
-                        "N_s": r.expanded,
-                        "pushes": r.pushes,
-                        "stale_pops": r.stale_pops,
-                        "heap_peak": r.heap_peak,
-                        "T_s": r.search_seconds,
-                    }
-                )
             except NoPathError:
-                rep_records.append(
-                    {
-                        "start": list(start),
-                        "goal": list(goal),
-                        "success": False,
-                        "cost": None,
-                        "L": None,
-                        "L_xy": None,
-                        "N_s": None,
-                        "pushes": None,
-                        "stale_pops": None,
-                        "heap_peak": None,
-                        "T_s": None,
-                    }
-                )
+                r = None
+            rep_records.append(
+                {
+                    "start": list(start),
+                    "goal": list(goal),
+                    "success": r is not None,
+                    **_search_fields(r),
+                    "T_s": None if r is None else r.search_seconds,
+                }
+            )
         if rep == 0:
             records = rep_records
         if not warmup:

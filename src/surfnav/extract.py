@@ -128,14 +128,9 @@ class CandidateSet:
     params: DerivedVoxelParams
 
     def __post_init__(self):
-        keys = np.array(_int64(self.keys, "keys"))  # a copy the set owns
-        if keys.ndim != 1:
-            raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+        keys = _voxel_keys(self.keys, self.grid.dims)
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("keys must be strictly increasing")
-        if keys.size and (keys[0] < 0 or keys[-1] >= self.grid.total_voxels):
-            raise ValueError(f"keys must lie in the grid of dims {self.grid.dims}")
-        keys.setflags(write=False)
         object.__setattr__(self, "keys", keys)
 
     @property
@@ -330,25 +325,38 @@ def _hops(indptr: np.ndarray, targets: np.ndarray, sources) -> np.ndarray:
 
 def _int64(a, name: str) -> np.ndarray:
     """``a`` as a native, C-contiguous int64 array, copied only if it is not
-    one already; ValueError if it does not hold integers."""
+    one already; ValueError if it holds anything but integers."""
     a = np.asarray(a)
-    if a.dtype.kind not in "iu":
+    if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _neighbor_ranges(keys: np.ndarray, coords: np.ndarray, dims, k: int):
+def _voxel_keys(keys, dims) -> np.ndarray:
+    """A read-only int64 copy of ``keys``, flat keys (x * ny + y) * nz + z
+    of voxels in a grid of ``dims``; ValueError if they are not integers,
+    not 1-D or outside [0, nx * ny * nz)."""
+    keys = np.array(_int64(keys, "keys"))
+    if keys.ndim != 1:
+        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+    if keys.size and (keys.min() < 0 or keys.max() >= math.prod(dims)):
+        raise ValueError(f"keys must lie in the grid of dims {tuple(dims)}")
+    keys.setflags(write=False)
+    return keys
+
+
+def _neighbor_ranges(keys: np.ndarray, expand: np.ndarray, dims, k: int):
     """The bounded-step adjacency, as runs of a sorted column index.
 
     ``keys`` are the sorted flat keys (x * ny + y) * nz + z of a voxel set,
-    so each column is a contiguous, z-ascending run. For every voxel of
-    ``coords`` and every direction of :func:`step_offsets`, returns the run
+    so each column is a contiguous, z-ascending run. For every voxel key in
+    ``expand`` and every direction of :func:`step_offsets`, returns the run
     [lo, hi) of ``keys`` holding the adjacent column's voxels within k of
     its height, as two (n, 4) arrays. An empty run means no neighbor.
     """
     nx, ny, nz = dims
-    x, y, z = coords.T
-    col = (x * ny + y) * nz  # key of the voxel's own column at z = 0
+    x, y, z = np.unravel_index(expand, dims)
+    col = expand - z  # key of the voxel's own column at z = 0
     # clipped so a window never spills into the next or previous column
     zlo = col + np.clip(z - k, 0, nz)
     zhi = col + np.clip(z + k, -1, nz - 1)
@@ -362,14 +370,14 @@ def _neighbor_ranges(keys: np.ndarray, coords: np.ndarray, dims, k: int):
     return lo.T, hi.T
 
 
-def _column_adjacency(keys: np.ndarray, coords: np.ndarray, dims, k: int):
+def _column_adjacency(keys: np.ndarray, expand: np.ndarray, dims, k: int):
     """:func:`_neighbor_ranges` as a CSR: (indptr, targets, missing).
 
-    ``targets`` holds, for every voxel of ``coords``, the positions in
+    ``targets`` holds, for every voxel key in ``expand``, the positions in
     ``keys`` of its neighbors, by direction and z-ascending within one;
     ``missing`` is the (n, 4) mask of the directions without a neighbor.
     """
-    lo, hi = _neighbor_ranges(keys, coords, dims, k)
+    lo, hi = _neighbor_ranges(keys, expand, dims, k)
     indptr = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
     return indptr, _runs(lo.ravel(), hi.ravel()), lo == hi
 
@@ -378,50 +386,48 @@ def _column_adjacency(keys: np.ndarray, coords: np.ndarray, dims, k: int):
 class Surface:
     """Seed-reachable standing voxels with stable ordinals.
 
-    ``states[i]`` is the i-th voxel in BFS discovery order, and
-    ``keys[i]`` its flat key (x * ny + y) * nz + z, the name a voxel has
-    from the candidates to the search's tie-break. The column index
-    inverts it: the keys, sorted, with the ordinal of each. A column
-    (x, y) is a contiguous, z-ascending run of the sorted keys, so
-    multi-story columns keep every level, and lookups and ``levels`` are
-    binary searches. A state's neighbors in one
-    direction are one run too, and a state with an empty run in some
-    direction is a boundary state. Nothing grid-sized survives extraction:
-    memory scales with the surface. ``states`` is held as native,
-    C-contiguous int64. Building the index rejects non-integer states,
-    states outside ``dims``, duplicate states and a seed that is not a
-    state with ValueError: a surface always holds its seed. The
-    adjacency of all states comes from :func:`extract_surface`, which
-    builds it anyway; a surface made otherwise (:func:`load_surface`, or
-    the constructor) builds it on first use. Either way it is kept.
+    ``keys[i]`` is the flat key (x * ny + y) * nz + z of the i-th voxel in
+    BFS discovery order, its one name from the candidates to the search's
+    tie-break and the surface file, and ``states[i]`` its (x, y, z), decoded
+    once. The column index inverts the keys: the keys, sorted, with the
+    ordinal of each. A column (x, y) is a contiguous, z-ascending run of the
+    sorted keys, so multi-story columns keep every level, and lookups and
+    ``levels`` are binary searches. A state's neighbors in one direction are
+    one run too, and a state with an empty run in some direction is a
+    boundary state. Nothing grid-sized survives extraction: memory scales
+    with the surface. ``keys`` and ``states`` are held read-only as native,
+    C-contiguous int64. Keys that are not integers, not 1-D or outside
+    ``dims``, a duplicate key and a seed that is not a state raise
+    ValueError: a surface always holds its seed. The adjacency of all
+    states comes from :func:`extract_surface`, which builds it anyway; a
+    surface made otherwise (:func:`load_surface`, or the constructor) builds
+    it on first use. Either way it is kept.
     """
 
-    states: np.ndarray
+    keys: np.ndarray
     seed: tuple[int, int, int]
     dims: tuple[int, int, int]
     resolution: float
     origin: np.ndarray
     params: DerivedVoxelParams
     extraction: ExtractionParams | None = None
-    keys: np.ndarray = field(init=False, repr=False)
+    states: np.ndarray = field(init=False, repr=False)
     _sorted: np.ndarray = field(init=False, repr=False)
     _ordinals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = _int64(self.states, "states")
-        object.__setattr__(self, "states", states)
-        outside = np.any((states < 0) | (states >= self.dims), axis=1)
-        if outside.any():
-            bad = states[outside][0].tolist()
-            raise ValueError(f"state {bad} lies outside dims {self.dims}")
-        keys = np.ravel_multi_index(tuple(states.T), self.dims)
+        keys = _voxel_keys(self.keys, self.dims)
         order = np.argsort(keys, kind="stable")
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "_sorted", keys[order])
-        object.__setattr__(self, "_ordinals", order)
-        twice = np.nonzero(self._sorted[1:] == self._sorted[:-1])[0]
+        ordered = keys[order]
+        twice = np.nonzero(ordered[1:] == ordered[:-1])[0]
         if twice.size:
-            raise ValueError(f"state {states[order[twice[0]]].tolist()} appears twice")
+            raise ValueError(f"key {ordered[twice[0]]} appears twice")
+        states = np.stack(np.unravel_index(keys, self.dims), axis=1)
+        states.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_sorted", ordered)
+        object.__setattr__(self, "_ordinals", order)
         if self.seed not in self:
             raise ValueError(f"seed {tuple(self.seed)} is not among the states")
 
@@ -448,15 +454,15 @@ class Surface:
             (c // ny, c % ny): zs for c, zs in zip(columns.tolist(), heights)
         }
 
-    def _adjacency(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR of the moves out of ``coords``, plus the empty directions.
+    def _adjacency(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR of the moves out of the voxels ``keys``, plus the empty directions.
 
         Returns (indptr, targets, missing): target ordinals per voxel of
-        ``coords``, sorted by (direction, height), and an (n, 4) mask of
+        ``keys``, sorted by (direction, height), and an (n, 4) mask of
         the directions without a neighbor.
         """
         indptr, at, missing = _column_adjacency(
-            self._sorted, coords, self.dims, self.params.step_voxels
+            self._sorted, keys, self.dims, self.params.step_voxels
         )
         return indptr, self._ordinals[at], missing
 
@@ -464,7 +470,7 @@ class Surface:
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`_adjacency` of every state, in ordinal order; set by
         :func:`extract_surface` to the same arrays."""
-        return self._adjacency(self.states)
+        return self._adjacency(self.keys)
 
     def state_centers(self) -> np.ndarray:
         """World centers of all states, ordinal order, (N, 3)."""
@@ -495,19 +501,19 @@ def extract_surface(
     scales with the candidates, not with the grid.
     """
     dims = candidates.grid.dims
+    # the candidates' sorted keys are their own column index
+    keys = candidates.keys
     seed_list = [tuple(int(c) for c in s) for s in seeds]
     if not seed_list:
         raise InvalidSeedError("invalid seed: no seeds given")
     for s in seed_list:
         if s not in candidates:
             raise InvalidSeedError(f"invalid seed: {s} is not a candidate voxel")
+    nb = np.array([_find(keys, dims, s) for s in seed_list], dtype=np.int64)
 
-    # the candidates' sorted keys are their own column index
-    keys = candidates.keys
-    xs, ys, zs = np.unravel_index(keys, dims)
-    coords = np.stack((xs, ys, zs), axis=1)
+    xs, _, zs = np.unravel_index(keys, dims)
     k = candidates.params.step_voxels
-    indptr, targets, missing = _column_adjacency(keys, coords, dims, k)
+    indptr, targets, missing = _column_adjacency(keys, keys, dims, k)
     # the BFS takes each voxel's moves in step_offsets order: by direction
     # (+x, -x, +y, -y), then dz = 0, +1, -1, ..., +k, -k; the CSR runs are
     # z-ascending within a direction. The direction index is 2 [same x] +
@@ -523,7 +529,6 @@ def extract_surface(
     del step
 
     seen = np.zeros(keys.size, dtype=bool)
-    nb = np.searchsorted(keys, np.ravel_multi_index(tuple(np.array(seed_list).T), dims))
     chunks = []
     while nb.size:
         # keep the first occurrence of each voxel: rows are in (parent
@@ -538,7 +543,7 @@ def extract_surface(
     del stepped
 
     surface = Surface(
-        states=coords[order],
+        keys=keys[order],
         seed=seed_list[0],
         dims=dims,
         resolution=candidates.grid.resolution,
@@ -630,16 +635,18 @@ def _params_doc(surface: Surface) -> dict:
 
 
 def save_surface(surface: Surface, destination) -> None:
-    """Write a surface as one line of JSON (states in ordinal order)."""
+    """Write a surface as one line of JSON, version 2: ``keys`` holds the
+    flat keys (x * ny + y) * nz + z of the states in ordinal order, and
+    the seed is an (x, y, z) triple."""
     doc = {
         "format": "surfnav-surface",
-        "version": 1,
+        "version": 2,
         "resolution": surface.resolution,
         "origin": [float(c) for c in surface.origin],
         "dims": list(surface.dims),
         "seed": list(surface.seed),
         "params": _params_doc(surface),
-        "states": surface.states.tolist(),
+        "keys": surface.keys.tolist(),
     }
     # compact separators keep json.dumps on its C encoder; indent does not
     text = json.dumps(doc, sort_keys=True)
@@ -650,15 +657,16 @@ def save_surface(surface: Surface, destination) -> None:
 
 
 def load_surface(source) -> Surface:
-    """Read a surface written by :func:`save_surface`.
+    """Read a surface written by :func:`save_surface`, compact or indented.
 
-    Rebuilds the column index, so states outside ``dims``, duplicate
-    states and a seed that is not a state (as in a file with no states)
-    raise SurfaceFormatError, as do non-integer states or seed, an origin
-    that is not 3 finite numbers, voxel params that disagree with the
-    thresholds in meters beside them, and a state the seed does not
-    reach. The reachability check builds the surface's adjacency, which
-    the distance field and search graph then reuse.
+    Only version 2 is read. Its keys go to :class:`Surface` as they are,
+    so keys that are not integers or lie outside ``dims``, a duplicate key
+    and a seed that is not a state (as in a file with no keys) raise
+    SurfaceFormatError, as do a non-integer seed, an origin that is not 3
+    finite numbers, voxel params that disagree with the thresholds in
+    meters beside them, and a state the seed does not reach. The
+    reachability check builds the surface's adjacency, which the distance
+    field and search graph then reuse.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -670,8 +678,8 @@ def load_surface(source) -> Surface:
         raise SurfaceFormatError(f"not a surface file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "surfnav-surface":
         raise SurfaceFormatError("not a surface file: missing format marker")
-    if doc.get("version") != 1:
-        raise SurfaceFormatError(f"unsupported surface version {doc.get('version')!r}")
+    if doc.get("version") != 2:
+        raise SurfaceFormatError(f"unsupported surface version {doc.get('version')!r}, not 2")
     try:
         p = doc["params"]
         resolution = float(doc["resolution"])
@@ -696,11 +704,6 @@ def load_surface(source) -> Surface:
         origin = np.asarray(doc["origin"], dtype=np.float64)
         if origin.shape != (3,) or not np.all(np.isfinite(origin)):
             raise SurfaceFormatError(f"origin must be 3 finite numbers, got {doc['origin']!r}")
-        states = np.asarray(doc["states"])
-        if states.size == 0:
-            states = np.empty((0, 3), dtype=np.int64)
-        if states.ndim != 2 or states.shape[1] != 3:
-            raise SurfaceFormatError(f"bad states array of shape {states.shape}")
         dims = tuple(int(d) for d in doc["dims"])
         if len(dims) != 3 or min(dims) < 1:
             raise SurfaceFormatError(f"bad dims {dims}")
@@ -709,7 +712,7 @@ def load_surface(source) -> Surface:
             raise SurfaceFormatError(f"seed must be 3 integers, got {doc['seed']!r}")
         seed = tuple(seed.tolist())
         surface = Surface(
-            states=states,
+            keys=doc["keys"],
             seed=seed,
             dims=dims,
             resolution=resolution,
@@ -718,10 +721,10 @@ def load_surface(source) -> Surface:
             extraction=extraction,
         )
         indptr, targets, _ = surface._csr
-        cut_off = np.flatnonzero(_hops(indptr, targets, [surface.ordinal(seed)]) < 0)
+        cut_off = surface.states[_hops(indptr, targets, [surface.ordinal(seed)]) < 0]
         if cut_off.size:
             raise SurfaceFormatError(
-                f"state {states[cut_off[0]].tolist()} is not reachable from seed {seed}"
+                f"state {cut_off[0].tolist()} is not reachable from seed {seed}"
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise SurfaceFormatError(f"bad surface file: {exc}") from exc

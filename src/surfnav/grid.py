@@ -148,9 +148,15 @@ def voxelize(points, resolution: float, min_points: int = 1) -> OccupancyGrid:
 
     pmin = pts.min(axis=0)
     pmax = pts.max(axis=0)
-    inner = np.array(
-        [max(1, ceil_voxels(e / resolution)) for e in (pmax - pmin)], dtype=np.int64
-    )
+    with np.errstate(over="ignore"):
+        extent = pmax - pmin
+        spans = extent / resolution
+        # an inf span would make NaN dims, and no array holds 2**63 voxels
+        countable = np.prod(spans + 3) < 2.0**63
+    if not countable:
+        raise InvalidPointError(f"invalid point cloud: extent {extent.tolist()} is not "
+                                f"countable in voxels at resolution {resolution}")
+    inner = np.array([max(1, ceil_voxels(s)) for s in spans], dtype=np.int64)
     dims = tuple(int(d) for d in inner + 2)
     origin = pmin - resolution
 

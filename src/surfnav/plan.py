@@ -75,8 +75,9 @@ class PlanParams:
 
 
 def successors(surface: Surface, state) -> list[tuple[int, int, int]]:
-    """Connected neighbors of ``state``, direction-major, ascending height."""
-    _, targets, _ = surface._adjacency(np.array([state], dtype=np.int64))
+    """Connected neighbors of the surface state ``state``, direction-major,
+    ascending height."""
+    _, targets, _ = surface._adjacency(surface.keys[[surface.ordinal(state)]])
     return [tuple(s) for s in surface.states[targets].tolist()]
 
 

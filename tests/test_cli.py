@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,21 @@ class TestVoxelize:
         )
         assert code == EXIT_INPUT
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "points, resolution",
+        [("1e308 0 0\n-1e308 0 0\n", "0.2"), ("0 0 0\n1 0 0\n", "1e-320"),
+         ("1e300 0 0\n0 0 0\n", "1")],
+        ids=["span_overflow", "subnormal_resolution", "beyond_2_pow_63_voxels"],
+    )
+    def test_uncountable_clouds_are_input_errors(self, tmp_path, capsys, points, resolution):
+        cloud = tmp_path / "pts.xyz"
+        cloud.write_text(points)
+        code, _, err = run(["voxelize", str(cloud), str(tmp_path / "o.grid"),
+                            "--resolution", resolution], capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "extent" in err and f"resolution {float(resolution)}" in err
 
     def test_rebinning_is_stable(self, tmp_path, capsys):
         # exporting a scene's voxel centers and re-voxelizing keeps the
@@ -381,19 +397,19 @@ class TestPlan:
     )
     def test_tampered_states_are_input_errors(self, room, tmp_path, capsys, tamper):
         doc = json.loads(open(room["surface"]).read())
-        state = doc["states"][5]
+        keys = doc["keys"]
         if tamper == "negative":
-            state[0] = -1
+            keys[5] = -1
         elif tamper == "beyond_dims":
-            state[0] = doc["dims"][0] + 3
+            keys[5] = math.prod(doc["dims"])
         elif tamper == "duplicate":
-            doc["states"].append(list(state))
+            keys.append(keys[5])
         elif tamper == "empty_states":
             # a surface always holds its seed
-            doc["states"] = []
+            doc["keys"] = []
         else:
-            # a corner voxel at the grid top: no state is within a step of it
-            doc["states"].append([0, 0, doc["dims"][2] - 1])
+            # the top corner voxel: no state is within a step of it
+            keys.append(math.prod(doc["dims"]) - 1)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, _, err = run(
@@ -405,10 +421,25 @@ class TestPlan:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_version_1_file_is_an_input_error(self, room, tmp_path, capsys):
+        doc = json.loads(open(room["surface"]).read())
+        doc["version"] = 1
+        doc["states"] = np.stack(np.unravel_index(doc.pop("keys"), doc["dims"]), axis=1).tolist()
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["plan", str(old), str(tmp_path / "p.xyz"),
+             "--start", "8.6,8.6,1.1", "--goal", "2.0,2.0,1.1"],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error:") and "version 1" in err.splitlines()[0]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "tamper, field",
         [("nan_origin", "origin"), ("short_origin", "origin"),
-         ("float_state", "states"), ("step_voxels", "step_voxels")],
+         ("float_key", "keys"), ("step_voxels", "step_voxels")],
     )
     def test_tampered_fields_are_input_errors(self, room, tmp_path, capsys, tamper, field):
         doc = json.loads(open(room["surface"]).read())
@@ -416,8 +447,8 @@ class TestPlan:
             doc["origin"][0] = float("nan")
         elif tamper == "short_origin":
             doc["origin"] = doc["origin"][:2]
-        elif tamper == "float_state":
-            doc["states"][5][2] += 0.7
+        elif tamper == "float_key":
+            doc["keys"][5] += 0.7
         else:
             doc["params"]["step_voxels"] = 0
         bad = tmp_path / "bad.json"
@@ -518,7 +549,7 @@ class TestQueries:
 
     def test_empty_states_are_input_errors(self, room, tmp_path, capsys):
         doc = json.loads(open(room["surface"]).read())
-        doc["states"] = []
+        doc["keys"] = []
         doc["seed"] = [999, 999, 999]  # outside dims as well
         bad = tmp_path / "empty.json"
         bad.write_text(json.dumps(doc))

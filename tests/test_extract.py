@@ -89,7 +89,7 @@ def from_mask(mask, grid, params):
 def assert_adjacency_prebuilt(surface):
     """The adjacency extraction hands the surface equals the one the
     surface would build from its own column index, dtypes included."""
-    for got, want in zip(surface._csr, surface._adjacency(surface.states), strict=True):
+    for got, want in zip(surface._csr, surface._adjacency(surface.keys), strict=True):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -591,7 +591,7 @@ class TestSurfaceFile:
         surface = self.build()
         p = tmp_path / "s.json"
         save_surface(surface, p)
-        doc = p.read_text().replace('"version": 1', '"version": 7')
+        doc = p.read_text().replace('"version": 2', '"version": 7')
         p.write_text(doc)
         with pytest.raises(SurfaceFormatError):
             load_surface(p)
@@ -609,20 +609,19 @@ class TestSurfaceFile:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda doc: doc["states"][5].__setitem__(0, -1),
-            lambda doc: doc["states"][5].__setitem__(0, doc["dims"][0] + 3),
-            lambda doc: doc["states"].append(doc["states"][5]),
+            lambda doc: doc["keys"].__setitem__(5, -1),
+            lambda doc: doc["keys"].__setitem__(5, math.prod(doc["dims"])),
+            lambda doc: doc["keys"].append(doc["keys"][5]),
         ],
         ids=["negative", "beyond_dims", "duplicate"],
     )
     def test_states_the_index_cannot_hold(self, tmp_path, edit):
-        # an out-of-range state's flat key aliases another column
         p = tmp_path / "s.json"
         save_surface(self.build(), p)
         doc = json.loads(p.read_text())
         edit(doc)
         p.write_text(json.dumps(doc))
-        with pytest.raises(SurfaceFormatError):
+        with pytest.raises(SurfaceFormatError, match="key"):
             load_surface(p)
 
     @pytest.mark.parametrize(
@@ -630,11 +629,11 @@ class TestSurfaceFile:
         [
             (lambda doc: doc.__setitem__("origin", [float("nan"), 0.0, 0.0]), "origin"),
             (lambda doc: doc.__setitem__("origin", [0.0, 0.0]), "origin"),
-            (lambda doc: doc["states"][5].__setitem__(2, doc["states"][5][2] + 0.7), "states"),
+            (lambda doc: doc["keys"].__setitem__(5, doc["keys"][5] + 0.7), "keys"),
             (lambda doc: doc["params"].__setitem__("step_voxels", 0), "step_voxels"),
             (lambda doc: doc["seed"].__setitem__(0, doc["seed"][0] + 0.7), "seed"),
         ],
-        ids=["nan_origin", "short_origin", "float_state", "step_voxels", "float_seed"],
+        ids=["nan_origin", "short_origin", "float_key", "step_voxels", "float_seed"],
     )
     def test_fields_that_cannot_be_trusted(self, tmp_path, edit, field):
         p = tmp_path / "s.json"
@@ -649,16 +648,37 @@ class TestSurfaceFile:
         p = tmp_path / "s.json"
         save_surface(table1.surface, p)
         doc = json.loads(p.read_text())
-        # a corner voxel at the grid top: no state is within a step of it
-        doc["states"].append([0, 0, doc["dims"][2] - 1])
+        # the top corner voxel: no state is within a step of it
+        nx, ny, nz = doc["dims"]
+        doc["keys"].append(nx * ny * nz - 1)
         p.write_text(json.dumps(doc))
-        with pytest.raises(SurfaceFormatError, match=rf"state \[0, 0, {doc['dims'][2] - 1}\]"):
+        with pytest.raises(SurfaceFormatError,
+                           match=rf"state \[{nx - 1}, {ny - 1}, {nz - 1}\] is not reachable"):
             load_surface(p)
 
     def test_loads_the_indented_layout(self, tmp_path):
-        # files written with indent=2 before the compact layout still load
+        # a version-2 file indented by hand loads like the compact one
         surface = self.build()
         p = tmp_path / "s.json"
         save_surface(surface, p)
         p.write_text(json.dumps(json.loads(p.read_text()), indent=2, sort_keys=True))
         assert np.array_equal(load_surface(p).states, surface.states)
+
+    def test_save_load_save_is_byte_identical(self, table1, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_surface(table1.surface, first)
+        save_surface(load_surface(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_states_are_read_only_and_bit_identical(self, table1):
+        surface = table1.surface
+        states = surface.states
+        assert states.dtype == np.int64 and states.dtype.isnative
+        assert states.flags.c_contiguous and not states.flags.writeable
+        assert not surface.keys.flags.writeable
+        with pytest.raises(ValueError):
+            states[0, 0] = 0
+        # the extraction's states, in the reference BFS's discovery order
+        cands = collision_filter(candidate_set(table1.grid, surface.params))
+        want = bfs_fifo(mask_of(cands), surface.seed, surface.params.step_voxels)
+        assert states.tobytes() == np.array(want, dtype=np.int64).tobytes()

@@ -3,11 +3,12 @@
 ``table1_fixture`` grid and surface files are corrupted field by field
 (a JSON value or a header field replaced, a key dropped) and byte by byte
 (bytes replaced, inserted or deleted, the file cut short), and its scene
-spec field by field, then run through ``cli.main`` in-process:
-``extract`` reads the grid, ``plan`` reads the surface and ``scenegen``
-reads the spec. Every run must exit 0, 1 or 2 without a traceback, and
-exit 0 only with a surface or grid file that ``load_surface`` or
-``load_grid`` accepts.
+spec field by field; point clouds are built line by line from good and
+bad tokens. All run through ``cli.main`` in-process: ``extract`` reads
+the grid, ``plan`` reads the surface, ``scenegen`` reads the spec and
+``voxelize`` reads the cloud. Every run must exit 0, 1 or 2 without a
+traceback, and exit 0 only with a surface or grid file that
+``load_surface`` or ``load_grid`` accepts.
 """
 
 import contextlib
@@ -175,7 +176,7 @@ def surface_field_edits(draw):
             ("params", "step_voxels"), ("params", "clearance_voxels"),
             ("params", "inflation_voxels"), ("params", "step_height"),
             ("params", "clearance_height"), ("params", "inflation_radius"),
-            ("states",), ("states", "any"), ("states", "any", "any"),
+            ("keys",), ("keys", "any"),
         ]))
         action = draw(st.sampled_from(["set", "set", "drop", "append"]))
         value = draw(json_values | st.lists(st.integers(-3, 60), min_size=3, max_size=3))
@@ -282,6 +283,53 @@ def test_scene_spec_fields(files, edits):
     spec.write_text(json.dumps(doc))
     grid.unlink(missing_ok=True)
     code, err = run_cli(["scenegen", "--spec", str(spec), str(grid)])
+    assert "Traceback" not in err, err
+    assert code in (EXIT_OK, EXIT_PIPELINE, EXIT_INPUT), err
+    if code == EXIT_OK:
+        load_grid(grid)
+    else:
+        assert err.startswith("error:"), err
+
+
+# A cloud's coordinates stay inside a 10 m box, so a grid that voxelize
+# accepts at 0.05 m or coarser holds at most 202**3 voxels. Bad tokens
+# come whole, never as random bytes: one edited digit can make a span
+# whose grid is gigabytes.
+coordinates = st.floats(-5.0, 5.0).map(repr)
+bad_tokens = st.sampled_from([
+    b"nan", b"NaN", b"inf", b"-inf", b"1e308", b"-1e308", b"0x1p3", b"0x10", b"",
+    b"\xff\xfe", b"\xc3(",
+])
+tokens = coordinates.map(str.encode) | bad_tokens
+good_point = st.lists(coordinates.map(str.encode), min_size=3, max_size=3)
+# a finite point whose span from the rest is too large to count in voxels
+far_point = st.sampled_from([b"1e300", b"-1e300", b"1e308", b"-1e308"]).flatmap(
+    lambda far: st.permutations([far, b"0", b"0"]))
+# one bad line spoils a cloud, so most lines are good points
+cloud_lines = st.one_of(
+    good_point, good_point, good_point, good_point, far_point,
+    st.lists(tokens, min_size=3, max_size=3),
+    st.lists(tokens, min_size=0, max_size=5),  # missing or extra columns
+    st.just([b"#", b"comment"]),
+    st.just([]),  # a blank line
+)
+good_resolution = st.floats(0.05, 2.0)
+cloud_resolutions = st.one_of(
+    good_resolution, good_resolution, st.floats(max_value=0.0),
+    st.sampled_from([math.nan, math.inf, 1e-320]),
+)
+
+
+@settings(max_examples=FIELD_EXAMPLES)
+@given(lines=st.lists(st.tuples(cloud_lines, st.sampled_from([b" ", b"\t"])), min_size=1,
+                     max_size=8),
+       resolution=cloud_resolutions)
+def test_point_cloud_lines(files, lines, resolution):
+    d = files["dir"]
+    cloud, grid = d / "bad.xyz", d / "out.grid"
+    cloud.write_bytes(b"".join(sep.join(line) + b"\n" for line, sep in lines))
+    grid.unlink(missing_ok=True)
+    code, err = run_cli(["voxelize", str(cloud), str(grid), f"--resolution={resolution!r}"])
     assert "Traceback" not in err, err
     assert code in (EXIT_OK, EXIT_PIPELINE, EXIT_INPUT), err
     if code == EXIT_OK:

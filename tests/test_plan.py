@@ -45,12 +45,13 @@ def strip(base, order):
     """A flat 3 x 10 strip at y = base .. base + 9, its ordinals in
     ``order``, made with the Surface constructor on a grid 2^21 + 16 wide
     in y that is never allocated."""
+    dims = (3, 2**21 + 16, 3)
     xs, ys = np.meshgrid(np.arange(3), np.arange(base, base + 10), indexing="ij")
-    states = np.stack((xs.ravel(), ys.ravel(), np.ones(30, np.int64)), axis=1)[order]
+    keys = np.ravel_multi_index((xs.ravel(), ys.ravel(), np.ones(30, np.int64)), dims)[order]
     surface = Surface(
-        states=states,
-        seed=tuple(states[0].tolist()),
-        dims=(3, 2**21 + 16, 3),
+        keys=keys,
+        seed=tuple(int(c) for c in np.unravel_index(keys[0], dims)),
+        dims=dims,
         resolution=0.2,
         origin=np.zeros(3),
         params=DerivedVoxelParams(
@@ -387,7 +388,7 @@ class TestArrayLayout:
 
     def rebuilt(self, surface, dfield, dtype):
         again = Surface(
-            states=surface.states.astype(dtype),
+            keys=surface.keys.astype(dtype),
             seed=surface.seed,
             dims=surface.dims,
             resolution=surface.resolution,
@@ -407,7 +408,8 @@ class TestArrayLayout:
     def test_other_integer_layouts_plan_identically(self, dtype):
         surface, dfield = flat(9, post=(4, 4))
         again, dfield2, graph2 = self.rebuilt(surface, dfield, dtype)
-        for arr in (again.states, graph2.indptr, graph2.targets, graph2.dz, dfield2.distances):
+        for arr in (again.keys, again.states, graph2.indptr, graph2.targets, graph2.dz,
+                    dfield2.distances):
             assert arr.dtype == np.int64 and arr.dtype.isnative
             assert arr.flags.c_contiguous
         for start, goal in [((1, 1, 1), (7, 7, 1)), ((8, 0, 1), (0, 8, 1))]:
@@ -426,9 +428,9 @@ class TestArrayLayout:
 
     def test_float_states_are_refused(self):
         surface, _ = flat(5)
-        with pytest.raises(ValueError, match="states must be integers"):
+        with pytest.raises(ValueError, match="keys must be integers"):
             Surface(
-                states=surface.states.astype(np.float64),
+                keys=surface.keys.astype(np.float64),
                 seed=surface.seed,
                 dims=surface.dims,
                 resolution=surface.resolution,
