@@ -288,11 +288,11 @@ def _cmd_voxelize(args) -> int:
 
 def _cmd_scenegen(args) -> int:
     if args.preset:
-        spec = preset(args.preset, resolution=args.resolution or 0.2, rng_seed=args.rng_seed)
+        spec = preset(args.preset, rng_seed=args.rng_seed)
     else:
         spec = load_scene_spec(args.spec)
-        if args.resolution:
-            spec = dataclasses.replace(spec, resolution=args.resolution)
+    if args.resolution is not None:
+        spec = dataclasses.replace(spec, resolution=args.resolution)
     scene = build_scene(spec)
     save_grid(scene.grid, args.grid)
     if args.save_spec:

@@ -3,12 +3,13 @@
 A state is a boundary state when some cardinal direction offers it no
 connected neighbor: every height in the adjacent column is either absent
 from the surface or beyond the step bound. Both read off the surface's
-column index: a direction's neighbors are one run of the sorted keys, and
-a boundary state is one with an empty run. The distance field is the hop
-count to the nearest boundary state, computed by multi-source BFS over
-the same CSR adjacency the search graph uses, so its memory scales with
-the surface, not the grid. Planning uses it to bias paths away from edges
-and obstacles.
+one CSR adjacency: a direction's neighbors are one run of the sorted
+keys, and the CSR flags each state with an empty run as a boundary
+state. The distance field is the hop count to the nearest boundary
+state: the round in which the one frontier BFS of :mod:`surfnav.extract`,
+started from every boundary state, reaches it over the same CSR the
+search graph uses. Its memory scales with the surface, not the grid.
+Planning uses it to bias paths away from edges and obstacles.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extract import Surface, _hops, _int64
+from .extract import Surface, _bfs, _int64
 
 __all__ = ["DistanceField", "boundary_states", "distance_field"]
 
@@ -59,14 +60,16 @@ class DistanceField:
 
 def boundary_states(surface: Surface) -> np.ndarray:
     """Ordinals of states missing a connected neighbor in some direction."""
-    _, _, missing = surface._csr
-    return np.nonzero(missing.any(axis=1))[0]
+    _, _, boundary = surface._csr
+    return np.flatnonzero(boundary)
 
 
 def distance_field(surface: Surface) -> DistanceField:
     """Multi-source BFS from the boundary over surface connectivity."""
     indptr, targets, _ = surface._csr
-    dist = _hops(indptr, targets, boundary_states(surface))
+    dist = np.full(surface.size, -1, dtype=np.int64)
+    for hops, frontier in enumerate(_bfs(indptr, targets, boundary_states(surface))):
+        dist[frontier] = hops
     # a connected surface with any state has a boundary, so all reachable
     # states get a distance; isolated anomalies would surface here
     if np.any(dist < 0):

@@ -7,6 +7,13 @@ clearance column, support plane excluded) touches any raw-occupied voxel.
 The surface is the set of candidates reachable from a seed through
 cardinal column moves whose height change stays within the step bound:
 |dx| + |dy| = 1 and |dz| <= step_voxels.
+
+Those moves are built one way, for every voxel set: one CSR over the
+set's sorted flat keys (:func:`_column_adjacency`), then one cut that
+takes its rows in ordinal order and renumbers their targets
+(:func:`_cut`). One frontier BFS (:func:`_bfs`) walks such a CSR: for
+extraction's discovery order, a surface file's reachability check and
+the distance field.
 """
 
 from __future__ import annotations
@@ -308,19 +315,25 @@ def _runs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - starts, counts) + np.arange(counts.sum())
 
 
-def _hops(indptr: np.ndarray, targets: np.ndarray, sources) -> np.ndarray:
-    """Hop count from the nearest of ``sources`` over a CSR adjacency, by
-    frontier-at-a-time BFS; -1 where no source reaches."""
-    dist = np.full(indptr.size - 1, -1, dtype=np.int64)
-    frontier = np.asarray(sources, dtype=np.int64)
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        d += 1
-        nxt = targets[_runs(indptr[frontier], indptr[frontier + 1])]
-        dist[nxt[dist[nxt] < 0]] = d
-        frontier = np.flatnonzero(dist == d)
-    return dist
+def _bfs(indptr: np.ndarray, targets: np.ndarray, sources) -> list[np.ndarray]:
+    """The frontier rounds of a BFS from ``sources`` over a CSR adjacency.
+
+    Round 0 is the sources, and round d + 1 the rows first reached from
+    round d. Each round keeps its rows in discovery order: by the position
+    of their first appearance among the previous round's targets, taken
+    row by row, and each row appears once.
+    """
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    rounds = []
+    nb = np.asarray(sources, dtype=np.int64)
+    while nb.size:
+        _, first = np.unique(nb, return_index=True)
+        frontier = nb[np.sort(first)]
+        seen[frontier] = True
+        rounds.append(frontier)
+        nb = targets[_runs(indptr[frontier], indptr[frontier + 1])]
+        nb = nb[~seen[nb]]
+    return rounds
 
 
 def _int64(a, name: str) -> np.ndarray:
@@ -345,18 +358,18 @@ def _voxel_keys(keys, dims) -> np.ndarray:
     return keys
 
 
-def _neighbor_ranges(keys: np.ndarray, expand: np.ndarray, dims, k: int):
+def _neighbor_ranges(keys: np.ndarray, dims, k: int):
     """The bounded-step adjacency, as runs of a sorted column index.
 
     ``keys`` are the sorted flat keys (x * ny + y) * nz + z of a voxel set,
-    so each column is a contiguous, z-ascending run. For every voxel key in
-    ``expand`` and every direction of :func:`step_offsets`, returns the run
-    [lo, hi) of ``keys`` holding the adjacent column's voxels within k of
-    its height, as two (n, 4) arrays. An empty run means no neighbor.
+    so each column is a contiguous, z-ascending run. For every voxel and
+    every direction of :func:`step_offsets`, returns the run [lo, hi) of
+    ``keys`` holding the adjacent column's voxels within k of its height,
+    as two (n, 4) arrays. An empty run means no neighbor.
     """
     nx, ny, nz = dims
-    x, y, z = np.unravel_index(expand, dims)
-    col = expand - z  # key of the voxel's own column at z = 0
+    x, y, z = np.unravel_index(keys, dims)
+    col = keys - z  # key of the voxel's own column at z = 0
     # clipped so a window never spills into the next or previous column
     zlo = col + np.clip(z - k, 0, nz)
     zhi = col + np.clip(z + k, -1, nz - 1)
@@ -370,16 +383,33 @@ def _neighbor_ranges(keys: np.ndarray, expand: np.ndarray, dims, k: int):
     return lo.T, hi.T
 
 
-def _column_adjacency(keys: np.ndarray, expand: np.ndarray, dims, k: int):
-    """:func:`_neighbor_ranges` as a CSR: (indptr, targets, missing).
+def _column_adjacency(keys: np.ndarray, dims, k: int):
+    """:func:`_neighbor_ranges` as a CSR: (indptr, targets, boundary).
 
-    ``targets`` holds, for every voxel key in ``expand``, the positions in
-    ``keys`` of its neighbors, by direction and z-ascending within one;
-    ``missing`` is the (n, 4) mask of the directions without a neighbor.
+    Row i lists the positions in the sorted ``keys`` of voxel i's
+    neighbors, by direction and z-ascending within one; ``boundary[i]``
+    says that some direction offers voxel i no neighbor.
     """
-    lo, hi = _neighbor_ranges(keys, expand, dims, k)
+    lo, hi = _neighbor_ranges(keys, dims, k)
     indptr = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
-    return indptr, _runs(lo.ravel(), hi.ravel()), lo == hi
+    return indptr, _runs(lo.ravel(), hi.ravel()), (lo == hi).any(axis=1)
+
+
+def _cut(csr, order: np.ndarray):
+    """The rows ``order`` of a CSR from :func:`_column_adjacency`, in that
+    order, their targets renumbered to positions in ``order``.
+
+    Every target of a kept row must be kept too: a target outside
+    ``order`` has no number.
+    """
+    indptr, targets, boundary = csr
+    ordinal = np.empty(indptr.size - 1, dtype=np.int64)
+    ordinal[order] = np.arange(order.size)
+    return (
+        np.concatenate(([0], np.cumsum(np.diff(indptr)[order]))),
+        ordinal[targets[_runs(indptr[order], indptr[order + 1])]],
+        boundary[order],
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,9 +429,11 @@ class Surface:
     C-contiguous int64. Keys that are not integers, not 1-D or outside
     ``dims``, a duplicate key and a seed that is not a state raise
     ValueError: a surface always holds its seed. The adjacency of all
-    states comes from :func:`extract_surface`, which builds it anyway; a
-    surface made otherwise (:func:`load_surface`, or the constructor) builds
-    it on first use. Either way it is kept.
+    states is a CSR cut to ordinal order by :func:`_cut`: of the
+    candidates' CSR, by :func:`extract_surface`, which builds that anyway;
+    of the CSR over its own sorted keys, on first use, for a surface made
+    otherwise (:func:`load_surface`, or the constructor). Either way it is
+    kept, and the arrays are the same.
     """
 
     keys: np.ndarray
@@ -454,23 +486,17 @@ class Surface:
             (c // ny, c % ny): zs for c, zs in zip(columns.tolist(), heights)
         }
 
-    def _adjacency(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR of the moves out of the voxels ``keys``, plus the empty directions.
-
-        Returns (indptr, targets, missing): target ordinals per voxel of
-        ``keys``, sorted by (direction, height), and an (n, 4) mask of
-        the directions without a neighbor.
-        """
-        indptr, at, missing = _column_adjacency(
-            self._sorted, keys, self.dims, self.params.step_voxels
-        )
-        return indptr, self._ordinals[at], missing
-
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_adjacency` of every state, in ordinal order; set by
+        """The adjacency of every state in ordinal order, as
+        (indptr, target ordinals, boundary): :func:`_column_adjacency` of
+        the sorted keys, :func:`_cut` to ordinal order. Set by
         :func:`extract_surface` to the same arrays."""
-        return self._adjacency(self.keys)
+        csr = _column_adjacency(self._sorted, self.dims, self.params.step_voxels)
+        # inverted after the build, so it is not held through the build's peak
+        rows = np.empty_like(self._ordinals)
+        rows[self._ordinals] = np.arange(self.size)
+        return _cut(csr, rows)
 
     def state_centers(self) -> np.ndarray:
         """World centers of all states, ordinal order, (N, 3)."""
@@ -494,11 +520,12 @@ def extract_surface(
     platforms. Seeds landing in one component deduplicate; the first seed
     is recorded as canonical.
 
-    The adjacency of all candidates is built once, as a CSR over their
-    sorted flat keys, and each BFS round only gathers its frontier's runs.
-    That CSR, cut to the reached states, becomes the surface's adjacency,
-    so the distance field and search graph do not build it again. Memory
-    scales with the candidates, not with the grid.
+    The adjacency of all candidates is built once, by
+    :func:`_column_adjacency` over their sorted flat keys, and :func:`_bfs`
+    walks it with each row in step order, its rounds giving the ordinals.
+    :func:`_cut` of that CSR to the reached states in ordinal order is the
+    surface's adjacency, so the distance field and search graph do not
+    build it again. Memory scales with the candidates, not with the grid.
     """
     dims = candidates.grid.dims
     # the candidates' sorted keys are their own column index
@@ -513,7 +540,8 @@ def extract_surface(
 
     xs, _, zs = np.unravel_index(keys, dims)
     k = candidates.params.step_voxels
-    indptr, targets, missing = _column_adjacency(keys, keys, dims, k)
+    csr = _column_adjacency(keys, dims, k)
+    indptr, targets, _ = csr
     # the BFS takes each voxel's moves in step_offsets order: by direction
     # (+x, -x, +y, -y), then dz = 0, +1, -1, ..., +k, -k; the CSR runs are
     # z-ascending within a direction. The direction index is 2 [same x] +
@@ -527,19 +555,7 @@ def extract_surface(
     del dz
     stepped = targets[np.argsort(step, kind="stable")]
     del step
-
-    seen = np.zeros(keys.size, dtype=bool)
-    chunks = []
-    while nb.size:
-        # keep the first occurrence of each voxel: rows are in (parent
-        # ordinal, step offset) sequence, i.e. discovery order
-        _, idx = np.unique(nb, return_index=True)
-        frontier = nb[np.sort(idx)]
-        seen[frontier] = True
-        chunks.append(frontier)
-        nb = stepped[_runs(indptr[frontier], indptr[frontier + 1])]
-        nb = nb[~seen[nb]]
-    order = np.concatenate(chunks)
+    order = np.concatenate(_bfs(indptr, stepped, nb))
     del stepped
 
     surface = Surface(
@@ -551,15 +567,8 @@ def extract_surface(
         params=candidates.params,
         extraction=extraction,
     )
-    # the candidates' CSR cut to the surface: a reached voxel's neighbors
-    # are all reached, so every target has an ordinal
-    ordinal = np.empty(keys.size, dtype=np.int64)
-    ordinal[order] = np.arange(order.size)
-    object.__setattr__(surface, "_csr", (
-        np.concatenate(([0], np.cumsum(np.diff(indptr)[order]))),
-        ordinal[targets[_runs(indptr[order], indptr[order + 1])]],
-        missing[order],
-    ))
+    # a reached voxel's neighbors are all reached, so the cut keeps them
+    object.__setattr__(surface, "_csr", _cut(csr, order))
     return surface
 
 
@@ -656,17 +665,26 @@ def save_surface(surface: Surface, destination) -> None:
         Path(destination).write_text(text + "\n")
 
 
+def _integer(value, name: str) -> int:
+    """``value``, the integer field ``name`` of a surface file;
+    SurfaceFormatError if it is anything but an integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SurfaceFormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_surface(source) -> Surface:
     """Read a surface written by :func:`save_surface`, compact or indented.
 
     Only version 2 is read. Its keys go to :class:`Surface` as they are,
     so keys that are not integers or lie outside ``dims``, a duplicate key
     and a seed that is not a state (as in a file with no keys) raise
-    SurfaceFormatError, as do a non-integer seed, an origin that is not 3
-    finite numbers, voxel params that disagree with the thresholds in
-    meters beside them, and a state the seed does not reach. The
-    reachability check builds the surface's adjacency, which the distance
-    field and search graph then reuse.
+    SurfaceFormatError, as do dims, voxel params or a seed that are not
+    integers (a fractional or boolean value included), an origin that is
+    not 3 finite numbers, voxel params that disagree with the thresholds
+    in meters beside them, and a state the seed does not reach. The
+    reachability check is a :func:`_bfs` over the surface's adjacency,
+    which the distance field and search graph then reuse.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -684,9 +702,8 @@ def load_surface(source) -> Surface:
         p = doc["params"]
         resolution = float(doc["resolution"])
         params = DerivedVoxelParams(
-            step_voxels=int(p["step_voxels"]),
-            clearance_voxels=int(p["clearance_voxels"]),
-            inflation_voxels=int(p["inflation_voxels"]),
+            **{name: _integer(p[name], f"params.{name}")
+               for name in ("step_voxels", "clearance_voxels", "inflation_voxels")},
             resolution=resolution,
         )
         meters = (p.get("step_height"), p.get("clearance_height"), p.get("inflation_radius"))
@@ -704,7 +721,7 @@ def load_surface(source) -> Surface:
         origin = np.asarray(doc["origin"], dtype=np.float64)
         if origin.shape != (3,) or not np.all(np.isfinite(origin)):
             raise SurfaceFormatError(f"origin must be 3 finite numbers, got {doc['origin']!r}")
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = tuple(_integer(d, "dims") for d in doc["dims"])
         if len(dims) != 3 or min(dims) < 1:
             raise SurfaceFormatError(f"bad dims {dims}")
         seed = np.asarray(doc["seed"])
@@ -721,7 +738,9 @@ def load_surface(source) -> Surface:
             extraction=extraction,
         )
         indptr, targets, _ = surface._csr
-        cut_off = surface.states[_hops(indptr, targets, [surface.ordinal(seed)]) < 0]
+        reached = np.zeros(surface.size, dtype=bool)
+        reached[np.concatenate(_bfs(indptr, targets, [surface.ordinal(seed)]))] = True
+        cut_off = surface.states[~reached]
         if cut_off.size:
             raise SurfaceFormatError(
                 f"state {cut_off[0].tolist()} is not reachable from seed {seed}"

@@ -77,8 +77,10 @@ class PlanParams:
 def successors(surface: Surface, state) -> list[tuple[int, int, int]]:
     """Connected neighbors of the surface state ``state``, direction-major,
     ascending height."""
-    _, targets, _ = surface._adjacency(surface.keys[[surface.ordinal(state)]])
-    return [tuple(s) for s in surface.states[targets].tolist()]
+    indptr, targets, _ = surface._csr
+    i = surface.ordinal(state)
+    row = targets[indptr[i] : indptr[i + 1]]
+    return [tuple(s) for s in surface.states[row].tolist()]
 
 
 def _move_cost(dx, dy, dz, params: PlanParams, resolution: float) -> float:

@@ -191,6 +191,20 @@ class TestScenegen:
         assert named in err
         assert not grid.exists()
 
+    @pytest.mark.parametrize("source", ["preset", "spec"])
+    def test_zero_resolution_is_an_input_error(self, tmp_path, capsys, source):
+        # 0 is a resolution given, not a default: SceneSpec refuses it
+        spec = tmp_path / "scene.json"
+        report(["scenegen", "--preset", "table1_fixture", str(tmp_path / "a.grid"),
+                "--save-spec", str(spec)], capsys)
+        scene = ["--preset", "table1_fixture"] if source == "preset" else ["--spec", str(spec)]
+        grid = tmp_path / "b.grid"
+        code, _, err = run(["scenegen", *scene, str(grid), "--resolution", "0"], capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "resolution" in err
+        assert not grid.exists()
+
     def test_memory_error_is_a_pipeline_error(self, tmp_path, capsys):
         # 5e5 voxels a side: numpy refuses the 111 PiB grid at once
         spec = tmp_path / "scene.json"
@@ -439,7 +453,8 @@ class TestPlan:
     @pytest.mark.parametrize(
         "tamper, field",
         [("nan_origin", "origin"), ("short_origin", "origin"),
-         ("float_key", "keys"), ("step_voxels", "step_voxels")],
+         ("float_key", "keys"), ("step_voxels", "step_voxels"),
+         ("fractional_dims", "dims"), ("fractional_step", "step_voxels")],
     )
     def test_tampered_fields_are_input_errors(self, room, tmp_path, capsys, tamper, field):
         doc = json.loads(open(room["surface"]).read())
@@ -449,6 +464,10 @@ class TestPlan:
             doc["origin"] = doc["origin"][:2]
         elif tamper == "float_key":
             doc["keys"][5] += 0.7
+        elif tamper == "fractional_dims":
+            doc["dims"][2] += 0.9
+        elif tamper == "fractional_step":
+            doc["params"]["step_voxels"] += 0.5
         else:
             doc["params"]["step_voxels"] = 0
         bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -86,12 +87,25 @@ def from_mask(mask, grid, params):
     return CandidateSet(np.flatnonzero(mask), grid, params)
 
 
+def assert_same_csr(got, want):
+    """Two surfaces hold the same adjacency arrays, dtypes included."""
+    for a, b in zip(got._csr, want._csr, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
 def assert_adjacency_prebuilt(surface):
-    """The adjacency extraction hands the surface equals the one the
-    surface would build from its own column index, dtypes included."""
-    for got, want in zip(surface._csr, surface._adjacency(surface.keys), strict=True):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    """The adjacency extraction hands the surface equals the one a copy
+    made with the constructor builds from its own keys."""
+    assert_same_csr(surface, Surface(
+        keys=surface.keys,
+        seed=surface.seed,
+        dims=surface.dims,
+        resolution=surface.resolution,
+        origin=surface.origin,
+        params=surface.params,
+        extraction=surface.extraction,
+    ))
 
 
 def collision_reference(cands):
@@ -482,6 +496,16 @@ class TestExtractSurface:
             row = graph.targets[graph.indptr[i] : graph.indptr[i + 1]]
             got = [tuple(surface.states[j]) for j in row.tolist()]
             assert got == list(_adjacent(cols, tuple(state), k))
+        # a file read back cuts its own CSR and checks reachability by BFS:
+        # the same keys, adjacency and distance field, bit for bit
+        buf = io.StringIO()
+        save_surface(surface, buf)
+        loaded = load_surface(io.StringIO(buf.getvalue()))
+        assert np.array_equal(loaded.keys, surface.keys)
+        assert_same_csr(loaded, surface)
+        assert np.array_equal(
+            distance_field(loaded).distances, distance_field(surface).distances
+        )
 
 
 def test_adjacency_prebuilt_on_presets(all_presets):
@@ -632,8 +656,12 @@ class TestSurfaceFile:
             (lambda doc: doc["keys"].__setitem__(5, doc["keys"][5] + 0.7), "keys"),
             (lambda doc: doc["params"].__setitem__("step_voxels", 0), "step_voxels"),
             (lambda doc: doc["seed"].__setitem__(0, doc["seed"][0] + 0.7), "seed"),
+            (lambda doc: doc["dims"].__setitem__(2, doc["dims"][2] + 0.9), "dims"),
+            (lambda doc: doc["params"].__setitem__("inflation_voxels", False),
+             "inflation_voxels"),
         ],
-        ids=["nan_origin", "short_origin", "float_key", "step_voxels", "float_seed"],
+        ids=["nan_origin", "short_origin", "float_key", "step_voxels", "float_seed",
+             "fractional_dims", "bool_inflation"],
     )
     def test_fields_that_cannot_be_trusted(self, tmp_path, edit, field):
         p = tmp_path / "s.json"

@@ -21,7 +21,7 @@ from surfnav import (
     plan,
     successors,
 )
-from surfnav.oracle import _adjacent, _column_map
+from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
 from surfnav.extract import Surface
 from surfnav.plan import _ENGINE, _astar, _cost_table, _interpreted, _search
 
@@ -146,6 +146,33 @@ class TestSuccessors:
             row = graph.targets[graph.indptr[i] : graph.indptr[i + 1]]
             assert [tuple(surface.states[j]) for j in row.tolist()] == expected
             assert successors(surface, state) == expected
+
+    @pytest.mark.parametrize("rng_seed", [0, 1, 2])
+    def test_shuffled_constructor_cut_matches_oracle(self, rng_seed):
+        # ordinals in no BFS order: the constructor's CSR is the sorted
+        # keys' CSR cut to ordinal order, so every row must still be the
+        # state's own neighbors in the oracle's order
+        base = self.layered()
+        order = np.random.default_rng(rng_seed).permutation(base.size)
+        surface = Surface(
+            keys=base.keys[order],
+            seed=base.seed,
+            dims=base.dims,
+            resolution=base.resolution,
+            origin=base.origin,
+            params=base.params,
+        )
+        indptr, targets, _ = surface._csr
+        cols = _column_map(surface)
+        k = surface.params.step_voxels
+        for i, state in enumerate(surface.states.tolist()):
+            expected = list(_adjacent(cols, tuple(state), k))
+            row = targets[indptr[i] : indptr[i + 1]]
+            assert [tuple(s) for s in surface.states[row].tolist()] == expected
+            assert successors(surface, state) == expected
+        assert np.array_equal(
+            distance_field(surface).distances, boundary_distance_reference(surface)
+        )
 
     def test_graph_dz_matches_geometry(self):
         surface = self.layered()
