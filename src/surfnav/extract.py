@@ -293,19 +293,12 @@ _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def step_offsets(step_voxels: int) -> np.ndarray:
-    """Neighbor offsets in deterministic expansion order.
-
-    Directions +x, -x, +y, -y; within each direction dz scans
-    0, +1, -1, ..., +k, -k so flat motion is discovered before climbs.
-    """
-    dz_order = [0]
-    for d in range(1, step_voxels + 1):
-        dz_order.extend((d, -d))
-    out = []
-    for dx, dy in _DIRECTIONS:
-        for dz in dz_order:
-            out.append((dx, dy, dz))
-    return np.array(out, dtype=np.int64)
+    """Neighbor offsets in deterministic expansion order: directions +x, -x,
+    +y, -y, and within each dz = -k, ..., +k ascending. It is the order of a
+    :func:`_column_adjacency` row, so the BFS walks the rows as they are."""
+    k = step_voxels
+    return np.array([(dx, dy, dz) for dx, dy in _DIRECTIONS for dz in range(-k, k + 1)],
+                    dtype=np.int64)
 
 
 def _runs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -521,8 +514,8 @@ def extract_surface(
     is recorded as canonical.
 
     The adjacency of all candidates is built once, by
-    :func:`_column_adjacency` over their sorted flat keys, and :func:`_bfs`
-    walks it with each row in step order, its rounds giving the ordinals.
+    :func:`_column_adjacency` over their sorted flat keys, its rows in step
+    order, and :func:`_bfs` walks it, its rounds giving the ordinals.
     :func:`_cut` of that CSR to the reached states in ordinal order is the
     surface's adjacency, so the distance field and search graph do not
     build it again. Memory scales with the candidates, not with the grid.
@@ -538,25 +531,8 @@ def extract_surface(
             raise InvalidSeedError(f"invalid seed: {s} is not a candidate voxel")
     nb = np.array([_find(keys, dims, s) for s in seed_list], dtype=np.int64)
 
-    xs, _, zs = np.unravel_index(keys, dims)
-    k = candidates.params.step_voxels
-    csr = _column_adjacency(keys, dims, k)
-    indptr, targets, _ = csr
-    # the BFS takes each voxel's moves in step_offsets order: by direction
-    # (+x, -x, +y, -y), then dz = 0, +1, -1, ..., +k, -k; the CSR runs are
-    # z-ascending within a direction. The direction index is 2 [same x] +
-    # [neighbor column before the voxel's own], and keys sort by column.
-    source = np.repeat(np.arange(keys.size), np.diff(indptr))
-    dz = zs[targets] - zs[source]
-    step = 4 * source + 2 * (xs[targets] == xs[source]) + (targets < source)
-    del source
-    step *= 2 * k + 1
-    step += 2 * np.abs(dz) - (dz > 0)
-    del dz
-    stepped = targets[np.argsort(step, kind="stable")]
-    del step
-    order = np.concatenate(_bfs(indptr, stepped, nb))
-    del stepped
+    csr = _column_adjacency(keys, dims, candidates.params.step_voxels)
+    order = np.concatenate(_bfs(csr[0], csr[1], nb))
 
     surface = Surface(
         keys=keys[order],
@@ -673,6 +649,20 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """The finite number field ``name`` of a surface file, as a float (never a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SurfaceFormatError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _triple(value, name: str, read) -> tuple:
+    """The field ``name`` of a surface file, a list of 3 each taken by ``read``."""
+    if not (isinstance(value, list) and len(value) == 3):
+        raise SurfaceFormatError(f"{name} must be a list of 3, got {value!r}")
+    return tuple(read(v, name) for v in value)
+
+
 def load_surface(source) -> Surface:
     """Read a surface written by :func:`save_surface`, compact or indented.
 
@@ -680,9 +670,10 @@ def load_surface(source) -> Surface:
     so keys that are not integers or lie outside ``dims``, a duplicate key
     and a seed that is not a state (as in a file with no keys) raise
     SurfaceFormatError, as do dims, voxel params or a seed that are not
-    integers (a fractional or boolean value included), an origin that is
-    not 3 finite numbers, voxel params that disagree with the thresholds
-    in meters beside them, and a state the seed does not reach. The
+    integers, a resolution, threshold in meters or origin entry that is not
+    a finite number (a fractional, string or boolean value included), voxel
+    params that disagree with the thresholds in meters beside them, and a
+    state the seed does not reach. The
     reachability check is a :func:`_bfs` over the surface's adjacency,
     which the distance field and search graph then reuse.
     """
@@ -700,16 +691,18 @@ def load_surface(source) -> Surface:
         raise SurfaceFormatError(f"unsupported surface version {doc.get('version')!r}, not 2")
     try:
         p = doc["params"]
-        resolution = float(doc["resolution"])
+        resolution = _number(doc["resolution"], "resolution")
         params = DerivedVoxelParams(
             **{name: _integer(p[name], f"params.{name}")
                for name in ("step_voxels", "clearance_voxels", "inflation_voxels")},
             resolution=resolution,
         )
-        meters = (p.get("step_height"), p.get("clearance_height"), p.get("inflation_radius"))
+        meters = {name: _number(p[name], f"params.{name}")
+                  for name in ("step_height", "clearance_height", "inflation_radius")
+                  if p.get(name) is not None}
         extraction = None
-        if all(v is not None for v in meters):
-            extraction = ExtractionParams(*(float(v) for v in meters))
+        if len(meters) == 3:
+            extraction = ExtractionParams(**meters)
             derived = DerivedVoxelParams.from_params(extraction, resolution)
             for name in ("step_voxels", "clearance_voxels", "inflation_voxels"):
                 if getattr(derived, name) != getattr(params, name):
@@ -718,22 +711,16 @@ def load_surface(source) -> Surface:
                         f"thresholds in meters give {getattr(derived, name)} "
                         f"at resolution {resolution}"
                     )
-        origin = np.asarray(doc["origin"], dtype=np.float64)
-        if origin.shape != (3,) or not np.all(np.isfinite(origin)):
-            raise SurfaceFormatError(f"origin must be 3 finite numbers, got {doc['origin']!r}")
-        dims = tuple(_integer(d, "dims") for d in doc["dims"])
-        if len(dims) != 3 or min(dims) < 1:
+        dims = _triple(doc["dims"], "dims", _integer)
+        if min(dims) < 1:
             raise SurfaceFormatError(f"bad dims {dims}")
-        seed = np.asarray(doc["seed"])
-        if seed.shape != (3,) or seed.dtype.kind not in "iu":
-            raise SurfaceFormatError(f"seed must be 3 integers, got {doc['seed']!r}")
-        seed = tuple(seed.tolist())
+        seed = _triple(doc["seed"], "seed", _integer)
         surface = Surface(
             keys=doc["keys"],
             seed=seed,
             dims=dims,
             resolution=resolution,
-            origin=origin,
+            origin=np.array(_triple(doc["origin"], "origin", _number)),
             params=params,
             extraction=extraction,
         )
@@ -745,6 +732,6 @@ def load_surface(source) -> Surface:
             raise SurfaceFormatError(
                 f"state {cut_off[0].tolist()} is not reachable from seed {seed}"
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SurfaceFormatError(f"bad surface file: {exc}") from exc
     return surface

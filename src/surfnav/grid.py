@@ -4,6 +4,9 @@ Voxel (x, y, z) covers the half-open world box
 [origin + v*r, origin + (v+1)*r), so every finite point belongs to exactly
 one voxel. Occupancy queries outside the grid read as occupied; that keeps
 clearance and collision checks conservative near the map boundary.
+
+Every voxel array, the grid file's bits included, is in flat-key order
+(x * ny + y) * nz + z, so a grid goes to and from disk without a copy.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = [
 ]
 
 GRID_MAGIC = b"RNAV"
-GRID_VERSION = 1
+GRID_VERSION = 2
 
 # magic, version, Nx, Ny, Nz, resolution, origin -- all little-endian
 _HEADER = struct.Struct("<4sI3Id3d")
@@ -173,27 +176,27 @@ def voxelize(points, resolution: float, min_points: int = 1) -> OccupancyGrid:
 
 
 def save_grid(grid: OccupancyGrid, destination) -> None:
-    """Write a grid in the binary format (see README for the layout).
-
-    The payload packs voxels in x-fastest order, idx = x + Nx*(y + Ny*z),
-    eight voxels per byte with bit i of byte b holding voxel 8*b + i.
-    """
+    """Write a grid in the binary format, version 2 (see README): the payload
+    packs the occupancy in its own flat-key order (x * Ny + y) * Nz + z, eight
+    voxels per byte, bit i of byte b holding the voxel of key 8*b + i."""
     nx, ny, nz = grid.dims
     header = _HEADER.pack(
         GRID_MAGIC, GRID_VERSION, nx, ny, nz, grid.resolution, *grid.origin
     )
-    payload = np.packbits(grid.occupancy.ravel(order="F"), bitorder="little")
+    payload = np.packbits(grid.occupancy.reshape(-1), bitorder="little")
     if hasattr(destination, "write"):
         destination.write(header)
-        destination.write(payload.tobytes())
+        destination.write(payload)
     else:
         with open(destination, "wb") as fh:
             fh.write(header)
-            fh.write(payload.tobytes())
+            fh.write(payload)
 
 
 def load_grid(source) -> OccupancyGrid:
-    """Read a grid written by :func:`save_grid`, validating every field."""
+    """Read a grid written by :func:`save_grid`, validating every field.
+    Only version 2 is read: regenerate a version-1 grid (bits x-fastest)
+    with ``scenegen`` or ``voxelize``."""
     if hasattr(source, "read"):
         data = source.read()
     else:
@@ -204,7 +207,8 @@ def load_grid(source) -> OccupancyGrid:
     if magic != GRID_MAGIC:
         raise GridFormatError(f"bad magic {magic!r}, expected {GRID_MAGIC!r}", offset=0)
     if version != GRID_VERSION:
-        raise GridFormatError(f"unsupported version {version}", offset=4)
+        raise GridFormatError(f"unsupported grid version {version}, not {GRID_VERSION}: "
+                              "regenerate the grid with scenegen or voxelize", offset=4)
     if min(nx, ny, nz) < 1:
         raise GridFormatError(f"bad dims ({nx}, {ny}, {nz})", offset=8)
     if not (math.isfinite(resolution) and resolution > 0):
@@ -224,7 +228,7 @@ def load_grid(source) -> OccupancyGrid:
         bitorder="little",
         count=total,
     )
-    occupancy = bits.astype(bool).reshape((nx, ny, nz), order="F")
+    occupancy = bits.view(bool).reshape((nx, ny, nz))
     return OccupancyGrid(resolution, np.array([ox, oy, oz]), occupancy)
 
 

@@ -4,8 +4,9 @@ A SceneSpec is an ordered list of geometric primitives compiled onto a
 dense occupancy grid. Rasterization is conservative (a primitive claims
 every voxel its box intersects) and order-sensitive: later primitives
 overwrite earlier ones, which is how holes and cavities carve openings.
-Each solid voxel carries the label of the primitive that set it last, so
-tests can ask which structure supports a given surface state.
+A scene holds one grid-sized array, its occupancy. The solid voxels that a
+named primitive set last are painted on demand, by the same pass over the
+boxes, so tests can ask which structure supports a given surface state.
 
 Presets cover the structure classes that exercise every extraction
 filter: walkable floor, walls, a table (standing island), a low cabinet
@@ -59,6 +60,11 @@ def _check_region(region, what: str) -> None:
         raise SceneSpecError(f"{what}: region must be finite, got {region}")
     if x0 >= x1 or y0 >= y1:
         raise SceneSpecError(f"{what}: region must have positive area, got {region}")
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number and not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -268,35 +274,37 @@ class SceneSpec:
     seed_hint: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
-        object.__setattr__(self, "seed_hint", tuple(float(c) for c in self.seed_hint))
-        object.__setattr__(self, "primitives", tuple(self.primitives))
-        if not (isinstance(self.resolution, numbers.Real) and math.isfinite(self.resolution)
+        if not isinstance(self.name, str):
+            raise SceneSpecError(f"name must be a string, got {self.name!r}")
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, numbers.Integral):
+            raise SceneSpecError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        if not (_is_number(self.resolution) and math.isfinite(self.resolution)
                 and self.resolution > 0):
             raise SceneSpecError(f"resolution must be finite and > 0, got {self.resolution!r}")
+        for what in ("extent", "seed_hint"):
+            v = tuple(getattr(self, what))
+            if len(v) != 3 or not all(_is_number(c) for c in v):
+                raise SceneSpecError(f"{what} must be 3 numbers, got {v!r}")
+            object.__setattr__(self, what, tuple(float(c) for c in v))
+        object.__setattr__(self, "primitives", tuple(self.primitives))
         # an extent too large to count in voxels would make NaN dims
-        if len(self.extent) != 3 or not all(e > 0 and math.isfinite(e / self.resolution)
-                                            for e in self.extent):
+        if not all(e > 0 and math.isfinite(e / self.resolution) for e in self.extent):
             raise SceneSpecError(f"extent must be 3 positive sizes countable in voxels at "
                                  f"resolution {self.resolution}, got {self.extent}")
-        if len(self.seed_hint) != 3:
-            raise SceneSpecError(f"seed_hint must be 3 coordinates, got {self.seed_hint}")
 
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Compiled scene: grid plus per-voxel labels of the last primitive
-    that set each solid voxel (0 where empty)."""
+    """Compiled scene: the spec and its grid, with origin (0, 0, 0)."""
 
     grid: OccupancyGrid
-    labels: np.ndarray
-    label_ids: dict
     spec: SceneSpec
 
     def solid_mask(self, name: str) -> np.ndarray:
-        if name not in self.label_ids:
+        """Solid voxels that a primitive named ``name`` set last."""
+        if all(prim.name != name for prim in self.spec.primitives):
             raise SceneSpecError(f"unknown label {name!r}")
-        return self.labels == self.label_ids[name]
+        return _paint(self.spec, name)
 
 
 def _box_slices(box, resolution, dims):
@@ -312,16 +320,15 @@ def _box_slices(box, resolution, dims):
     return tuple(slice(lo[a], max(hi[a], lo[a] + 1)) for a in range(3))
 
 
-def build_scene(spec: SceneSpec) -> Scene:
-    """Rasterize a SceneSpec onto a fresh grid with origin (0, 0, 0)."""
+def _paint(spec: SceneSpec, name: str | None = None) -> np.ndarray:
+    """The spec's boxes painted in order onto one boolean grid: a box sets
+    its voxels solid or clear, and with ``name`` given, only a solid box of
+    a primitive so named sets them."""
     r = spec.resolution
     dims = tuple(ceil_voxels(e / r) for e in spec.extent)
     occ = np.zeros(dims, dtype=bool)
-    labels = np.zeros(dims, dtype=np.int16)
-    label_ids: dict[str, int] = {}
     for prim in spec.primitives:
         try:
-            lid = label_ids.setdefault(prim.name, len(label_ids) + 1)
             for box, solid in prim.boxes():
                 sl = _box_slices(box, r, dims)
                 if sl is None:
@@ -329,17 +336,16 @@ def build_scene(spec: SceneSpec) -> Scene:
                         f"spec out of bounds: {type(prim).__name__} {prim.name!r} box {box} "
                         f"leaves extent {spec.extent}"
                     )
-                if solid:
-                    occ[sl] = True
-                    labels[sl] = lid
-                else:
-                    occ[sl] = False
-                    labels[sl] = 0
+                occ[sl] = solid and (name is None or prim.name == name)
         except (TypeError, ValueError, OverflowError) as exc:
             # a spec file can put a string, null or a list in any field
             raise SceneSpecError(f"bad {type(prim).__name__} {prim.name!r}: {exc}") from exc
-    grid = OccupancyGrid(r, np.zeros(3), occ)
-    return Scene(grid=grid, labels=labels, label_ids=label_ids, spec=spec)
+    return occ
+
+
+def build_scene(spec: SceneSpec) -> Scene:
+    """Rasterize a SceneSpec onto a fresh grid with origin (0, 0, 0)."""
+    return Scene(grid=OccupancyGrid(spec.resolution, np.zeros(3), _paint(spec)), spec=spec)
 
 
 def _prim_to_dict(prim) -> dict:

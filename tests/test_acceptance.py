@@ -60,7 +60,6 @@ def test_criterion_01_filter_matrix():
     seed = select_seed(spec.seed_hint, cands, 2.0)
     surface = extract_surface(cands, [seed])
 
-    labels = scene.labels
     cmask = np.zeros(scene.grid.dims, dtype=bool)
     cmask.reshape(-1)[cands.keys] = True
     smask = np.zeros_like(cmask)
@@ -69,9 +68,8 @@ def test_criterion_01_filter_matrix():
 
     def supported_by(name):
         """Masks of candidates / surface states standing on `name` voxels."""
-        lid = scene.label_ids[name]
         sup = np.zeros_like(cmask)
-        sup[:, :, 1:] = labels[:, :, :-1] == lid
+        sup[:, :, 1:] = scene.solid_mask(name)[:, :, :-1]
         return cmask & sup, smask & sup
 
     floor_c, floor_s = supported_by("floor")

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -309,6 +310,20 @@ class TestExtract:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
 
+    def test_version_1_grid_is_an_input_error(self, room, tmp_path, capsys):
+        # version 1 held the same bits x-fastest; its version field is 1
+        data = bytearray(open(room["grid"], "rb").read())
+        struct.pack_into("<I", data, 4, 1)
+        old = tmp_path / "v1.grid"
+        old.write_bytes(bytes(data))
+        code, _, err = run(
+            ["extract", str(old), str(tmp_path / "s.json"), "--seed-pos", "8.6,8.6,1.1"],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("error:") and "version 1" in err
+        assert "scenegen" in err and "Traceback" not in err
+
     def test_not_a_grid(self, tmp_path, capsys):
         bad = tmp_path / "bad.grid"
         bad.write_bytes(b"PLY\x00" + b"\x00" * 64)
@@ -454,7 +469,9 @@ class TestPlan:
         "tamper, field",
         [("nan_origin", "origin"), ("short_origin", "origin"),
          ("float_key", "keys"), ("step_voxels", "step_voxels"),
-         ("fractional_dims", "dims"), ("fractional_step", "step_voxels")],
+         ("fractional_dims", "dims"), ("fractional_step", "step_voxels"),
+         ("string_resolution", "resolution"), ("string_step_height", "step_height"),
+         ("string_origin", "origin"), ("bool_origin", "origin")],
     )
     def test_tampered_fields_are_input_errors(self, room, tmp_path, capsys, tamper, field):
         doc = json.loads(open(room["surface"]).read())
@@ -468,6 +485,14 @@ class TestPlan:
             doc["dims"][2] += 0.9
         elif tamper == "fractional_step":
             doc["params"]["step_voxels"] += 0.5
+        elif tamper == "string_resolution":
+            doc["resolution"] = str(doc["resolution"])
+        elif tamper == "string_step_height":
+            doc["params"]["step_height"] = str(doc["params"]["step_height"])
+        elif tamper == "string_origin":
+            doc["origin"][0] = "0.0"
+        elif tamper == "bool_origin":
+            doc["origin"][1] = True
         else:
             doc["params"]["step_voxels"] = 0
         bad = tmp_path / "bad.json"

@@ -370,10 +370,10 @@ class TestSelectSeed:
 class TestStepOffsets:
     def test_order(self):
         assert step_offsets(1).tolist() == [
-            [1, 0, 0], [1, 0, 1], [1, 0, -1],
-            [-1, 0, 0], [-1, 0, 1], [-1, 0, -1],
-            [0, 1, 0], [0, 1, 1], [0, 1, -1],
-            [0, -1, 0], [0, -1, 1], [0, -1, -1],
+            [1, 0, -1], [1, 0, 0], [1, 0, 1],
+            [-1, 0, -1], [-1, 0, 0], [-1, 0, 1],
+            [0, 1, -1], [0, 1, 0], [0, 1, 1],
+            [0, -1, -1], [0, -1, 0], [0, -1, 1],
         ]
 
     def test_zero_step(self):
@@ -381,11 +381,12 @@ class TestStepOffsets:
             [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]
         ]
 
-    def test_dz_scan_is_flat_first(self):
+    def test_dz_scan_ascends(self):
+        # the z-ascending order of a direction's run in the column CSR
         offs = step_offsets(3)
         assert offs[:7].tolist() == [
-            [1, 0, 0], [1, 0, 1], [1, 0, -1], [1, 0, 2], [1, 0, -2],
-            [1, 0, 3], [1, 0, -3],
+            [1, 0, -3], [1, 0, -2], [1, 0, -1], [1, 0, 0], [1, 0, 1],
+            [1, 0, 2], [1, 0, 3],
         ]
 
 
@@ -463,6 +464,18 @@ class TestExtractSurface:
         a = extract_surface(cands, [(0, 0, 1)])
         b = extract_surface(cands, [(0, 0, 1), (11, 11, 1)])
         assert a.size == b.size
+
+    def test_two_neighbors_in_one_direction_go_up(self):
+        # the +x column offers the seed two voxels within the step: the
+        # lower one is discovered first, then the upper one
+        mask = np.zeros((3, 1, 5), dtype=bool)
+        mask[0, 0, 2] = mask[1, 0, 1] = mask[1, 0, 3] = mask[2, 0, 2] = True
+        cands = from_mask(mask, grid_from(np.zeros(mask.shape)), dv(k=1, kc=2))
+        surface = extract_surface(cands, [(0, 0, 2)])
+        states = [tuple(s) for s in surface.states.tolist()]
+        assert states == bfs_fifo(mask, (0, 0, 2), 1)
+        assert states == [(0, 0, 2), (1, 0, 1), (1, 0, 3), (2, 0, 2)]
+        assert_adjacency_prebuilt(surface)
 
     def test_ordinals_are_discovery_order(self):
         cands = candidate_set(self.staircase(), dv(k=1))
@@ -659,9 +672,24 @@ class TestSurfaceFile:
             (lambda doc: doc["dims"].__setitem__(2, doc["dims"][2] + 0.9), "dims"),
             (lambda doc: doc["params"].__setitem__("inflation_voxels", False),
              "inflation_voxels"),
+            (lambda doc: doc.__setitem__("resolution", str(doc["resolution"])), "resolution"),
+            (lambda doc: doc.__setitem__("resolution", True), "resolution"),
+            (lambda doc: doc["params"].__setitem__("step_height", "0.3"), "step_height"),
+            (lambda doc: doc["params"].__setitem__("inflation_radius", True),
+             "inflation_radius"),
+            # a threshold is checked even where another is absent
+            (lambda doc: doc["params"].update(clearance_height=None, step_height="0.3"),
+             "step_height"),
+            (lambda doc: doc["origin"].__setitem__(1, "0.0"), "origin"),
+            (lambda doc: doc["origin"].__setitem__(2, False), "origin"),
+            (lambda doc: doc.__setitem__("origin", True), "origin"),
+            (lambda doc: doc["seed"].__setitem__(2, True), "seed"),
         ],
         ids=["nan_origin", "short_origin", "float_key", "step_voxels", "float_seed",
-             "fractional_dims", "bool_inflation"],
+             "fractional_dims", "bool_inflation", "string_resolution", "bool_resolution",
+             "string_step_height", "bool_inflation_radius", "lone_string_step_height",
+             "string_origin", "bool_origin",
+             "bool_origin_list", "bool_seed"],
     )
     def test_fields_that_cannot_be_trusted(self, tmp_path, edit, field):
         p = tmp_path / "s.json"

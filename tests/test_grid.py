@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from surfnav import (
     GridFormatError,
     InvalidPointError,
     OccupancyGrid,
+    build_scene,
     load_grid,
     load_point_cloud,
+    preset,
     save_grid,
     save_point_cloud,
     voxel_to_world,
@@ -222,15 +225,74 @@ class TestGridFile:
         with pytest.raises(GridFormatError):
             load_grid(p)
 
-    def test_payload_is_x_fastest_little_bit_order(self, tmp_path):
+    def test_payload_is_flat_key_little_bit_order(self, tmp_path):
         occ = np.zeros((3, 2, 2), dtype=bool)
-        occ[1, 0, 0] = True  # flat index 1 -> bit 1 of byte 0
-        occ[0, 1, 0] = True  # flat index 3 -> bit 3 of byte 0
+        occ[0, 0, 1] = True  # key (0 * 2 + 0) * 2 + 1 = 1 -> bit 1 of byte 0
+        occ[0, 1, 1] = True  # key (0 * 2 + 1) * 2 + 1 = 3 -> bit 3 of byte 0
+        occ[2, 0, 1] = True  # key (2 * 2 + 0) * 2 + 1 = 9 -> bit 1 of byte 1
         g = make_grid(occ)
         p = tmp_path / "g.grid"
         save_grid(g, p)
         payload = p.read_bytes()[HEADER_SIZE:]
-        assert payload[0] == (1 << 1) | (1 << 3)
+        assert payload == bytes([(1 << 1) | (1 << 3), 1 << 1])
+        assert load_grid(p).occupancy.flags.c_contiguous
+
+    def test_version_1_is_refused(self, tmp_path):
+        # version 1 stored its bits x-fastest: the same bytes, another grid
+        p = tmp_path / "g.grid"
+        save_grid(make_grid(np.zeros((4, 4, 4))), p)
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<I", data, 4, 1)
+        p.write_bytes(bytes(data))
+        with pytest.raises(GridFormatError, match="version 1.*regenerate") as err:
+            load_grid(p)
+        assert err.value.offset == 4
+
+
+class TestOneGridInMemory:
+    """A ~1 MB grid goes through save, load and a scene build holding one
+    grid-sized array: the peak traced memory, counting the grid itself,
+    stays within 1.25x its bytes plus the packed payload."""
+
+    @staticmethod
+    def grid():
+        occ = np.zeros((100, 100, 100), dtype=bool)
+        occ[::3, :, ::2] = True
+        return make_grid(occ)
+
+    @staticmethod
+    def traced(step):
+        """step() and the peak bytes traced while it ran."""
+        tracemalloc.start()
+        try:
+            return step(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def assert_one_grid(peak, grid):
+        occ = grid.occupancy
+        assert peak <= 1.25 * occ.nbytes + (occ.size + 7) // 8, peak
+
+    def test_save_grid(self, tmp_path):
+        def step():
+            grid = self.grid()  # made inside the trace, so the peak counts it
+            save_grid(grid, tmp_path / "g.grid")
+            return grid
+
+        grid, peak = self.traced(step)
+        self.assert_one_grid(peak, grid)
+
+    def test_load_grid(self, tmp_path):
+        save_grid(self.grid(), tmp_path / "g.grid")
+        grid, peak = self.traced(lambda: load_grid(tmp_path / "g.grid"))
+        self.assert_one_grid(peak, grid)
+        assert np.array_equal(grid.occupancy, self.grid().occupancy)
+
+    def test_build_scene(self):
+        scene, peak = self.traced(lambda: build_scene(preset("table1_fixture", resolution=0.08)))
+        assert scene.grid.dims == (125, 125, 80)
+        self.assert_one_grid(peak, scene.grid)
 
 
 class TestPointCloudFile:

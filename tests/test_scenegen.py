@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,8 @@ class TestBuildScene:
         a = build_scene(preset("table1_fixture"))
         b = build_scene(preset("table1_fixture"))
         assert np.array_equal(a.grid.occupancy, b.grid.occupancy)
-        assert np.array_equal(a.labels, b.labels)
+        for name in ("floor", "wall", "stairs", "table"):
+            assert np.array_equal(a.solid_mask(name), b.solid_mask(name))
 
     def test_later_primitives_overwrite(self):
         # the hole carves the slab it overlaps
@@ -89,6 +92,35 @@ class TestBuildScene:
         assert scene.solid_mask("stairs").any()
         with pytest.raises(SceneSpecError):
             scene.solid_mask("swimming_pool")
+
+    def test_solid_mask_is_what_a_name_set_last(self):
+        # a later wall of another name and a hole each take voxels out of
+        # the floor's mask; the grid is the union of what stays solid
+        spec = SceneSpec(
+            "x", (2.0, 2.0, 2.0), 0.2,
+            (
+                FloorSlab((0.0, 0.0, 2.0, 2.0), z=0.0, thickness=0.4),
+                Wall((0.0, 0.0, 0.4, 2.0), height=1.0, name="wall"),
+                Hole((1.6, 1.6, 2.0, 2.0), z0=0.0, z1=0.4),
+            ),
+        )
+        scene = build_scene(spec)
+        floor, wall = scene.solid_mask("floor"), scene.solid_mask("wall")
+        assert not scene.solid_mask("hole").any()
+        assert wall[:2, :, :5].all() and wall.sum() == 2 * 10 * 5
+        assert not floor[:2].any() and not floor[8:, 8:].any()
+        assert floor.sum() == 8 * 10 * 2 - 2 * 2 * 2
+        assert not (floor & wall).any()
+        assert np.array_equal(floor | wall, scene.grid.occupancy)
+
+    def test_more_names_than_int16_holds(self):
+        # more distinct names than an int16 can number
+        walls = tuple(Wall((0.0, 0.0, 1.0, 1.0), height=1.0, z0=float(i), name=f"w{i}")
+                      for i in range(32800))
+        scene = build_scene(SceneSpec("names", (1.0, 1.0, 32800.0), 1.0, walls))
+        assert scene.grid.occupancy.all()
+        mask = scene.solid_mask("w32799")
+        assert mask.sum() == 1 and mask[0, 0, 32799]
 
     def test_table_leaves_knee_room(self):
         spec = SceneSpec(
@@ -171,6 +203,23 @@ class TestSpecFile:
         save_scene_spec(spec, p)
         p.write_text(p.read_text().replace('"type": "wall"', '"type": "moat"'))
         with pytest.raises(SceneSpecError, match="unknown primitive"):
+            load_scene_spec(p)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("resolution", True), ("extent", ["10", "10", "6.4"]),
+         ("seed_hint", ["8.6", "8.6", "1.1"]), ("rng_seed", True), ("name", 5),
+         ("extent", [10, True, 6.4])],
+        ids=["bool_resolution", "string_extent", "string_seed_hint", "bool_rng_seed",
+             "number_name", "bool_extent"],
+    )
+    def test_fields_of_the_wrong_type(self, tmp_path, field, value):
+        p = tmp_path / "spec.json"
+        save_scene_spec(preset("table1_fixture"), p)
+        doc = json.loads(p.read_text())
+        doc[field] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SceneSpecError, match=field):
             load_scene_spec(p)
 
 
