@@ -33,8 +33,12 @@ from .errors import (
     NoCandidatesError,
     SeedSnapError,
     SurfaceFormatError,
+    _integer,
+    _list,
+    _number,
+    _read_json,
 )
-from .grid import OccupancyGrid, ceil_voxels, floor_voxels, voxel_to_world
+from .grid import OccupancyGrid, _check_voxel_count, ceil_voxels, floor_voxels, voxel_to_world
 
 __all__ = [
     "CandidateSet",
@@ -641,28 +645,6 @@ def save_surface(surface: Surface, destination) -> None:
         Path(destination).write_text(text + "\n")
 
 
-def _integer(value, name: str) -> int:
-    """``value``, the integer field ``name`` of a surface file;
-    SurfaceFormatError if it is anything but an integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SurfaceFormatError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, name: str) -> float:
-    """The finite number field ``name`` of a surface file, as a float (never a boolean)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise SurfaceFormatError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _triple(value, name: str, read) -> tuple:
-    """The field ``name`` of a surface file, a list of 3 each taken by ``read``."""
-    if not (isinstance(value, list) and len(value) == 3):
-        raise SurfaceFormatError(f"{name} must be a list of 3, got {value!r}")
-    return tuple(read(v, name) for v in value)
-
-
 def load_surface(source) -> Surface:
     """Read a surface written by :func:`save_surface`, compact or indented.
 
@@ -672,32 +654,21 @@ def load_surface(source) -> Surface:
     SurfaceFormatError, as do dims, voxel params or a seed that are not
     integers, a resolution, threshold in meters or origin entry that is not
     a finite number (a fractional, string or boolean value included), voxel
-    params that disagree with the thresholds in meters beside them, and a
-    state the seed does not reach. The
-    reachability check is a :func:`_bfs` over the surface's adjacency,
-    which the distance field and search graph then reuse.
+    params that disagree with the thresholds in meters beside them, dims
+    that hold no voxel or more than MAX_VOXELS, and a state the seed does
+    not reach. The reachability check is a :func:`_bfs` over the surface's
+    adjacency, which the distance field and search graph then reuse.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SurfaceFormatError(f"not a surface file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "surfnav-surface":
-        raise SurfaceFormatError("not a surface file: missing format marker")
-    if doc.get("version") != 2:
-        raise SurfaceFormatError(f"unsupported surface version {doc.get('version')!r}, not 2")
+    doc = _read_json(source, "surface file", "surfnav-surface", 2, SurfaceFormatError)
     try:
         p = doc["params"]
-        resolution = _number(doc["resolution"], "resolution")
+        resolution = _number(doc["resolution"], "resolution", SurfaceFormatError)
         params = DerivedVoxelParams(
-            **{name: _integer(p[name], f"params.{name}")
+            **{name: _integer(p[name], f"params.{name}", SurfaceFormatError)
                for name in ("step_voxels", "clearance_voxels", "inflation_voxels")},
             resolution=resolution,
         )
-        meters = {name: _number(p[name], f"params.{name}")
+        meters = {name: _number(p[name], f"params.{name}", SurfaceFormatError)
                   for name in ("step_height", "clearance_height", "inflation_radius")
                   if p.get(name) is not None}
         extraction = None
@@ -711,16 +682,15 @@ def load_surface(source) -> Surface:
                         f"thresholds in meters give {getattr(derived, name)} "
                         f"at resolution {resolution}"
                     )
-        dims = _triple(doc["dims"], "dims", _integer)
-        if min(dims) < 1:
-            raise SurfaceFormatError(f"bad dims {dims}")
-        seed = _triple(doc["seed"], "seed", _integer)
+        dims = _list(doc["dims"], "dims", SurfaceFormatError, _integer, 3)
+        _check_voxel_count(dims, SurfaceFormatError, f"dims {dims}")
+        seed = _list(doc["seed"], "seed", SurfaceFormatError, _integer, 3)
         surface = Surface(
             keys=doc["keys"],
             seed=seed,
             dims=dims,
             resolution=resolution,
-            origin=np.array(_triple(doc["origin"], "origin", _number)),
+            origin=np.array(_list(doc["origin"], "origin", SurfaceFormatError, _number, 3)),
             params=params,
             extraction=extraction,
         )

@@ -7,6 +7,9 @@ clearance and collision checks conservative near the map boundary.
 
 Every voxel array, the grid file's bits included, is in flat-key order
 (x * ny + y) * nz + z, so a grid goes to and from disk without a copy.
+
+No grid holds more than MAX_VOXELS = 2**31 voxels: ``voxelize``, ``SceneSpec``
+and ``load_grid`` refuse a larger one before they allocate anything grid-sized.
 """
 
 from __future__ import annotations
@@ -44,6 +47,17 @@ GRID_VERSION = 2
 # magic, version, Nx, Ny, Nz, resolution, origin -- all little-endian
 _HEADER = struct.Struct("<4sI3Id3d")
 HEADER_SIZE = _HEADER.size  # 52 bytes
+
+# A 2 GiB boolean grid, ~190x the 1.1e7 voxels of plaza_like at 0.048 m.
+MAX_VOXELS = 2**31
+
+
+def _check_voxel_count(dims, error, what: str) -> None:
+    """Raise ``error`` naming ``what`` unless a grid of ``dims`` (inf for an
+    axis too long to count) holds 1 to MAX_VOXELS voxels."""
+    count = math.prod(float(d) for d in dims)
+    if not 1 <= count <= MAX_VOXELS:
+        raise error(f"{what} asks for {count:.4g} voxels; a grid holds 1 to 2**31")
 
 
 def floor_voxels(value: float) -> int:
@@ -135,7 +149,8 @@ def voxelize(points, resolution: float, min_points: int = 1) -> OccupancyGrid:
 
     The grid covers the axis-aligned bounding box of the points padded by
     one voxel on every face; a voxel is occupied iff it holds at least
-    ``min_points`` points. Memory is the boolean grid plus O(points).
+    ``min_points`` points. Memory is the boolean grid plus O(points); a grid
+    of more than MAX_VOXELS voxels raises InvalidPointError unallocated.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
@@ -154,13 +169,9 @@ def voxelize(points, resolution: float, min_points: int = 1) -> OccupancyGrid:
     with np.errstate(over="ignore"):
         extent = pmax - pmin
         spans = extent / resolution
-        # an inf span would make NaN dims, and no array holds 2**63 voxels
-        countable = np.prod(spans + 3) < 2.0**63
-    if not countable:
-        raise InvalidPointError(f"invalid point cloud: extent {extent.tolist()} is not "
-                                f"countable in voxels at resolution {resolution}")
-    inner = np.array([max(1, ceil_voxels(s)) for s in spans], dtype=np.int64)
-    dims = tuple(int(d) for d in inner + 2)
+    dims = tuple(max(1, ceil_voxels(s)) + 2 if math.isfinite(s) else math.inf for s in spans)
+    _check_voxel_count(dims, InvalidPointError, f"invalid point cloud: extent "
+                       f"{extent.tolist()} at resolution {resolution}")
     origin = pmin - resolution
 
     t = (pts - origin) / resolution
@@ -209,8 +220,8 @@ def load_grid(source) -> OccupancyGrid:
     if version != GRID_VERSION:
         raise GridFormatError(f"unsupported grid version {version}, not {GRID_VERSION}: "
                               "regenerate the grid with scenegen or voxelize", offset=4)
-    if min(nx, ny, nz) < 1:
-        raise GridFormatError(f"bad dims ({nx}, {ny}, {nz})", offset=8)
+    _check_voxel_count((nx, ny, nz), lambda m: GridFormatError(m, offset=8),
+                       f"dims ({nx}, {ny}, {nz})")
     if not (math.isfinite(resolution) and resolution > 0):
         raise GridFormatError(f"bad resolution {resolution}", offset=20)
     if not all(math.isfinite(v) for v in (ox, oy, oz)):

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import QuerySamplingError, SceneSpecError
+from .errors import QuerySamplingError, SceneSpecError, _read_json, _readers
 from .extract import Surface
-from .grid import OccupancyGrid, ceil_voxels, floor_voxels
+from .grid import OccupancyGrid, _check_voxel_count, ceil_voxels, floor_voxels
 
 __all__ = [
     "CeilingCavity",
@@ -53,22 +52,25 @@ _SET = True
 _CLEAR = False
 
 
-def _check_region(region, what: str) -> None:
-    x0, y0, x1, y1 = region
-    vals = (x0, y0, x1, y1)
-    if not all(math.isfinite(v) for v in vals):
-        raise SceneSpecError(f"{what}: region must be finite, got {region}")
-    if x0 >= x1 or y0 >= y1:
-        raise SceneSpecError(f"{what}: region must have positive area, got {region}")
+class _Fields:
+    """Base of SceneSpec and the primitives: every field is read by its
+    annotation, and a region must have positive area, before the class's
+    own value checks in ``_check``."""
 
+    def __post_init__(self):
+        def error(message):
+            return SceneSpecError(f"bad {type(self).__name__} {self.name!r}: {message}")
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real number and not a boolean."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        for f, read in _readers(type(self)):
+            object.__setattr__(self, f, read(getattr(self, f), f, error))
+        region = getattr(self, "region", None)  # x0, y0, x1, y1
+        if region and not (region[0] < region[2] and region[1] < region[3]):
+            raise error(f"region must have positive area, got {region}")
+        self._check()
 
 
 @dataclass(frozen=True)
-class FloorSlab:
+class FloorSlab(_Fields):
     """Horizontal solid slab over a footprint, bottom at ``z``."""
 
     region: Region
@@ -76,8 +78,7 @@ class FloorSlab:
     thickness: float
     name: str = "floor"
 
-    def __post_init__(self):
-        _check_region(self.region, "FloorSlab")
+    def _check(self):
         if self.thickness <= 0:
             raise SceneSpecError(f"FloorSlab: thickness must be > 0, got {self.thickness}")
 
@@ -87,7 +88,7 @@ class FloorSlab:
 
 
 @dataclass(frozen=True)
-class Wall:
+class Wall(_Fields):
     """Solid block over a footprint from ``z0`` up ``height`` meters.
 
     Doubles as pillars, buildings, and planters; the footprint carries
@@ -99,8 +100,7 @@ class Wall:
     z0: float = 0.0
     name: str = "wall"
 
-    def __post_init__(self):
-        _check_region(self.region, "Wall")
+    def _check(self):
         if self.height <= 0:
             raise SceneSpecError(f"Wall: height must be > 0, got {self.height}")
 
@@ -113,7 +113,7 @@ _STAIR_DIRECTIONS = ("+x", "-x", "+y", "-y")
 
 
 @dataclass(frozen=True)
-class Staircase:
+class Staircase(_Fields):
     """Straight run of solid steps.
 
     ``origin`` is the world corner where the run begins at base height
@@ -129,15 +129,15 @@ class Staircase:
     steps: int
     name: str = "stairs"
 
-    def __post_init__(self):
+    def _check(self):
         if self.direction not in _STAIR_DIRECTIONS:
             raise SceneSpecError(
                 f"Staircase: direction must be one of {_STAIR_DIRECTIONS}, got {self.direction!r}"
             )
         if self.tread_depth <= 0 or self.width <= 0 or self.riser <= 0:
             raise SceneSpecError("Staircase: tread_depth, width and riser must be > 0")
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
-            raise SceneSpecError(f"Staircase: steps must be an integer >= 1, got {self.steps!r}")
+        if self.steps < 1:
+            raise SceneSpecError(f"Staircase: steps must be >= 1, got {self.steps}")
 
     def boxes(self):
         ox, oy, oz = self.origin
@@ -157,7 +157,7 @@ class Staircase:
 
 
 @dataclass(frozen=True)
-class Table:
+class Table(_Fields):
     """Top slab on corner legs; the space underneath stays open."""
 
     region: Region
@@ -165,11 +165,10 @@ class Table:
     top_thickness: float
     base_z: float = 0.0
     leg_size: float = 0.2
-    legs: tuple | None = None  # (x, y) leg corners; None = four corners
+    legs: tuple[tuple[float, float], ...] | None = None  # (x, y) leg corners; None = four corners
     name: str = "table"
 
-    def __post_init__(self):
-        _check_region(self.region, "Table")
+    def _check(self):
         if self.top_thickness <= 0 or self.leg_size <= 0:
             raise SceneSpecError("Table: top_thickness and leg_size must be > 0")
         if self.base_z >= self.top_z - self.top_thickness:
@@ -188,7 +187,7 @@ class Table:
 
 
 @dataclass(frozen=True)
-class LowCabinet:
+class LowCabinet(_Fields):
     """Solid box hung above the floor: blocks headroom, leaves a gap below."""
 
     region: Region
@@ -196,8 +195,7 @@ class LowCabinet:
     top_z: float
     name: str = "cabinet"
 
-    def __post_init__(self):
-        _check_region(self.region, "LowCabinet")
+    def _check(self):
         if self.underside_z >= self.top_z:
             raise SceneSpecError("LowCabinet: underside_z must be below top_z")
 
@@ -207,7 +205,7 @@ class LowCabinet:
 
 
 @dataclass(frozen=True)
-class CeilingCavity:
+class CeilingCavity(_Fields):
     """Enclosed crawl space: a shell slab under ``floor_z`` with cleared air
     up to ``ceiling_z``. Standing room exists inside but nothing connects
     to it, which makes it the canonical unreachable-candidate region."""
@@ -218,8 +216,7 @@ class CeilingCavity:
     shell_thickness: float = 0.4
     name: str = "cavity"
 
-    def __post_init__(self):
-        _check_region(self.region, "CeilingCavity")
+    def _check(self):
         if self.shell_thickness <= 0:
             raise SceneSpecError("CeilingCavity: shell_thickness must be > 0")
         if self.floor_z >= self.ceiling_z:
@@ -232,7 +229,7 @@ class CeilingCavity:
 
 
 @dataclass(frozen=True)
-class Hole:
+class Hole(_Fields):
     """Clears a vertical slice of earlier solids, e.g. an opening in a slab."""
 
     region: Region
@@ -240,8 +237,7 @@ class Hole:
     z1: float
     name: str = "hole"
 
-    def __post_init__(self):
-        _check_region(self.region, "Hole")
+    def _check(self):
         if self.z0 >= self.z1:
             raise SceneSpecError("Hole: z0 must be below z1")
 
@@ -263,34 +259,23 @@ _TYPE_TAGS = {cls: tag for tag, cls in _PRIMITIVE_TYPES.items()}
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(_Fields):
     """Declarative scene: extent in meters, resolution, ordered primitives."""
 
     name: str
     extent: tuple[float, float, float]
     resolution: float
-    primitives: tuple
+    primitives: tuple[object, ...]
     rng_seed: int = 0
     seed_hint: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise SceneSpecError(f"name must be a string, got {self.name!r}")
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, numbers.Integral):
-            raise SceneSpecError(f"rng_seed must be an integer, got {self.rng_seed!r}")
-        if not (_is_number(self.resolution) and math.isfinite(self.resolution)
-                and self.resolution > 0):
-            raise SceneSpecError(f"resolution must be finite and > 0, got {self.resolution!r}")
-        for what in ("extent", "seed_hint"):
-            v = tuple(getattr(self, what))
-            if len(v) != 3 or not all(_is_number(c) for c in v):
-                raise SceneSpecError(f"{what} must be 3 numbers, got {v!r}")
-            object.__setattr__(self, what, tuple(float(c) for c in v))
-        object.__setattr__(self, "primitives", tuple(self.primitives))
-        # an extent too large to count in voxels would make NaN dims
-        if not all(e > 0 and math.isfinite(e / self.resolution) for e in self.extent):
-            raise SceneSpecError(f"extent must be 3 positive sizes countable in voxels at "
-                                 f"resolution {self.resolution}, got {self.extent}")
+    def _check(self):
+        if self.resolution <= 0 or min(self.extent) <= 0:
+            raise SceneSpecError(f"resolution and extent must be > 0, got {self.resolution} "
+                                 f"and {self.extent}")
+        spans = [e / self.resolution for e in self.extent]
+        _check_voxel_count([ceil_voxels(s) if math.isfinite(s) else s for s in spans],
+                           SceneSpecError, f"extent {self.extent} at resolution {self.resolution}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +293,7 @@ class Scene:
 
 
 def _box_slices(box, resolution, dims):
-    # a NaN box, or one too large to count in voxels, leaves the grid too
+    # a box too large to count in voxels leaves the grid too
     x0, y0, z0, x1, y1, z1 = (c / resolution for c in box)
     if not all(math.isfinite(c) for c in (x0, y0, z0, x1, y1, z1)):
         return None
@@ -328,18 +313,14 @@ def _paint(spec: SceneSpec, name: str | None = None) -> np.ndarray:
     dims = tuple(ceil_voxels(e / r) for e in spec.extent)
     occ = np.zeros(dims, dtype=bool)
     for prim in spec.primitives:
-        try:
-            for box, solid in prim.boxes():
-                sl = _box_slices(box, r, dims)
-                if sl is None:
-                    raise SceneSpecError(
-                        f"spec out of bounds: {type(prim).__name__} {prim.name!r} box {box} "
-                        f"leaves extent {spec.extent}"
-                    )
-                occ[sl] = solid and (name is None or prim.name == name)
-        except (TypeError, ValueError, OverflowError) as exc:
-            # a spec file can put a string, null or a list in any field
-            raise SceneSpecError(f"bad {type(prim).__name__} {prim.name!r}: {exc}") from exc
+        for box, solid in prim.boxes():
+            sl = _box_slices(box, r, dims)
+            if sl is None:
+                raise SceneSpecError(
+                    f"spec out of bounds: {type(prim).__name__} {prim.name!r} box {box} "
+                    f"leaves extent {spec.extent}"
+                )
+            occ[sl] = solid and (name is None or prim.name == name)
     return occ
 
 
@@ -349,13 +330,8 @@ def build_scene(spec: SceneSpec) -> Scene:
 
 
 def _prim_to_dict(prim) -> dict:
-    d = {"type": _TYPE_TAGS[type(prim)]}
-    for f in type(prim).__dataclass_fields__:
-        v = getattr(prim, f)
-        if isinstance(v, tuple):
-            v = list(list(e) if isinstance(e, tuple) else e for e in v)
-        d[f] = v
-    return d
+    # json writes the tuples as lists
+    return {"type": _TYPE_TAGS[type(prim)], **asdict(prim)}
 
 
 def _prim_from_dict(d: dict):
@@ -366,9 +342,6 @@ def _prim_from_dict(d: dict):
     cls = _PRIMITIVE_TYPES.get(tag)
     if cls is None:
         raise SceneSpecError(f"unknown primitive type {tag!r}")
-    for f, v in list(d.items()):
-        if isinstance(v, list):
-            d[f] = tuple(tuple(e) if isinstance(e, list) else e for e in v)
     return cls(**d)
 
 
@@ -376,11 +349,7 @@ def save_scene_spec(spec: SceneSpec, destination) -> None:
     doc = {
         "format": "surfnav-scene",
         "version": 1,
-        "name": spec.name,
-        "extent": list(spec.extent),
-        "resolution": spec.resolution,
-        "rng_seed": spec.rng_seed,
-        "seed_hint": list(spec.seed_hint),
+        **asdict(spec),  # the fields that load_scene_spec reads by annotation
         "primitives": [_prim_to_dict(p) for p in spec.primitives],
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -391,26 +360,15 @@ def save_scene_spec(spec: SceneSpec, destination) -> None:
 
 
 def load_scene_spec(source) -> SceneSpec:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneSpecError(f"not a scene spec: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "surfnav-scene":
-        raise SceneSpecError("not a scene spec: missing format marker")
-    if doc.get("version") != 1:
-        raise SceneSpecError(f"unsupported scene spec version {doc.get('version')!r}")
+    doc = _read_json(source, "scene spec", "surfnav-scene", 1, SceneSpecError)
     try:
         return SceneSpec(
             name=doc["name"],
-            extent=tuple(doc["extent"]),
+            extent=doc["extent"],
             resolution=doc["resolution"],
             primitives=tuple(_prim_from_dict(p) for p in doc["primitives"]),
             rng_seed=doc.get("rng_seed", 0),
-            seed_hint=tuple(doc.get("seed_hint", (0.0, 0.0, 0.0))),
+            seed_hint=doc.get("seed_hint", (0.0, 0.0, 0.0)),
         )
     except KeyError as exc:
         raise SceneSpecError(f"scene spec missing field {exc}") from exc
@@ -559,13 +517,14 @@ def _spiral_ramp() -> tuple:
     return (12.0, 12.0, 6.0), tuple(prims), (1.0, 1.0, 0.5)
 
 
-PRESET_NAMES = (
-    "table1_fixture",
-    "two_story_house",
-    "furniture_room",
-    "plaza_like",
-    "spiral_ramp",
-)
+_PRESETS = {
+    "table1_fixture": _table1_fixture,
+    "two_story_house": _two_story_house,
+    "furniture_room": _furniture_room,
+    "plaza_like": _plaza_like,
+    "spiral_ramp": _spiral_ramp,
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, resolution: float = 0.2, rng_seed: int = 0) -> SceneSpec:
@@ -574,18 +533,10 @@ def preset(name: str, resolution: float = 0.2, rng_seed: int = 0) -> SceneSpec:
     Only furniture_room uses ``rng_seed`` (furniture placement); the other
     presets are fully fixed.
     """
-    if name == "table1_fixture":
-        extent, prims, hint = _table1_fixture()
-    elif name == "two_story_house":
-        extent, prims, hint = _two_story_house()
-    elif name == "furniture_room":
-        extent, prims, hint = _furniture_room(rng_seed)
-    elif name == "plaza_like":
-        extent, prims, hint = _plaza_like()
-    elif name == "spiral_ramp":
-        extent, prims, hint = _spiral_ramp()
-    else:
+    if name not in _PRESETS:
         raise SceneSpecError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
+    build = _PRESETS[name]
+    extent, prims, hint = build(rng_seed) if name == "furniture_room" else build()
     return SceneSpec(
         name=name,
         extent=extent,

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from surfnav import (
     load_grid,
     load_surface,
     plan,
+    preset,
     save_point_cloud,
+    save_scene_spec,
 )
 from surfnav.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, TIMING_KEYS, main
 
@@ -85,8 +88,9 @@ class TestVoxelize:
     @pytest.mark.parametrize(
         "points, resolution",
         [("1e308 0 0\n-1e308 0 0\n", "0.2"), ("0 0 0\n1 0 0\n", "1e-320"),
-         ("1e300 0 0\n0 0 0\n", "1")],
-        ids=["span_overflow", "subnormal_resolution", "beyond_2_pow_63_voxels"],
+         ("1e300 0 0\n0 0 0\n", "1"), ("0 0 0\n200 200 200\n", "0.1")],
+        ids=["span_overflow", "subnormal_resolution", "beyond_2_pow_63_voxels",
+             "beyond_the_voxel_cap"],
     )
     def test_uncountable_clouds_are_input_errors(self, tmp_path, capsys, points, resolution):
         cloud = tmp_path / "pts.xyz"
@@ -162,10 +166,10 @@ class TestScenegen:
 
     @pytest.mark.parametrize(
         "field, value, named",
-        [("extent", 5, "bad scene spec"), ("resolution", "x", "resolution"),
+        [("extent", 5, "extent must be a list of 3"), ("resolution", "x", "resolution"),
          ("resolution", None, "resolution"), ("seed_hint", [1, 2], "seed_hint"),
          ("primitive", [0.0, 1.0], "primitive"), ("steps", 2.5, "steps"),
-         ("z", 1e308, "out of bounds"), ("z", 10**400, "too large"),
+         ("z", 1e308, "out of bounds"), ("z", 10**400, "z must be a finite number"),
          ("extent", [1e308, 10, 10], "extent")],
         ids=["extent", "resolution_str", "resolution_null", "seed_hint", "primitive",
              "steps", "z_overflow", "z_bigint", "extent_overflow"],
@@ -206,15 +210,14 @@ class TestScenegen:
         assert "resolution" in err
         assert not grid.exists()
 
-    def test_memory_error_is_a_pipeline_error(self, tmp_path, capsys):
-        # 5e5 voxels a side: numpy refuses the 111 PiB grid at once
-        spec = tmp_path / "scene.json"
-        report(["scenegen", "--preset", "table1_fixture", str(tmp_path / "a.grid"),
-                "--save-spec", str(spec)], capsys)
-        doc = json.loads(spec.read_text())
-        doc["extent"] = [1e5, 1e5, 1e5]
-        spec.write_text(json.dumps(doc))
-        code, _, err = run(["scenegen", "--spec", str(spec), str(tmp_path / "b.grid")], capsys)
+    def test_memory_error_is_a_pipeline_error(self, tmp_path, capsys, monkeypatch):
+        # a grid under the voxel cap can still be larger than memory
+        def build_scene(spec):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setattr("surfnav.cli.build_scene", build_scene)
+        code, _, err = run(["scenegen", "--preset", "table1_fixture",
+                            str(tmp_path / "b.grid")], capsys)
         assert code == EXIT_PIPELINE
         assert err.startswith("error:")
         assert "Traceback" not in err
@@ -226,6 +229,52 @@ class TestScenegen:
             capsys,
         )
         assert doc["rng_seed"] == 7
+
+
+class TestVoxelCap:
+    """Inputs that ask for more than MAX_VOXELS voxels end in exit 2 before
+    anything grid-sized is allocated."""
+
+    @staticmethod
+    def spec_over_the_cap(d, extent, resolution):
+        spec = d / "big.spec.json"
+        save_scene_spec(preset("table1_fixture"), spec)
+        doc = json.loads(spec.read_text())
+        doc["extent"], doc["resolution"] = extent, resolution
+        spec.write_text(json.dumps(doc))
+        return ["scenegen", "--spec", str(spec), str(d / "o.grid")]
+
+    @staticmethod
+    def cloud_over_the_cap(d):
+        (d / "far.xyz").write_text("0 0 0\n200 200 200\n")
+        return ["voxelize", str(d / "far.xyz"), str(d / "o.grid"), "--resolution", "0.1"]
+
+    @staticmethod
+    def grid_over_the_cap(d, room):
+        data = bytearray(open(room["grid"], "rb").read())
+        struct.pack_into("<3I", data, 8, 2**11, 2**10, 2**10 + 1)
+        (d / "big.grid").write_bytes(bytes(data))
+        return ["extract", str(d / "big.grid"), str(d / "o.json"), "--seed-pos", "8.6,8.6,1.1"]
+
+    @pytest.mark.parametrize("case", ["spec_1e5", "spec_just_over", "cloud_200m", "grid_header"])
+    def test_refused_in_a_few_megabytes(self, room, tmp_path, capsys, case):
+        argv = {
+            "spec_1e5": lambda: self.spec_over_the_cap(tmp_path, [1e5, 1e5, 1e5], 0.2),
+            # 2048 * 1024 * 1025 voxels: 2**21 over the cap
+            "spec_just_over": lambda: self.spec_over_the_cap(tmp_path, [1024, 512, 512.5], 0.5),
+            "cloud_200m": lambda: self.cloud_over_the_cap(tmp_path),
+            "grid_header": lambda: self.grid_over_the_cap(tmp_path, room),
+        }[case]()
+        tracemalloc.start()
+        try:
+            code, _, err = run(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_INPUT, err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "voxels; a grid holds 1 to 2**31" in err
+        assert peak < 4 * 2**20, peak
 
 
 class TestExtract:

@@ -241,11 +241,42 @@ spec_numbers = (
 spec_junk = st.none() | st.booleans() | st.text(max_size=4) | st.dictionaries(
     st.text(max_size=3), spec_numbers, max_size=2)
 spec_values = spec_junk | spec_numbers | st.lists(spec_numbers | spec_junk, max_size=4)
-PRIMITIVE_FIELDS = [
-    "type", "name", "region", "z", "thickness", "height", "z0", "z1", "origin",
-    "direction", "tread_depth", "width", "riser", "steps", "top_z", "top_thickness",
-    "base_z", "leg_size", "legs", "underside_z", "floor_z", "ceiling_z", "shell_thickness",
-]
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def is_integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_string(v):
+    return isinstance(v, str)
+
+
+def list_of(item, n=None):
+    return lambda v: isinstance(v, list) and n in (None, len(v)) and all(map(item, v))
+
+
+# The JSON type of every primitive field, written out here rather than
+# read from the dataclass annotations.
+PRIMITIVE_FIELDS = {
+    "type": is_string, "name": is_string, "region": list_of(is_number, 4), "z": is_number,
+    "thickness": is_number, "height": is_number, "z0": is_number, "z1": is_number,
+    "origin": list_of(is_number, 3), "direction": is_string, "tread_depth": is_number,
+    "width": is_number, "riser": is_number, "steps": is_integer, "top_z": is_number,
+    "top_thickness": is_number, "base_z": is_number, "leg_size": is_number,
+    "legs": lambda v: v is None or list_of(list_of(is_number, 2))(v),
+    "underside_z": is_number, "floor_z": is_number, "ceiling_z": is_number,
+    "shell_thickness": is_number,
+}
+
+
+def primitives_typed(doc) -> bool:
+    """Whether every field of every primitive in ``doc`` has its JSON type."""
+    return all(PRIMITIVE_FIELDS.get(f, lambda v: False)(v)
+               for prim in doc["primitives"] for f, v in prim.items())
 
 
 @st.composite
@@ -257,7 +288,7 @@ def spec_field_edits(draw):
             ("format",), ("version",), ("name",), ("rng_seed",), ("resolution",),
             ("extent",), ("extent", "any"), ("seed_hint",), ("seed_hint", "any"),
             ("primitives",), ("primitives", "any"),
-        ]) | st.sampled_from(PRIMITIVE_FIELDS).map(lambda f: ("primitives", "any", f))
+        ]) | st.sampled_from(list(PRIMITIVE_FIELDS)).map(lambda f: ("primitives", "any", f))
           | st.sampled_from(["region", "origin", "legs"]).map(
               lambda f: ("primitives", "any", f, "any")))
         action = draw(st.sampled_from(["set", "set", "drop", "append"]))
@@ -286,6 +317,7 @@ def test_scene_spec_fields(files, edits):
     assert "Traceback" not in err, err
     assert code in (EXIT_OK, EXIT_PIPELINE, EXIT_INPUT), err
     if code == EXIT_OK:
+        assert primitives_typed(doc), doc["primitives"]
         load_grid(grid)
     else:
         assert err.startswith("error:"), err

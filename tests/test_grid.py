@@ -21,7 +21,7 @@ from surfnav import (
     voxelize,
     world_to_voxel,
 )
-from surfnav.grid import HEADER_SIZE, ceil_voxels, floor_voxels
+from surfnav.grid import HEADER_SIZE, MAX_VOXELS, ceil_voxels, floor_voxels
 
 
 def make_grid(occ, resolution=0.2, origin=(0.0, 0.0, 0.0)):
@@ -216,6 +216,22 @@ class TestGridFile:
         with pytest.raises(GridFormatError) as err:
             load_grid(p)
         assert err.value.offset == 4
+
+    @pytest.mark.parametrize("dims", [(2**11, 2**10, 2**10 + 1), (2**32 - 1,) * 3])
+    def test_dims_over_the_voxel_cap(self, tmp_path, dims):
+        # refused at the dims, before the payload length is compared
+        p = tmp_path / "big.grid"
+        p.write_bytes(struct.pack("<4sI3Id3d", b"RNAV", 2, *dims, 0.2, 0.0, 0.0, 0.0))
+        with pytest.raises(GridFormatError, match="a grid holds 1 to 2\\*\\*31") as err:
+            load_grid(p)
+        assert err.value.offset == 8
+
+    def test_dims_at_the_voxel_cap_reach_the_payload_test(self, tmp_path):
+        p = tmp_path / "big.grid"
+        p.write_bytes(struct.pack("<4sI3Id3d", b"RNAV", 2, 2**11, 2**10, 2**10, 0.2, 0, 0, 0))
+        assert 2**31 == MAX_VOXELS
+        with pytest.raises(GridFormatError, match=f"expected {2**28}"):
+            load_grid(p)
 
     def test_truncated_payload(self, tmp_path):
         g = make_grid(np.zeros((4, 4, 4)))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +23,29 @@ from surfnav import (
     sample_queries,
     save_scene_spec,
 )
+from surfnav.cli import EXIT_INPUT, main
+from surfnav.grid import MAX_VOXELS
+
+# A value of the wrong JSON type for each primitive field, written out here
+# rather than read from the dataclass annotations.
+NUMBER_FIELDS = {
+    "z", "thickness", "height", "z0", "z1", "tread_depth", "width", "riser", "top_z",
+    "top_thickness", "base_z", "leg_size", "underside_z", "floor_z", "ceiling_z",
+    "shell_thickness",
+}
+WRONG_VALUES = {
+    "name": [7], "direction": [7], "steps": [5.0], "region": [[True, 0.0, 10.0, 0.4]],
+    "origin": [[1.0, True, 1.0]], "legs": [[[6.0]]],
+    **{f: [True, "1.0"] for f in NUMBER_FIELDS},
+}
+FIRST_OF_EACH_TYPE = {type(p): i for i, p in reversed(
+    list(enumerate(preset("table1_fixture").primitives)))}
+WRONG_FIELDS = [
+    pytest.param(i, cls.__name__, f.name, value, id=f"{cls.__name__}.{f.name}={json.dumps(value)}")
+    for cls, i in FIRST_OF_EACH_TYPE.items()
+    for f in dataclasses.fields(cls)
+    for value in WRONG_VALUES[f.name]
+]
 
 
 class TestPrimitiveValidation:
@@ -155,6 +180,9 @@ class TestPresets:
         scene = build_scene(preset("table1_fixture"))
         for label in ("floor", "subfloor", "wall", "stairs", "table", "cabinet", "cavity"):
             assert scene.solid_mask(label).any(), label
+        # so the wrong-type cases below reach every primitive type
+        assert set(FIRST_OF_EACH_TYPE) == {
+            CeilingCavity, FloorSlab, Hole, LowCabinet, Staircase, Table, Wall}
 
     def test_furniture_room_varies_with_rng_seed(self):
         a = build_scene(preset("furniture_room", rng_seed=0))
@@ -221,6 +249,30 @@ class TestSpecFile:
         p.write_text(json.dumps(doc))
         with pytest.raises(SceneSpecError, match=field):
             load_scene_spec(p)
+
+    @pytest.mark.parametrize("index, kind, field, value", WRONG_FIELDS)
+    def test_primitive_fields_of_the_wrong_type(self, tmp_path, capsys, index, kind, field,
+                                                value):
+        p = tmp_path / "spec.json"
+        save_scene_spec(preset("table1_fixture"), p)
+        doc = json.loads(p.read_text())
+        prim = doc["primitives"][index]
+        prim[field] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SceneSpecError, match=rf"bad {kind} .*: {field}\b"):
+            load_scene_spec(p)
+        assert main(["scenegen", "--spec", str(p), str(tmp_path / "o.grid")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    def test_voxel_cap(self):
+        # 2048 * 1024 * 1024 voxels is the cap itself; half a meter more is over
+        spec = dataclasses.replace(preset("table1_fixture"), resolution=0.5,
+                                   extent=(1024.0, 512.0, 512.0))
+        assert math.prod(int(e / spec.resolution) for e in spec.extent) == MAX_VOXELS
+        with pytest.raises(SceneSpecError, match=r"extent \(1024.0, 512.0, 512.5\) at "
+                           r"resolution 0.5 asks for 2.15e\+09 voxels"):
+            dataclasses.replace(spec, extent=(1024.0, 512.0, 512.5))
 
 
 class TestSampleQueries:
