@@ -8,16 +8,36 @@ heuristic underestimates every term it models and is consistent, which
 keeps plain A* (epsilon = 1) exact; epsilon > 1 trades cost for speed
 with the usual bounded-suboptimality guarantee.
 
-The search is written once, as plain Python over indexable arrays and a
-heapq of tuples (tie-break: min f, then max g, then lexicographic
-coordinates, as the flat keys (x * ny + y) * nz + z order them), and so
-is the heuristic it calls. Where numba imports,
-both are compiled and the search reads the numpy arrays; otherwise it is
-interpreted over memoryviews of the same arrays: indexing a memoryview
-yields a plain int or float with no copy, where indexing an ndarray
-boxes a numpy scalar. The values are the same IEEE doubles and integers
-either way, so the results do not depend on which of the two runs. The
-choice is made once, at import, and ``PathResult.engine`` names it.
+The bound is xy-Manhattan: every move changes x or y by exactly one
+voxel, so a path to a goal H = |dx| + |dy| columns and dz levels away
+has length at least res * sqrt(H^2 + dz^2), and pays at least
+res * |dz| * w_down for the height change. It has no floor for the
+boundary bias: with one, an edge could pay exactly the bound's drop, and
+the path rule below needs every edge to pay strictly more. With
+w_obstacle > 0 each edge pays its target's bias beyond the drop, so the
+bound is strictly consistent: A* expands every state at its final g, in
+the order of its heap key.
+
+The search keeps no parents. The path is read off the final g-values:
+walking back from the goal, a predecessor of v is a neighbour u with
+g[u] + cost(u -> v) == g[v] bit for bit. The start wins if it is one;
+otherwise the one a Euclidean-bound search would have popped first
+wins, the smallest (g + epsilon * euclid(u -> goal), -g, flat key).
+With a strictly consistent bound that is the parent such a search
+records, so paths stay those of the Euclidean search while the Manhattan
+bound expands fewer states. With w_obstacle = 0, ties are not strict and
+an equally cheap path may be returned; its cost is g[goal] either way.
+
+The search and the path walk are each written once, as plain Python over
+indexable arrays (the search over a heapq of tuples: min f, then max g,
+then lexicographic coordinates, as the flat keys (x * ny + y) * nz + z
+order them), and so are the bounds they call. Where numba imports, all
+are compiled and read the numpy arrays; otherwise they are interpreted
+over memoryviews of the same arrays: indexing a memoryview yields a
+plain int or float with no copy, where indexing an ndarray boxes a numpy
+scalar. The values are the same IEEE doubles and integers either way, so
+the results do not depend on which of the two runs. The choice is made
+once, at import, and ``PathResult.engine`` names it.
 """
 
 from __future__ import annotations
@@ -109,12 +129,21 @@ def edge_cost(src, dst, dst_boundary_distance: int, params: PlanParams, resoluti
 def _heuristic(dx, dy, dz, res, w_down):
     """:func:`heuristic` from the offset to the goal in voxels; the search
     calls it, and numba compiles it along with the search."""
+    h = abs(dx) + abs(dy)
+    return res * math.sqrt(h * h + dz * dz) + res * abs(dz) * w_down
+
+
+def _euclid(dx, dy, dz, res, w_down):
+    """The Euclidean bound, straight-line length plus res * |dz| * w_down:
+    no search uses it; :func:`_chain` orders tied predecessors by it."""
     return res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
 
 
 def heuristic(state, goal, params: PlanParams, resolution: float) -> float:
-    """Admissible cost lower bound: straight-line length plus the cheapest
-    possible vertical penalty (w_down per voxel of net height change)."""
+    """Admissible, consistent cost lower bound: a path takes at least
+    H = |dx| + |dy| unit xy moves, which climb |dz| in all, so its length
+    is at least sqrt(H^2 + dz^2) voxels; plus the cheapest possible
+    vertical penalty (w_down per voxel of net height change)."""
     return _heuristic(state[0] - goal[0], state[1] - goal[1], state[2] - goal[2],
                       resolution, params.w_down)
 
@@ -152,7 +181,9 @@ class PathResult:
     """A* output: states in path order (start first), accumulated cost,
     metric lengths in meters, and search effort: states expanded, heap
     pushes (the start's included), stale pops (entries of closed states or
-    superseded g) and the largest heap size."""
+    superseded g), the largest heap size, and ``h_ratio``, the bound at
+    the start over the cost (1.0 when start equals goal): the nearer to 1,
+    the fewer states the bound lets the search expand."""
 
     states: np.ndarray
     cost: float
@@ -162,21 +193,21 @@ class PathResult:
     pushes: int
     stale_pops: int
     heap_peak: int
+    h_ratio: float
     search_seconds: float
     engine: str
 
 
-def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, parent,
-           closed, start, goal, epsilon, res, w_down, k):
+def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, goal,
+           epsilon, res, w_down, k, closed):
     """A* over the CSR graph from ordinal ``start`` to ``goal``.
 
-    ``g`` (all inf), ``parent`` (all -1) and ``closed`` (all False) are the
-    caller's per-state search state, written in place. Heap entries are
-    (f, -g, flat key, ordinal): min f, then max g, then lexicographic
-    coordinates. Pushes of one state carry strictly
-    decreasing g, so that order is total over live entries and no insertion
-    counter is needed. Returns (expanded, pushes, stale_pops, heap_peak,
-    found).
+    ``g`` (all inf) and ``closed`` (all False) are the caller's per-state
+    search state, written in place. Heap entries are (f, -g, flat key,
+    ordinal): min f, then max g, then lexicographic coordinates. Pushes of
+    one state carry strictly decreasing g, so that order is total over
+    live entries and no insertion counter is needed. Returns (expanded,
+    pushes, stale_pops, heap_peak, found).
     """
     gx, gy, gz = xs[goal], ys[goal], zs[goal]
     g[start] = 0.0
@@ -205,7 +236,6 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, parent,
             ng = pg + cost_by_dz[dzs[e] + k] + bias[v]
             if ng < g[v]:
                 g[v] = ng
-                parent[v] = u
                 h = _heuristic(xs[v] - gx, ys[v] - gy, zs[v] - gz, res, w_down)
                 heapq.heappush(heap, (ng + epsilon * h, -ng, keys[v], v))
                 pushes += 1
@@ -215,19 +245,77 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, parent,
     return expanded, pushes, stale_pops, heap_peak, found
 
 
-def _interpreted(*args):
-    """:func:`_astar` over memoryviews: plain Python scalars, no copies."""
-    return _astar(*(memoryview(a) if isinstance(a, np.ndarray) else a for a in args))
+def _chain(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, goal,
+           epsilon, res, w_down, k):
+    """Ordinals of the path from ``goal`` back to ``start``, read off the
+    final ``g`` of :func:`_astar`.
+
+    A predecessor u of v is a neighbour with g[u] + cost(u -> v) == g[v],
+    summed as the search sums it; the start wins if it is one, else the
+    smallest (g[u] + epsilon * euclid(u -> goal), -g[u], flat key). On a
+    graph whose edges are not symmetric a state can lack a predecessor, or
+    the walk can loop; it then stops, short of ``start``, at no more
+    states than the graph holds.
+    """
+    gx, gy, gz = xs[goal], ys[goal], zs[goal]
+    n = len(g)
+    v = goal
+    chain = [v]
+    while v != start and len(chain) < n:
+        bv = bias[v]
+        gv = g[v]
+        best = -1
+        best_f = 0.0
+        best_g = 0.0
+        best_key = 0
+        for e in range(indptr[v], indptr[v + 1]):
+            u = targets[e]
+            gu = g[u]
+            # the move u -> v climbs -dz of the move v -> u
+            if gu + cost_by_dz[k - dzs[e]] + bv != gv:
+                continue
+            if u == start:
+                best = u
+                break
+            f = gu + epsilon * _euclid(xs[u] - gx, ys[u] - gy, zs[u] - gz, res, w_down)
+            key = keys[u]
+            if best < 0 or f < best_f:
+                better = True
+            elif f > best_f:
+                better = False
+            elif gu != best_g:
+                better = gu > best_g
+            else:
+                better = key < best_key
+            if better:
+                best = u
+                best_f = f
+                best_g = gu
+                best_key = key
+        if best < 0:
+            break
+        v = best
+        chain.append(v)
+    return chain
+
+
+def _interpreted(fn):
+    """``fn`` over memoryviews: plain Python scalars, no copies."""
+    def run(*args):
+        return fn(*(memoryview(a) if isinstance(a, np.ndarray) else a for a in args))
+    return run
 
 
 try:
     from numba import njit
     from numba.extending import register_jitable
 except ImportError:
-    _search, _ENGINE = _interpreted, "python"
+    _search, _walk, _ENGINE = _interpreted(_astar), _interpreted(_chain), "python"
 else:
-    register_jitable(_heuristic)  # lets the compiled _astar call it
-    _search, _ENGINE = njit(cache=True)(_astar), "numba"
+    # lets the compiled _astar and _chain call them
+    register_jitable(_heuristic)
+    register_jitable(_euclid)
+    _search, _walk, _ENGINE = njit(cache=True)(_astar), njit(cache=True)(_chain), "numba"
 
 
 def _cost_table(params: PlanParams, resolution: float, k: int) -> np.ndarray:
@@ -284,6 +372,7 @@ def plan(
             pushes=0,
             stale_pops=0,
             heap_peak=0,
+            h_ratio=1.0,
             search_seconds=0.0,
             engine=_ENGINE,
         )
@@ -299,10 +388,7 @@ def plan(
     states = surface.states
     n = surface.size
     g = np.full(n, np.inf)
-    parent = np.full(n, -1, np.int64)
-    closed = np.zeros(n, np.bool_)
-    t0 = time.perf_counter()
-    expanded, pushes, stale_pops, heap_peak, found = _search(
+    args = (
         graph.indptr,
         graph.targets,
         graph.dz,
@@ -313,8 +399,6 @@ def plan(
         states[:, 2],
         surface.keys,
         g,
-        parent,
-        closed,
         s,
         t,
         params.epsilon,
@@ -322,28 +406,32 @@ def plan(
         params.w_down,
         k,
     )
+    closed = np.zeros(n, np.bool_)
+    t0 = time.perf_counter()
+    expanded, pushes, stale_pops, heap_peak, found = _search(*args, closed)
     elapsed = time.perf_counter() - t0
 
+    # unreachable on a seed-connected surface, but the graph is caller
+    # input and the contract needs a typed failure
     if not found:
-        # unreachable on a seed-connected surface, but the graph is caller
-        # input and the contract needs a typed failure
         raise NoPathError(f"no path from {start} to {goal}")
-
-    chain = [t]
-    while chain[-1] != s:
-        chain.append(int(parent[chain[-1]]))
+    chain = _walk(*args)
+    if chain[-1] != s:
+        raise NoPathError(f"no path from {start} to {goal}: the graph's edges are not symmetric")
     chain.reverse()
-    path_states = surface.states[np.array(chain, dtype=np.int64)]
+    path_states = states[np.array(chain, dtype=np.int64)]
     full, xy = _metric_lengths(path_states, res)
+    cost = float(g[t])
     return PathResult(
         states=path_states,
-        cost=float(g[t]),
+        cost=cost,
         metric_length=full,
         metric_length_xy=xy,
         expanded=int(expanded),
         pushes=int(pushes),
         stale_pops=int(stale_pops),
         heap_peak=int(heap_peak),
+        h_ratio=heuristic(start, goal, params, res) / cost,
         search_seconds=elapsed,
         engine=_ENGINE,
     )

@@ -33,6 +33,7 @@ __all__ = [
     "FloorSlab",
     "Hole",
     "LowCabinet",
+    "MAX_STAIR_STEPS",
     "PRESET_NAMES",
     "Scene",
     "SceneSpec",
@@ -111,6 +112,11 @@ class Wall(_Fields):
 
 _STAIR_DIRECTIONS = ("+x", "-x", "+y", "-y")
 
+# A staircase paints one box per step, so its step count, not the voxel
+# cap, bounds the time a spec can ask of scenegen: 10,000 steps paint in
+# well under a second, and the presets' longest run has 22.
+MAX_STAIR_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class Staircase(_Fields):
@@ -136,8 +142,10 @@ class Staircase(_Fields):
             )
         if self.tread_depth <= 0 or self.width <= 0 or self.riser <= 0:
             raise SceneSpecError("Staircase: tread_depth, width and riser must be > 0")
-        if self.steps < 1:
-            raise SceneSpecError(f"Staircase: steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_STAIR_STEPS:
+            raise SceneSpecError(
+                f"Staircase: steps must be 1 to {MAX_STAIR_STEPS}, got {self.steps}"
+            )
 
     def boxes(self):
         ox, oy, oz = self.origin

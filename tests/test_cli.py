@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,25 @@ class TestScenegen:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
         assert named in err
+        assert not grid.exists()
+
+    def test_too_many_steps_exit_at_once(self, tmp_path, capsys):
+        # a staircase paints a box per step: a million sub-nanometre steps
+        # fit the voxel cap but are refused before any painting starts
+        spec = tmp_path / "scene.json"
+        report(["scenegen", "--preset", "table1_fixture", str(tmp_path / "a.grid"),
+                "--save-spec", str(spec)], capsys)
+        doc = json.loads(spec.read_text())
+        stairs = next(p for p in doc["primitives"] if p["type"] == "staircase")
+        stairs.update(steps=10**6, tread_depth=1e-9, riser=1e-9)
+        spec.write_text(json.dumps(doc))
+        grid = tmp_path / "b.grid"
+        t0 = time.perf_counter()
+        code, _, err = run(["scenegen", "--spec", str(spec), str(grid)], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "steps" in err and "1000000" in err
         assert not grid.exists()
 
     @pytest.mark.parametrize("source", ["preset", "spec"])
@@ -423,6 +443,7 @@ class TestPlan:
         assert doc["N_s"] == result.expanded
         assert {k: doc[k] for k in COUNTERS} == {k: getattr(result, k) for k in COUNTERS}
         assert doc["pushes"] >= doc["N_s"] + doc["stale_pops"] + 1
+        assert doc["h_ratio"] == result.h_ratio
 
     def test_goal_outside_map(self, room, tmp_path, capsys):
         code, _, err = run(

@@ -1,4 +1,6 @@
+import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from surfnav import (
     NoPathError,
     OccupancyGrid,
     OffSurfaceError,
+    PRESET_NAMES,
     PlanParams,
     SearchGraph,
     distance_field,
@@ -23,7 +26,10 @@ from surfnav import (
 )
 from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
 from surfnav.extract import Surface
-from surfnav.plan import _ENGINE, _astar, _cost_table, _interpreted, _search
+from surfnav.plan import (
+    _ENGINE, _astar, _chain, _cost_table, _heuristic, _interpreted, _search, _walk,
+)
+from conftest import built
 
 needs_numba = pytest.mark.skipif(_ENGINE != "numba", reason="numba is not importable")
 
@@ -76,7 +82,8 @@ class TestCostModel:
         assert down < up
 
     def test_heuristic_values(self):
-        assert heuristic((0, 0, 0), (3, 4, 0), PlanParams(), 0.2) == pytest.approx(1.0)
+        # xy-Manhattan: 3 + 4 unit steps, not the straight line of 5
+        assert heuristic((0, 0, 0), (3, 4, 0), PlanParams(), 0.2) == pytest.approx(1.4)
         assert heuristic((0, 0, 0), (0, 0, 2), PlanParams(), 0.2) == pytest.approx(0.8)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 7, 40])
@@ -184,21 +191,69 @@ class TestSuccessors:
                 assert graph.dz[e] == surface.states[j, 2] - surface.states[i, 2]
 
 
-def run_search(search, fixture, a, b, params=PlanParams()):
-    """Call ``search`` (an :func:`_astar` variant) directly from ordinal
-    ``a`` to ``b``; return its counters, then ``g`` and ``parent`` as bytes."""
+def search_args(fixture, a, b, params):
+    """The arguments :func:`_astar` and :func:`_chain` share, from ordinal
+    ``a`` to ``b``, with a fresh ``g``."""
     surface, dfield, graph = fixture.surface, fixture.dfield, fixture.graph
-    res, k, n = surface.resolution, surface.params.step_voxels, surface.size
+    res, k = surface.resolution, surface.params.step_voxels
     states = surface.states
-    g = np.full(n, np.inf)
-    parent = np.full(n, -1, np.int64)
-    closed = np.zeros(n, np.bool_)
-    out = search(
+    return (
         graph.indptr, graph.targets, graph.dz, _cost_table(params, res, k),
         dfield._bias(params.w_obstacle), states[:, 0], states[:, 1], states[:, 2],
-        surface.keys, g, parent, closed, a, b, params.epsilon, res, params.w_down, k,
+        surface.keys, np.full(surface.size, np.inf), a, b, params.epsilon, res,
+        params.w_down, k,
     )
-    return tuple(int(c) for c in out), g.tobytes(), parent.tobytes()
+
+
+def run_search(search, walk, fixture, a, b, params=PlanParams()):
+    """Call ``search`` (an :func:`_astar` variant) directly from ordinal
+    ``a`` to ``b``, then ``walk`` (the matching :func:`_chain`); return the
+    search's counters, ``g`` as bytes and the walked chain."""
+    args = search_args(fixture, a, b, params)
+    out = search(*args, np.zeros(fixture.surface.size, np.bool_))
+    chain = [int(c) for c in walk(*args)]
+    return tuple(int(c) for c in out), args[9].tobytes(), chain
+
+
+def reference_plan(fixture, a, b, params):
+    """The Euclidean-bound search with a parent per state, as the planner
+    ran before it read paths off the final g: kept here as the reference
+    its paths must match. Returns (cost, path ordinals)."""
+    args = search_args(fixture, a, b, params)
+    indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g = (
+        memoryview(x) for x in args[:10])
+    _, _, epsilon, res, w_down, k = args[10:]
+    n = fixture.surface.size
+    parent = [-1] * n
+    closed = [False] * n
+
+    def h(v):
+        dx, dy, dz = xs[v] - xs[b], ys[v] - ys[b], zs[v] - zs[b]
+        return res * math.sqrt(dx * dx + dy * dy + dz * dz) + res * abs(dz) * w_down
+
+    g[a] = 0.0
+    heap = [(0.0, -0.0, 0, a)]
+    while heap:
+        _f, neg_g, _key, u = heapq.heappop(heap)
+        pg = -neg_g
+        if closed[u] or pg != g[u]:
+            continue
+        if u == b:
+            break
+        closed[u] = True
+        for e in range(indptr[u], indptr[u + 1]):
+            v = targets[e]
+            if closed[v]:
+                continue
+            ng = pg + cost_by_dz[dzs[e] + k] + bias[v]
+            if ng < g[v]:
+                g[v] = ng
+                parent[v] = u
+                heapq.heappush(heap, (ng + epsilon * h(v), -ng, keys[v], v))
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return g[b], path[::-1]
 
 
 class TestPlan:
@@ -280,9 +335,11 @@ class TestPlan:
     @needs_numba
     def test_engines_bit_identical(self, table1):
         rng = np.random.default_rng(5)
+        interpreted = _interpreted(_astar), _interpreted(_chain)
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            # counters, then g and parent bit for bit
-            assert run_search(_search, table1, a, b) == run_search(_interpreted, table1, a, b)
+            # counters, then g bit for bit, then the path
+            assert (run_search(_search, _walk, table1, a, b)
+                    == run_search(*interpreted, table1, a, b))
 
     @pytest.mark.parametrize("w_obstacle", [0.5, 0.0])
     def test_arrays_and_memoryviews_search_alike(self, table1, w_obstacle):
@@ -292,9 +349,10 @@ class TestPlan:
         # search's calling convention under test.
         params = PlanParams(w_obstacle=w_obstacle)
         rng = np.random.default_rng(5)  # the pairs of test_engines_bit_identical
+        engines = [(_astar, _chain), (_interpreted(_astar), _interpreted(_chain))]
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            runs = [run_search(search, table1, a, b, params) for search in (_astar, _interpreted)]
-            assert runs[0] == runs[1]  # counters, then g and parent bit for bit
+            runs = [run_search(*engine, table1, a, b, params) for engine in engines]
+            assert runs[0] == runs[1]  # counters, then g bit for bit, then the path
             expanded, pushes, stale_pops, heap_peak, found = runs[0][0]
             assert found
             # every pop is an expansion, a stale entry or the goal
@@ -334,22 +392,24 @@ class TestPlan:
     @pytest.mark.parametrize(
         "w_obstacle, start, goal, expanded, path",
         [
-            (0.0, (0, 0, 1), (5, 5, 1), 26, "0,0 0,1 1,1 1,2 2,2 2,3 3,3 3,4 4,4 4,5 5,5"),
+            (0.0, (0, 0, 1), (5, 5, 1), 10, "0,0 0,1 1,1 1,2 1,3 1,4 1,5 2,5 3,5 4,5 5,5"),
             (0.5, (0, 0, 1), (5, 5, 1), 35, "0,0 0,1 1,1 1,2 2,2 2,3 3,3 3,4 4,4 4,5 5,5"),
-            (0.0, (5, 0, 1), (0, 5, 1), 26, "5,0 4,0 4,1 3,1 3,2 2,2 2,3 1,3 1,4 0,4 0,5"),
+            (0.0, (5, 0, 1), (0, 5, 1), 10, "5,0 4,0 4,1 3,1 2,1 1,1 0,1 0,2 0,3 0,4 0,5"),
             (0.5, (5, 0, 1), (0, 5, 1), 35, "5,0 4,0 4,1 3,1 3,2 2,2 2,3 1,3 1,4 0,4 0,5"),
-            (0.0, (2, 2, 1), (4, 5, 1), 7, "2,2 2,3 2,4 3,4 3,5 4,5"),
-            (0.5, (2, 2, 1), (4, 5, 1), 14, "2,2 2,3 3,3 3,4 4,4 4,5"),
+            (0.0, (2, 2, 1), (4, 5, 1), 5, "2,2 2,3 2,4 3,4 3,5 4,5"),
+            (0.5, (2, 2, 1), (4, 5, 1), 11, "2,2 2,3 3,3 3,4 4,4 4,5"),
         ],
         ids=["diag-w0", "diag-w0.5", "antidiag-w0", "antidiag-w0.5", "short-w0", "short-w0.5"],
     )
     def test_tie_break_pinned(self, w_obstacle, start, goal, expanded, path):
         # On an open floor many paths share the optimal cost, so the
         # expansion count and the path are fixed only by the tie-break rule
-        # (min f, then max g, then lexicographic coordinates). The values
-        # were recorded from a separately written heapq engine; flipping
-        # max g to min g changes the counts, and reversing the coordinate
-        # order changes the paths.
+        # (min f, then max g, then lexicographic coordinates, in the search
+        # and in the path walk). The w0.5 values were recorded from a
+        # separately written heapq engine; flipping max g to min g changes
+        # the counts, and reversing the coordinate order changes the paths.
+        # With w_obstacle = 0 the bound is not strictly consistent, so the
+        # w0 paths are the walk's pick among equally cheap ones.
         surface, dfield = flat(6)
         result = plan(surface, dfield, start, goal, PlanParams(w_obstacle=w_obstacle))
         assert result.expanded == expanded
@@ -406,6 +466,119 @@ class TestPlan:
         diffs = np.diff(result.states, axis=0)
         assert np.all(np.abs(diffs[:, 0]) + np.abs(diffs[:, 1]) == 1)
         assert np.all(np.abs(diffs[:, 2]) <= k)
+
+
+WEIGHTS = [PlanParams(), PlanParams(w_obstacle=5.0),
+           PlanParams(w_up=3.5, w_down=0.25, w_obstacle=1.3)]
+
+
+def query_pairs(fixture, count=100):
+    rng = np.random.default_rng(18)
+    return rng.integers(0, fixture.surface.size, size=(count, 2)).tolist()
+
+
+class TestPathsFromFinalG:
+    """The search keeps no parents: the path is read off the final g. With
+    w_obstacle > 0 the bound is strictly consistent, and the path must be
+    the one a parent-pointer search under the Euclidean bound returns."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_paths_and_costs_match_parent_pointer_search(self, name):
+        b = built(name)
+        surface = b.surface
+        for params in WEIGHTS:
+            for a, z in query_pairs(b):
+                cost, path = reference_plan(b, a, z, params)
+                result = plan(surface, b.dfield, tuple(surface.states[a]),
+                              tuple(surface.states[z]), params, graph=b.graph)
+                assert result.cost == cost
+                assert result.states.tobytes() == surface.states[path].tobytes()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_bound_strictly_consistent(self, name):
+        # the equivalence above needs h(u) < edge cost + h(v) on every edge
+        b = built(name)
+        surface, graph = b.surface, b.graph
+        res, k = surface.resolution, surface.params.step_voxels
+        sources = np.repeat(np.arange(surface.size), np.diff(graph.indptr))
+        for params in WEIGHTS:
+            cost = (_cost_table(params, res, k)[graph.dz + k]
+                    + b.dfield._bias(params.w_obstacle)[graph.targets])
+            for _, z in query_pairs(b, 10):
+                goal = tuple(surface.states[z])
+                h = np.array([heuristic(s, goal, params, res) for s in surface.states.tolist()])
+                assert np.all(h[sources] < cost + h[graph.targets])
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_unbiased_costs_are_path_sums(self, name):
+        # with w_obstacle = 0 ties are not strict and an equally cheap path
+        # may differ from the reference; its edge costs must still add up to
+        # the reported cost exactly, and at epsilon = 1 that cost is the
+        # reference's
+        b = built(name)
+        surface, dfield, res = b.surface, b.dfield, b.surface.resolution
+        for params in (PlanParams(w_obstacle=0.0), PlanParams(epsilon=1.5, w_obstacle=0.0)):
+            for a, z in query_pairs(b, 30):
+                result = plan(surface, dfield, tuple(surface.states[a]),
+                              tuple(surface.states[z]), params, graph=b.graph)
+                total = 0.0
+                for u, v in zip(result.states[:-1].tolist(), result.states[1:].tolist()):
+                    total += edge_cost(u, v, dfield.at(v), params, res)
+                assert total == result.cost
+                if params.epsilon == 1.0:
+                    assert result.cost == reference_plan(b, a, z, params)[0]
+
+    @pytest.mark.parametrize("walk", [_chain, _interpreted(_chain), _walk],
+                             ids=["arrays", "memoryviews", "engine"])
+    @pytest.mark.parametrize("start_linked", [False, True])
+    def test_walk_tie_rule(self, walk, start_linked):
+        # hand-built g-values: goal 3 has predecessors 1 and 2, tied on
+        # f = g + euclid(-> goal) at 4 + 3 = 2 + 5; the larger g wins over
+        # the smaller flat key (state 2's). The start wins whenever it is a
+        # predecessor, though its f of 100 is the largest.
+        rows = [[], [(0, 0)], [(0, 0)], [(2, -1), (1, 0)]]  # (target, dz)
+        if start_linked:
+            rows[3].insert(0, (0, 1))
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        targets, dz = (np.array([e[i] for r in rows for e in r], np.int64) for i in (0, 1))
+        cost_by_dz = np.array([6.0, 2.0, 4.0])  # dz -1, 0, +1 of the move into a state
+        bias = np.array([0.0, 2.0, 0.0, 0.0])
+        xs, ys, zs = np.array([100, 3, 3, 0]), np.array([0, 0, 4, 0]), np.zeros(4, np.int64)
+        keys = np.array([9, 8, 7, 6])
+        g = np.array([0.0, 4.0, 2.0, 6.0])
+        chain = walk(indptr, targets, dz, cost_by_dz, bias, xs, ys, zs, keys, g,
+                     0, 3, 1.0, 1.0, 0.0, 1)
+        assert [int(c) for c in chain] == ([3, 0] if start_linked else [3, 1, 0])
+
+    def test_asymmetric_graph_raises_no_path(self):
+        # a caller-built graph with forward edges only (target ordinal above
+        # the source's): the search reaches the goal, but no edge leads back
+        # to the start from it, so the walk finds no predecessor chain
+        surface, dfield = flat(5)
+        full = SearchGraph.build(surface)
+        sources = np.repeat(np.arange(surface.size), np.diff(full.indptr))
+        keep = full.targets > sources
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(sources[keep],
+                                                            minlength=surface.size))])
+        graph = SearchGraph(indptr, full.targets[keep], full.dz[keep], surface)
+        start, goal = tuple(surface.states[0]), tuple(surface.states[-1])
+        assert plan(surface, dfield, start, goal).states.shape[0] > 1
+        with pytest.raises(NoPathError, match="not symmetric"):
+            plan(surface, dfield, start, goal, graph=graph)
+
+    def test_h_ratio(self, table1):
+        surface, dfield, graph = table1.surface, table1.dfield, table1.graph
+        for a, z in query_pairs(table1, 10):
+            start, goal = tuple(surface.states[a]), tuple(surface.states[z])
+            result = plan(surface, dfield, start, goal, graph=graph)
+            if start == goal:
+                assert result.h_ratio == 1.0
+            else:
+                h = heuristic(start, goal, PlanParams(), surface.resolution)
+                assert result.h_ratio == h / result.cost
+                assert 0.0 < result.h_ratio <= 1.0
+        state = tuple(surface.states[0])
+        assert plan(surface, dfield, state, state).h_ratio == 1.0
 
 
 class TestArrayLayout:

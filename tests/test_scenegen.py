@@ -25,6 +25,7 @@ from surfnav import (
 )
 from surfnav.cli import EXIT_INPUT, main
 from surfnav.grid import MAX_VOXELS
+from surfnav.scenegen import MAX_STAIR_STEPS
 
 # A value of the wrong JSON type for each primitive field, written out here
 # rather than read from the dataclass annotations.
@@ -64,6 +65,11 @@ class TestPrimitiveValidation:
             Staircase((0, 0, 0), "up", tread_depth=0.4, width=1.0, riser=0.1, steps=3)
         with pytest.raises(SceneSpecError):
             Staircase((0, 0, 0), "+x", tread_depth=0.4, width=1.0, riser=0.1, steps=0)
+        Staircase((0, 0, 0), "+x", tread_depth=0.4, width=1.0, riser=0.1,
+                  steps=MAX_STAIR_STEPS)
+        with pytest.raises(SceneSpecError, match="steps must be 1 to 10000"):
+            Staircase((0, 0, 0), "+x", tread_depth=0.4, width=1.0, riser=0.1,
+                      steps=MAX_STAIR_STEPS + 1)
 
     def test_table(self):
         with pytest.raises(SceneSpecError):
