@@ -11,9 +11,15 @@ cardinal column moves whose height change stays within the step bound:
 Those moves are built one way, for every voxel set: one CSR over the
 set's sorted flat keys (:func:`_column_adjacency`), then one cut that
 takes its rows in ordinal order and renumbers their targets
-(:func:`_cut`). One frontier BFS (:func:`_bfs`) walks such a CSR: for
-extraction's discovery order, a surface file's reachability check and
-the distance field.
+(:func:`_cut`). One frontier BFS (:func:`_bfs`) walks such a CSR, for
+extraction's discovery order and the distance field; it finds each
+round's first appearances by a scatter, not a sort. A surface file needs
+no search: its order is that discovery order, and one pass over its CSR
+proves every state reachable from the seed (:func:`_check_order`).
+
+Candidates search only the bottoms of occupied runs for the voxel that
+ends a clearance column, and the collision disk is dilated row by row
+over each level's box, so neither gathers per candidate and offset.
 """
 
 from __future__ import annotations
@@ -173,9 +179,10 @@ def candidate_set(grid: OccupancyGrid, params: DerivedVoxelParams) -> CandidateS
     clearance_voxels of the grid top are excluded.
 
     Works on flat keys (x * ny + y) * nz + z: a free voxel on support is
-    kept when the next occupied key above it lies past key + kc. Besides
-    one boolean scan of the grid, memory scales with the occupied voxels,
-    not with the grid.
+    kept when the next run bottom above it, the key of an occupied voxel
+    over a free one, lies past key + kc. Besides one grid-sized boolean
+    scan at a time, memory scales with the standing voxels and the run
+    bottoms, not with the occupied voxels.
     """
     occ = grid.occupancy
     nz = occ.shape[2]
@@ -188,13 +195,19 @@ def candidate_set(grid: OccupancyGrid, params: DerivedVoxelParams) -> CandidateS
         flat = np.flatnonzero(standing)
         del standing
         keys = flat // zmax * nz + flat % zmax + 1
-        occupied = np.flatnonzero(occ)
-        above = np.searchsorted(occupied, keys)
-        nxt = occupied[np.minimum(above, occupied.size - 1)]
-        # z <= zmax keeps key + kc inside the voxel's own column, so an
-        # occupied key in a later column, or none at all, leaves it clear
-        clear = (above == occupied.size) | (nxt > keys + kc)
-        keys = keys[clear]
+        # the first occupied voxel above a free one sits on a free voxel:
+        # the bottoms of the occupied runs (z >= 2) are all it can be
+        bottom = ~occ[:, :, 1:-1]
+        bottom &= occ[:, :, 2:]
+        flat = np.flatnonzero(bottom)
+        del bottom
+        if flat.size:
+            bottoms = flat // (nz - 2) * nz + flat % (nz - 2) + 2
+            above = np.searchsorted(bottoms, keys)
+            nxt = bottoms[np.minimum(above, bottoms.size - 1)]
+            # z <= zmax keeps key + kc inside the voxel's own column, so a
+            # run bottom in a later column, or none at all, leaves it clear
+            keys = keys[(above == bottoms.size) | (nxt > keys + kc)]
     return CandidateSet(keys, grid, params)
 
 
@@ -208,11 +221,15 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
     Voxels outside the grid read as occupied, so a window that passes the
     grid top always hits.
 
-    Candidates are taken one height level at a time. At level z, a column
-    is blocked when its window (z, z + kc] holds an occupied voxel; the
-    disk count of a candidate is then a sum of 1-D row windows
-    [y - w, y + w], w = isqrt(rad^2 - dx^2), over a prefix sum of the
-    blocked map along y, cropped to the level's candidates grown by rad.
+    Candidates are taken one height level at a time, over the box of the
+    level's candidates grown by rad. At level z, a column is blocked when
+    its window (z, z + kc] holds an occupied voxel. The disk is dilated
+    one row at a time over the whole box: for each dx, a prefix sum of the
+    blocked map along y tests the row window [y - w, y + w],
+    w = isqrt(rad^2 - dx^2), with plain slices, and the tests are ORed;
+    the dx = 0 window is split around y, so the own column stays out. A
+    candidate then reads one boolean. Memory and work scale with the
+    levels' boxes, times kc for the blocked map, not with the grid.
     """
     params = candidates.params
     rad = params.inflation_voxels
@@ -225,6 +242,12 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
     keys = candidates.keys
     if keys.size == 0:
         return candidates
+    # the disk's rows as windows (dx, a, b): columns y + a ... y + b of row
+    # x + dx; the dx = 0 row is split around y, as the disk excludes (0, 0)
+    windows = [(0, -rad, -1), (0, 1, rad)]
+    for dx in range(1, rad + 1):
+        w = math.isqrt(rad * rad - dx * dx)
+        windows += [(-dx, -w, w), (dx, -w, w)]
     xs, ys, zs = np.unravel_index(keys, occ.shape)
     hit = np.empty(xs.size, dtype=bool)
     order = np.argsort(zs, kind="stable")
@@ -243,12 +266,14 @@ def collision_filter(candidates: CandidateSet) -> CandidateSet:
             ].any(axis=2)
         rows = np.zeros((x1 - x0, y1 - y0 + 1), dtype=np.int32)
         np.cumsum(blocked, axis=1, out=rows[:, 1:])
-        lx, ly = x - x0, y - y0
-        count = -blocked[lx, ly].astype(np.int32)  # the disk excludes (0, 0)
-        for dx in range(-rad, rad + 1):
-            w = math.isqrt(rad * rad - dx * dx)
-            count += rows[lx + dx, ly + w + 1] - rows[lx + dx, ly - w]
-        hit[idx] = count > 0
+        # a window holds a blocked column where the prefix sum rises over
+        # it; tested for every (x, y) of the candidates' box at once
+        sx, sy = x1 - x0 - 2 * rad, y1 - y0 - 2 * rad
+        near = np.zeros((sx, sy), dtype=bool)
+        for dx, a, b in windows:
+            r = rows[rad + dx : rad + dx + sx]
+            near |= r[:, rad + b + 1 : rad + b + 1 + sy] > r[:, rad + a : rad + a + sy]
+        hit[idx] = near[x - x0 - rad, y - y0 - rad]
     return CandidateSet(keys[~hit], candidates.grid, params)
 
 
@@ -319,13 +344,23 @@ def _bfs(indptr: np.ndarray, targets: np.ndarray, sources) -> list[np.ndarray]:
     round d. Each round keeps its rows in discovery order: by the position
     of their first appearance among the previous round's targets, taken
     row by row, and each row appears once.
+
+    The first appearances are found without a sort: ``np.minimum.at``
+    scatters each position to its row in one int64 array, a row's entry
+    then names its first position, and the entries the round touched are
+    reset. Memory scales with the rows, plus one round's targets.
     """
     seen = np.zeros(indptr.size - 1, dtype=bool)
+    # a round can list more rows than there are: no position reaches `none`
+    none = np.iinfo(np.int64).max
+    first = np.full(seen.size, none, dtype=np.int64)  # reset after each round
     rounds = []
     nb = np.asarray(sources, dtype=np.int64)
     while nb.size:
-        _, first = np.unique(nb, return_index=True)
-        frontier = nb[np.sort(first)]
+        at = np.arange(nb.size)
+        np.minimum.at(first, nb, at)
+        frontier = nb[first[nb] == at]
+        first[frontier] = none
         seen[frontier] = True
         rounds.append(frontier)
         nb = targets[_runs(indptr[frontier], indptr[frontier + 1])]
@@ -623,10 +658,43 @@ def _params_doc(surface: Surface) -> dict:
     }
 
 
+def _check_order(surface: Surface) -> None:
+    """Prove in one pass over the adjacency that every state reaches the
+    seed: the seed is ordinal 0, and every other state has a neighbor of
+    smaller ordinal. Moves are symmetric, so by induction on the ordinal
+    each state reaches the seed. An order from a BFS of the one seed,
+    which :func:`extract_surface` gives, always passes; a reachable order
+    that is not one can fail. ValueError names the first state that fails.
+    Memory scales with the states.
+    """
+    seed = tuple(surface.seed)
+    if surface.ordinal(seed) != 0:
+        raise ValueError(f"seed {seed} is not the first state in the file's order")
+    indptr, targets, _ = surface._csr
+    starts = indptr[:-1]
+    rows = np.flatnonzero(indptr[1:] > starts)
+    least = np.full(surface.size, surface.size, dtype=np.int64)  # no neighbor
+    if rows.size:
+        least[rows] = np.minimum.reduceat(targets, starts[rows])
+    late = np.flatnonzero(least[1:] > np.arange(surface.size - 1))
+    if late.size:
+        raise ValueError(
+            f"state {surface.states[late[0] + 1].tolist()} is not reachable from seed "
+            f"{seed} in the file's order: no neighbor comes before it"
+        )
+
+
 def save_surface(surface: Surface, destination) -> None:
     """Write a surface as one line of JSON, version 2: ``keys`` holds the
     flat keys (x * ny + y) * nz + z of the states in ordinal order, and
-    the seed is an (x, y, z) triple."""
+    the seed is an (x, y, z) triple.
+
+    A surface whose order :func:`load_surface` would refuse raises
+    ValueError naming the first state it refuses, and nothing is written:
+    one from several seeds, say, whose states the first seed does not
+    reach or reaches only in another order.
+    """
+    _check_order(surface)
     doc = {
         "format": "surfnav-surface",
         "version": 2,
@@ -654,10 +722,18 @@ def load_surface(source) -> Surface:
     SurfaceFormatError, as do dims, voxel params or a seed that are not
     integers, a resolution, threshold in meters or origin entry that is not
     a finite number (a fractional, string or boolean value included), voxel
-    params that disagree with the thresholds in meters beside them, dims
-    that hold no voxel or more than MAX_VOXELS, and a state the seed does
-    not reach. The reachability check is a :func:`_bfs` over the surface's
-    adjacency, which the distance field and search graph then reuse.
+    params that disagree with the thresholds in meters beside them, and
+    dims that hold no voxel or more than MAX_VOXELS.
+
+    So does a file whose order does not prove every state reachable from
+    the seed: the seed must come first, and every other state must have a
+    neighbor before it in the file (see :func:`_check_order`). The file's
+    order is extraction's BFS discovery order, so one pass over the
+    surface's adjacency checks it, with no search; the distance field and
+    search graph then reuse that adjacency. The message names the first
+    state that fails, "state [x, y, z] is not reachable from seed ... in
+    the file's order". :func:`save_surface` runs the same check, so it
+    writes no file that this refuses.
     """
     doc = _read_json(source, "surface file", "surfnav-surface", 2, SurfaceFormatError)
     try:
@@ -694,14 +770,7 @@ def load_surface(source) -> Surface:
             params=params,
             extraction=extraction,
         )
-        indptr, targets, _ = surface._csr
-        reached = np.zeros(surface.size, dtype=bool)
-        reached[np.concatenate(_bfs(indptr, targets, [surface.ordinal(seed)]))] = True
-        cut_off = surface.states[~reached]
-        if cut_off.size:
-            raise SurfaceFormatError(
-                f"state {cut_off[0].tolist()} is not reachable from seed {seed}"
-            )
+        _check_order(surface)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SurfaceFormatError(f"bad surface file: {exc}") from exc
     return surface

@@ -33,6 +33,7 @@ __all__ = [
     "FloorSlab",
     "Hole",
     "LowCabinet",
+    "MAX_SPEC_BOXES",
     "MAX_STAIR_STEPS",
     "PRESET_NAMES",
     "Scene",
@@ -56,7 +57,10 @@ _CLEAR = False
 class _Fields:
     """Base of SceneSpec and the primitives: every field is read by its
     annotation, and a region must have positive area, before the class's
-    own value checks in ``_check``."""
+    own value checks in ``_check``. ``box_count`` is how many boxes a
+    primitive's ``boxes`` yields."""
+
+    box_count = 1
 
     def __post_init__(self):
         def error(message):
@@ -113,9 +117,15 @@ class Wall(_Fields):
 _STAIR_DIRECTIONS = ("+x", "-x", "+y", "-y")
 
 # A staircase paints one box per step, so its step count, not the voxel
-# cap, bounds the time a spec can ask of scenegen: 10,000 steps paint in
-# well under a second, and the presets' longest run has 22.
+# cap, bounds the time a staircase can ask of scenegen: 10,000 steps paint
+# in well under a second, and the presets' longest run has 22.
 MAX_STAIR_STEPS = 10_000
+
+# Boxes painted per spec, summed over its primitives: many staircases, or a
+# table with many legs, would otherwise ask for seconds of painting each
+# within their own bounds. A box paints in ~5 us, so 100,000 take about
+# half a second; the presets paint at most a few hundred.
+MAX_SPEC_BOXES = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,10 @@ class Staircase(_Fields):
             raise SceneSpecError(
                 f"Staircase: steps must be 1 to {MAX_STAIR_STEPS}, got {self.steps}"
             )
+
+    @property
+    def box_count(self):
+        return self.steps
 
     def boxes(self):
         ox, oy, oz = self.origin
@@ -181,6 +195,10 @@ class Table(_Fields):
             raise SceneSpecError("Table: top_thickness and leg_size must be > 0")
         if self.base_z >= self.top_z - self.top_thickness:
             raise SceneSpecError("Table: legs need positive height under the top")
+
+    @property
+    def box_count(self):
+        return (4 if self.legs is None else len(self.legs)) + 1
 
     def boxes(self):
         x0, y0, x1, y1 = self.region
@@ -223,6 +241,7 @@ class CeilingCavity(_Fields):
     ceiling_z: float
     shell_thickness: float = 0.4
     name: str = "cavity"
+    box_count = 2
 
     def _check(self):
         if self.shell_thickness <= 0:
@@ -284,6 +303,11 @@ class SceneSpec(_Fields):
         spans = [e / self.resolution for e in self.extent]
         _check_voxel_count([ceil_voxels(s) if math.isfinite(s) else s for s in spans],
                            SceneSpecError, f"extent {self.extent} at resolution {self.resolution}")
+        boxes = sum(p.box_count for p in self.primitives)
+        if boxes > MAX_SPEC_BOXES:
+            raise SceneSpecError(
+                f"primitives paint {boxes} boxes in all, more than MAX_SPEC_BOXES = {MAX_SPEC_BOXES}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -216,6 +216,26 @@ class TestScenegen:
         assert "steps" in err and "1000000" in err
         assert not grid.exists()
 
+    def test_too_many_boxes_exit_at_once(self, tmp_path, capsys):
+        # each staircase is within MAX_STAIR_STEPS; 200 of them are 2e6
+        # boxes, refused by the spec before any painting starts
+        spec = tmp_path / "scene.json"
+        report(["scenegen", "--preset", "table1_fixture", str(tmp_path / "a.grid"),
+                "--save-spec", str(spec)], capsys)
+        doc = json.loads(spec.read_text())
+        stairs = next(p for p in doc["primitives"] if p["type"] == "staircase")
+        stairs.update(steps=10_000, tread_depth=1e-9, riser=1e-9)
+        doc["primitives"] += [stairs] * 199
+        spec.write_text(json.dumps(doc))
+        grid = tmp_path / "b.grid"
+        t0 = time.perf_counter()
+        code, _, err = run(["scenegen", "--spec", str(spec), str(grid)], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "MAX_SPEC_BOXES" in err
+        assert not grid.exists()
+
     @pytest.mark.parametrize("source", ["preset", "spec"])
     def test_zero_resolution_is_an_input_error(self, tmp_path, capsys, source):
         # 0 is a resolution given, not a default: SceneSpec refuses it
@@ -444,6 +464,24 @@ class TestPlan:
         assert {k: doc[k] for k in COUNTERS} == {k: getattr(result, k) for k in COUNTERS}
         assert doc["pushes"] >= doc["N_s"] + doc["stale_pops"] + 1
         assert doc["h_ratio"] == result.h_ratio
+
+    def test_state_ahead_of_its_neighbors_is_an_input_error(self, room, tmp_path, capsys):
+        # a reachable state moved just after the seed: the file's order
+        # does not prove it reachable, so the surface is refused
+        doc = json.loads(open(room["surface"]).read())
+        key = doc["keys"].pop()
+        doc["keys"].insert(1, key)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["plan", str(bad), str(tmp_path / "p.xyz"),
+             "--start", "8.6,8.6,1.1", "--goal", "2.0,2.0,1.1"],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        state = [int(c) for c in np.unravel_index(key, doc["dims"])]
+        assert f"state {state} is not reachable" in err
+        assert not (tmp_path / "p.xyz").exists()
 
     def test_goal_outside_map(self, room, tmp_path, capsys):
         code, _, err = run(

@@ -32,6 +32,7 @@ from surfnav import (
     select_seed,
     step_offsets,
 )
+from surfnav.extract import _bfs
 from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
 
 
@@ -273,6 +274,27 @@ class TestCollisionFilter:
         hand = from_mask(mask, g, params)
         assert np.array_equal(mask_of(collision_filter(hand)), collision_reference(hand))
 
+    @given(data=st.data(), rad=st.integers(1, 4), kc=st.integers(1, 4))
+    def test_matches_brute_force_on_sparse_levels(self, data, rad, kc):
+        # a level's box is its candidates' extent grown by rad: two opposite
+        # candidates rad in from the corners make it the whole grid, and a
+        # third lies anywhere between
+        nx = data.draw(st.integers(2 * rad + 1, 2 * rad + 8))
+        ny = data.draw(st.integers(2 * rad + 1, 2 * rad + 8))
+        nz = data.draw(st.integers(1, kc + 5))
+        # a few occupied voxels: a dense grid would hit every disk
+        occ = np.zeros((nx, ny, nz), dtype=bool)
+        voxel = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1), st.integers(0, nz - 1))
+        for v in data.draw(st.lists(voxel, max_size=8)):
+            occ[v] = True
+        mask = np.zeros(occ.shape, dtype=bool)
+        for z in data.draw(st.sets(st.integers(0, nz - 1), min_size=1)):
+            x = data.draw(st.integers(rad, nx - 1 - rad))
+            y = data.draw(st.integers(rad, ny - 1 - rad))
+            mask[[rad, nx - 1 - rad, x], [rad, ny - 1 - rad, y], z] = True
+        hand = from_mask(mask, grid_from(occ), dv(k=0, kc=kc, rad=rad))
+        assert np.array_equal(mask_of(collision_filter(hand)), collision_reference(hand))
+
     def test_own_column_is_not_in_the_disk(self):
         occ = np.zeros((11, 11, 12), dtype=bool)
         occ[:, :, 0] = True
@@ -410,6 +432,55 @@ def bfs_fifo(mask, seed, k):
     return order
 
 
+def bfs_rounds_fifo(rows, sources):
+    """The rounds of a FIFO breadth-first search over adjacency lists: the
+    states of each depth, in the order the queue discovers them."""
+    depth = {}
+    order = []
+    for s in sources:
+        if s not in depth:
+            depth[s] = 0
+            order.append(s)
+    queue = deque(order)
+    while queue:
+        u = queue.popleft()
+        for v in rows[u]:
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+                order.append(v)
+    return [[v for v in order if depth[v] == d] for d in range(max(depth.values()) + 1)]
+
+
+def csr_of(rows):
+    """Adjacency lists as (indptr, targets), both int64."""
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+    return indptr, np.array([v for r in rows for v in r], dtype=np.int64)
+
+
+class TestBfs:
+    def test_duplicates_within_a_round(self):
+        # both sources are listed twice; round 1 lists 1 four times and 3
+        # three times, eight targets over six rows, and 1 comes first
+        # because row 2 is walked before row 0
+        rows = [[3, 3, 1, 3], [5], [1, 4, 1, 1], [5, 5], [0], []]
+        indptr, targets = csr_of(rows)
+        got = [r.tolist() for r in _bfs(indptr, targets, [2, 0, 2, 0])]
+        assert got == [[2, 0], [1, 4, 3], [5]]
+        assert got == bfs_rounds_fifo(rows, [2, 0, 2, 0])
+
+    @given(data=st.data())
+    def test_matches_fifo_reference(self, data):
+        n = data.draw(st.integers(1, 12))
+        node = st.integers(0, n - 1)
+        rows = data.draw(st.lists(st.lists(node, max_size=3 * n), min_size=n, max_size=n))
+        sources = data.draw(st.lists(node, min_size=1, max_size=2 * n))
+        indptr, targets = csr_of(rows)
+        got = _bfs(indptr, targets, sources)
+        assert all(r.dtype == np.int64 for r in got)
+        assert [r.tolist() for r in got] == bfs_rounds_fifo(rows, sources)
+
+
 class TestExtractSurface:
     def staircase(self):
         """Ascending columns along x, one voxel of rise per column."""
@@ -453,17 +524,29 @@ class TestExtractSurface:
         with pytest.raises(InvalidSeedError):
             extract_surface(cands, [])
 
-    def test_multiple_seeds_union_components(self):
+    def test_multiple_seeds_union_components(self, tmp_path):
         cands = candidate_set(table_grid(), dv())
         surface = extract_surface(cands, [(0, 0, 1), (5, 5, 5)])
         assert surface.size == 144
         assert surface.seed == (0, 0, 1)
+        # the file names one seed, which does not reach the tabletop
+        p = tmp_path / "s.json"
+        with pytest.raises(ValueError, match=r"state \[5, 5, 5\] is not reachable from seed"):
+            save_surface(surface, p)
+        assert not p.exists()
 
-    def test_duplicate_component_seeds_dedupe(self):
+    def test_duplicate_component_seeds_dedupe(self, tmp_path):
         cands = candidate_set(table_grid(), dv())
         a = extract_surface(cands, [(0, 0, 1)])
         b = extract_surface(cands, [(0, 0, 1), (11, 11, 1)])
         assert a.size == b.size
+        # the second seed is reachable, but the order is not one from the
+        # first seed alone: a file of it could not prove its reachability
+        p = tmp_path / "s.json"
+        with pytest.raises(ValueError, match=r"state \[11, 11, 1\] is not reachable from "
+                                             r"seed \(0, 0, 1\) in the file's order"):
+            save_surface(b, p)
+        assert not p.exists()
 
     def test_two_neighbors_in_one_direction_go_up(self):
         # the +x column offers the seed two voxels within the step: the
@@ -524,6 +607,16 @@ class TestExtractSurface:
 def test_adjacency_prebuilt_on_presets(all_presets):
     for b in all_presets.values():
         assert_adjacency_prebuilt(b.surface)
+
+
+def test_every_preset_round_trips(all_presets):
+    for b in all_presets.values():
+        buf = io.StringIO()
+        save_surface(b.surface, buf)
+        loaded = load_surface(io.StringIO(buf.getvalue()))
+        assert np.array_equal(loaded.keys, b.surface.keys)
+        assert loaded.seed == b.surface.seed
+        assert_same_csr(loaded, b.surface)
 
 
 class TestSurfaceAccessors:
@@ -710,6 +803,34 @@ class TestSurfaceFile:
         p.write_text(json.dumps(doc))
         with pytest.raises(SurfaceFormatError,
                            match=rf"state \[{nx - 1}, {ny - 1}, {nz - 1}\] is not reachable"):
+            load_surface(p)
+
+    def test_state_ahead_of_its_neighbors(self, table1, tmp_path):
+        # the last state, moved to just after the seed: it is reachable,
+        # but no neighbor comes before it, so the file proves nothing
+        surface = table1.surface
+        indptr, targets, _ = surface._csr
+        assert 0 not in targets[indptr[-2] :].tolist()  # not the seed's neighbor
+        p = tmp_path / "s.json"
+        save_surface(surface, p)
+        doc = json.loads(p.read_text())
+        doc["keys"].insert(1, doc["keys"].pop())
+        p.write_text(json.dumps(doc))
+        x, y, z = surface.states[-1].tolist()
+        sx, sy, sz = surface.seed
+        with pytest.raises(SurfaceFormatError,
+                           match=rf"state \[{x}, {y}, {z}\] is not reachable from seed "
+                                 rf"\({sx}, {sy}, {sz}\) in the file's order: no neighbor"):
+            load_surface(p)
+
+    def test_seed_must_come_first(self, table1, tmp_path):
+        p = tmp_path / "s.json"
+        save_surface(table1.surface, p)
+        doc = json.loads(p.read_text())
+        doc["keys"][:2] = doc["keys"][1::-1]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SurfaceFormatError,
+                           match=r"seed \(\d+, \d+, \d+\) is not the first state"):
             load_surface(p)
 
     def test_loads_the_indented_layout(self, tmp_path):

@@ -25,7 +25,7 @@ from surfnav import (
 )
 from surfnav.cli import EXIT_INPUT, main
 from surfnav.grid import MAX_VOXELS
-from surfnav.scenegen import MAX_STAIR_STEPS
+from surfnav.scenegen import MAX_SPEC_BOXES, MAX_STAIR_STEPS
 
 # A value of the wrong JSON type for each primitive field, written out here
 # rather than read from the dataclass annotations.
@@ -86,6 +86,27 @@ class TestPrimitiveValidation:
     def test_spec_extent(self):
         with pytest.raises(SceneSpecError):
             SceneSpec("x", (0.0, 1.0, 1.0), 0.2, ())
+
+    def test_box_budget_is_per_spec(self):
+        stairs = Staircase((0, 0, 0), "+x", tread_depth=0.4, width=1.0, riser=0.1,
+                           steps=MAX_STAIR_STEPS)
+        table = Table((0, 0, 1, 1), top_z=0.5, top_thickness=0.2,
+                      legs=((0.0, 0.0),) * (MAX_STAIR_STEPS - 1))
+        fill = (stairs,) * (MAX_SPEC_BOXES // MAX_STAIR_STEPS - 1) + (table,)
+        assert sum(p.box_count for p in fill) == MAX_SPEC_BOXES
+        SceneSpec("x", (1.0, 1.0, 1.0), 0.2, fill)
+        for extra in (Hole((0, 0, 1, 1), z0=0.0, z1=1.0),
+                      CeilingCavity((0, 0, 1, 1), floor_z=0.5, ceiling_z=0.9)):
+            with pytest.raises(SceneSpecError, match=f"more than MAX_SPEC_BOXES = {MAX_SPEC_BOXES}"):
+                SceneSpec("x", (1.0, 1.0, 1.0), 0.2, fill + (extra,))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_are_within_the_box_budget(self, name):
+        for resolution in (0.1, 0.2):
+            prims = preset(name, resolution=resolution).primitives
+            for p in prims:
+                assert p.box_count == len(list(p.boxes()))
+            assert sum(p.box_count for p in prims) <= MAX_SPEC_BOXES
 
 
 class TestBuildScene:
