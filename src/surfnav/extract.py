@@ -11,19 +11,26 @@ cardinal column moves whose height change stays within the step bound:
 Those moves are built one way, for every voxel set: one CSR over the
 set's sorted flat keys (:func:`_column_adjacency`), then one cut that
 takes its rows in ordinal order and renumbers their targets
-(:func:`_cut`). One frontier BFS (:func:`_bfs`) walks such a CSR, for
-extraction's discovery order and the distance field; it finds each
-round's first appearances by a scatter, not a sort. A surface file needs
-no search: its order is that discovery order, and one pass over its CSR
-proves every state reachable from the seed (:func:`_check_order`).
+(:func:`_cut`). The CSR reads the ±y neighbor columns off the keys'
+column runs and finds the ±x ones with one search of the run columns;
+only a voxel whose neighbor column holds several voxels searches the
+keys, and the build's memory peaks at about four times the CSR's. One
+frontier BFS (:func:`_bfs`) walks such a CSR, for extraction's discovery
+order and the distance field; it finds each round's first appearances by
+a scatter, not a sort. A surface file needs no search: its order is that
+discovery order, and one pass over its CSR proves every state reachable
+from the seed (:func:`_check_order`).
 
 Candidates search only the bottoms of occupied runs for the voxel that
 ends a clearance column, and the collision disk is dilated row by row
-over each level's box, so neither gathers per candidate and offset.
+over each level's box, so neither gathers per candidate and offset. The
+seed snap measures only the slab of candidates whose rows can lie within
+the snap distance of the pose.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import time
@@ -284,16 +291,64 @@ def select_seed(pose, candidates: CandidateSet, max_snap: float) -> tuple[int, i
     Raises if the candidate set is empty or the nearest candidate is
     farther than ``max_snap`` meters, and ValueError if ``max_snap`` is
     NaN or negative (``inf`` means no limit).
+
+    The keys are sorted by x first, so with a finite ``max_snap`` two
+    binary searches cut them to the slab of rows :func:`_x_slab` bounds,
+    which holds every candidate that can snap, ties included, and only the
+    slab is measured. When it is empty or nothing in it snaps, every
+    candidate is, so a failed snap reports the nearest distance of all.
+    Memory scales with the slab, or with the candidates when ``max_snap``
+    is inf or the snap fails.
     """
     pose = np.asarray(pose, dtype=np.float64)
     if pose.shape != (3,) or not np.all(np.isfinite(pose)):
         raise ValueError(f"pose must be 3 finite coordinates, got {pose!r}")
-    coords = np.stack(np.unravel_index(candidates.keys, candidates.grid.dims), axis=1)
-    if coords.shape[0] == 0:
+    keys = candidates.keys
+    if keys.size == 0:
         raise NoCandidatesError("no candidates: every voxel failed the geometric filters")
-    centers = voxel_to_world(candidates.grid, coords)
-    x, y, z = coords[_snap(centers, pose, max_snap, "seed snap failed: nearest candidate")]
-    return (int(x), int(y), int(z))
+    grid = candidates.grid
+
+    def nearest(part: np.ndarray) -> tuple[int, int, int]:
+        coords = np.stack(np.unravel_index(part, grid.dims), axis=1)
+        best = _snap(voxel_to_world(grid, coords), pose, max_snap,
+                     "seed snap failed: nearest candidate")
+        return tuple(int(c) for c in coords[best])
+
+    if math.isfinite(max_snap):
+        rows = np.array(_x_slab(grid, float(pose[0]), max_snap))
+        lo, hi = keys.searchsorted(rows * (grid.dims[1] * grid.dims[2]))
+        if lo < hi:
+            try:
+                return nearest(keys[lo:hi])
+            except SeedSnapError:
+                pass  # nothing snaps: measure all, for the nearest distance
+    return nearest(keys)
+
+
+def _x_slab(grid: OccupancyGrid, px: float, max_snap: float) -> tuple[int, int]:
+    """The rows x0 <= x < x1 of ``grid`` whose voxel centers are within
+    ``max_snap`` of ``px`` along x, in :func:`_snap`'s own arithmetic.
+
+    _snap adds the squared y and z offsets to the squared x offset, and a
+    rounded sum of nonnegative terms is never below one of them, so a
+    center outside these rows is farther than ``max_snap`` by _snap's
+    reckoning too, even where a huge origin absorbs the voxel offsets. The
+    centers' x ascends with x, so each end is a bisection of the rows.
+    """
+    ox, r = float(grid.origin[0]), grid.resolution
+
+    def dx(x: int) -> float:
+        # voxel_to_world's center, minus the pose, as _snap takes it
+        return ox + (x + 0.5) * r - px
+
+    def near(x: int) -> bool:
+        d = dx(x)
+        return math.sqrt(d * d) <= max_snap
+
+    rows = range(grid.dims[0])
+    x0 = bisect.bisect_left(rows, True, key=lambda x: near(x) or dx(x) > 0)
+    x1 = bisect.bisect_left(rows, True, key=lambda x: dx(x) > 0 and not near(x))
+    return x0, x1
 
 
 def _snap(centers: np.ndarray, pose, max_snap: float, what: str) -> int:
@@ -324,7 +379,9 @@ _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 def step_offsets(step_voxels: int) -> np.ndarray:
     """Neighbor offsets in deterministic expansion order: directions +x, -x,
     +y, -y, and within each dz = -k, ..., +k ascending. It is the order of a
-    :func:`_column_adjacency` row, so the BFS walks the rows as they are."""
+    :func:`_column_adjacency` row, so the BFS walks the rows as they are.
+    The rows are not built from these offsets: they document the order, as
+    a (4 * (2k + 1), 3) int64 array whose size depends on k alone."""
     k = step_voxels
     return np.array([(dx, dy, dz) for dx, dy in _DIRECTIONS for dz in range(-k, k + 1)],
                     dtype=np.int64)
@@ -390,41 +447,97 @@ def _voxel_keys(keys, dims) -> np.ndarray:
     return keys
 
 
-def _neighbor_ranges(keys: np.ndarray, dims, k: int):
-    """The bounded-step adjacency, as runs of a sorted column index.
-
-    ``keys`` are the sorted flat keys (x * ny + y) * nz + z of a voxel set,
-    so each column is a contiguous, z-ascending run. For every voxel and
-    every direction of :func:`step_offsets`, returns the run [lo, hi) of
-    ``keys`` holding the adjacent column's voxels within k of its height,
-    as two (n, 4) arrays. An empty run means no neighbor.
-    """
-    nx, ny, nz = dims
-    x, y, z = np.unravel_index(keys, dims)
-    col = keys - z  # key of the voxel's own column at z = 0
-    # clipped so a window never spills into the next or previous column
-    zlo = col + np.clip(z - k, 0, nz)
-    zhi = col + np.clip(z + k, -1, nz - 1)
-    dx, dy = np.array(_DIRECTIONS).T[:, :, None]  # (4, 1): broadcast per direction
-    shift = (dx * ny + dy) * nz
-    lo = np.searchsorted(keys, zlo + shift, side="left")
-    hi = np.searchsorted(keys, zhi + shift, side="right")
-    cx, cy = x + dx, y + dy
-    off_grid = (cx < 0) | (cx >= nx) | (cy < 0) | (cy >= ny)
-    hi[off_grid] = lo[off_grid]
-    return lo.T, hi.T
-
-
 def _column_adjacency(keys: np.ndarray, dims, k: int):
-    """:func:`_neighbor_ranges` as a CSR: (indptr, targets, boundary).
+    """The bounded-step adjacency of a voxel set, as a CSR:
+    (indptr, targets, boundary).
 
-    Row i lists the positions in the sorted ``keys`` of voxel i's
-    neighbors, by direction and z-ascending within one; ``boundary[i]``
-    says that some direction offers voxel i no neighbor.
+    ``keys`` are the sorted flat keys (x * ny + y) * nz + z of the set, so
+    each column is a contiguous, z-ascending run of them. Row i lists the
+    positions in ``keys`` of voxel i's neighbors in :func:`step_offsets`
+    order: by direction, z-ascending within one; ``boundary[i]`` says that
+    some direction offers voxel i no neighbor.
+
+    The runs are sorted by column x * ny + y, so the run of column
+    (x, y + 1), if any, is the next run, and one search of the run columns
+    finds every (x + 1, y) run; -x and -y are the same pairs read the other
+    way. A neighbor run of one voxel needs only the window test
+    |dz| <= k; a voxel whose neighbor run holds more searches the keys for
+    its window. Each row's runs are written as (first target, count) into
+    two (n, 4) arrays, in row order, and expanded into the targets at once.
+    Memory scales with the voxels, at about four times the CSR's bytes.
     """
-    lo, hi = _neighbor_ranges(keys, dims, k)
-    indptr = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
-    return indptr, _runs(lo.ravel(), hi.ravel()), (lo == hi).any(axis=1)
+    n = keys.size
+    nz = dims[2]
+    col = keys // nz
+    # z of every voxel, and of one more, out of every window's reach
+    zp = np.empty(n + 1, dtype=np.int64)
+    np.subtract(keys, col * nz, out=zp[:-1])
+    zp[-1] = nz + k
+    z = zp[:-1]
+    head = np.empty(n, dtype=bool)
+    head[:1] = True
+    np.not_equal(col[1:], col[:-1], out=head[1:])
+    # run r holds the voxels first[r], ..., first[r + 1] - 1
+    first = np.append(np.flatnonzero(head), n)
+    m = first.size - 1
+    runs = col[first[:-1]]
+    del col  # each temporary goes as soon as it is spent, to keep the peak low
+    rid = np.cumsum(head) - 1  # each voxel's run
+    del head
+    many = np.append(np.diff(first) > 1, False)
+    # each run's neighbor run in the directions of _DIRECTIONS, m for none
+    nbr = np.full((4, m), m, dtype=np.int64)
+    ny = dims[1]
+    up = runs + ny
+    at = np.searchsorted(runs, up)
+    hit = np.flatnonzero(runs.take(at, mode="clip") == up)
+    at = at[hit]
+    nbr[0, hit] = at
+    nbr[1, at] = hit
+    # the next run is column (x, y + 1), unless y = ny - 1 wraps to (x + 1, 0)
+    hit = np.flatnonzero(runs[1:] == runs[:-1] + 1)
+    hit = hit[runs[hit] % ny != ny - 1]
+    nbr[2, hit] = hit + 1
+    nbr[3, hit + 1] = hit
+    del runs, up, at, hit
+    lo = np.empty((n, 4), dtype=np.int64)
+    count = np.empty((n, 4), dtype=np.int64)
+    total = np.zeros(n, dtype=np.int64)
+    boundary = np.zeros(n, dtype=bool)
+    for d, nb in enumerate(nbr):
+        s = first[nb][rid]
+        lo[:, d] = s
+        dz = zp[s]
+        dz -= z
+        np.abs(dz, out=dz)
+        c = dz <= k
+        r = np.flatnonzero(many[nb])
+        if r.size:
+            idx = _runs(first[r], first[r + 1])
+            t = s[idx]
+            base = keys[t] - z[t]  # key of the neighbor column at z = 0
+            a = np.searchsorted(keys, base + np.maximum(z[idx] - k, 0))
+            b = np.searchsorted(keys, base + np.minimum(z[idx] + k, nz - 1), side="right")
+            lo[idx, d] = a
+            c = c.astype(np.int64)
+            c[idx] = b - a
+        count[:, d] = c
+        total += c
+        boundary |= c == 0
+    del zp, z, first, rid, many, nbr, s, dz, c
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(total, out=indptr[1:])
+    del total
+    targets = np.repeat(lo.ravel(), count.ravel())
+    # a run of c > 1 targets holds lo, lo + 1, ..., lo + c - 1
+    f = np.flatnonzero(count.ravel() > 1)
+    if f.size:
+        i, d = np.divmod(f, 4)
+        c = count.ravel()[f]
+        p = indptr[i] + (count[i] * (np.arange(4) < d[:, None])).sum(axis=1)
+        at = _runs(p, p + c)
+        targets[at] += at - np.repeat(p, c)
+    return indptr, targets, boundary
 
 
 def _cut(csr, order: np.ndarray):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from collections import deque
 
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import built
 from surfnav import (
     CandidateSet,
     DerivedVoxelParams,
@@ -17,6 +19,7 @@ from surfnav import (
     InvalidSeedError,
     NoCandidatesError,
     OccupancyGrid,
+    PRESET_NAMES,
     SearchGraph,
     SeedSnapError,
     Surface,
@@ -32,7 +35,7 @@ from surfnav import (
     select_seed,
     step_offsets,
 )
-from surfnav.extract import _bfs
+from surfnav.extract import _bfs, _column_adjacency
 from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
 
 
@@ -388,6 +391,71 @@ class TestSelectSeed:
                 select_seed((0.0, 1.1, 0.3), cands, math.inf)
         assert err.value.distance == math.inf
 
+    def test_overflowed_distance_is_no_match_within_a_finite_limit(self):
+        occ = np.zeros((6, 6, 6), dtype=bool)
+        occ[:, :, 0] = True
+        cands = candidate_set(OccupancyGrid(0.2, np.array([1e300, 0.0, 0.0]), occ), dv())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeedSnapError, match="seed snap failed") as err:
+                select_seed((0.0, 1.1, 0.3), cands, 2.0)
+        assert err.value.distance == math.inf
+
+    def test_huge_origin_absorbs_the_x_offsets(self):
+        # at x = 1e300 every center's x rounds to the pose's, so the slab
+        # of rows near the pose must not stop short of row 6
+        mask = np.zeros((8, 1, 4), dtype=bool)
+        mask[0, 0, 2] = True
+        mask[6, 0, 1] = True
+        grid = OccupancyGrid(0.2, np.array([1e300, 0.0, 0.0]), np.zeros(mask.shape, dtype=bool))
+        cands = from_mask(mask, grid, dv())
+        assert select_seed((1e300, 0.1, 0.3), cands, 0.4) == (6, 0, 1)
+
+    @given(
+        data=st.data(),
+        dims=st.tuples(*[st.integers(1, 8)] * 3),
+        origin=st.sampled_from([0.0, -3.7, 1e300]),
+        res=st.sampled_from([0.2, 0.05, 1.5]),
+    )
+    def test_matches_brute_force(self, data, dims, origin, res):
+        bits = data.draw(arrays(bool, dims).filter(np.any), label="bits")
+        grid = OccupancyGrid(res, np.array([origin, -origin, 0.0]), np.zeros(dims, dtype=bool))
+        cands = from_mask(bits, grid, dv())
+        # on a half-voxel lattice around the grid, so exact ties are common
+        half = [data.draw(st.integers(-6, 2 * d + 6), label="half") for d in dims]
+        pose = grid.origin + np.array(half) * res / 2
+        max_snap = data.draw(st.sampled_from([0.0, math.inf, res / 2, res])
+                             | st.floats(0, 4 * res), label="max_snap")
+        if data.draw(st.booleans(), label="on the slab edge"):
+            # pose x exactly max_snap from a candidate's center along x
+            x = int(np.argwhere(bits)[0][0])
+            pose[0] = origin + (x + 0.5) * res + data.draw(st.sampled_from([-1, 1])) * max_snap
+            assume(math.isfinite(pose[0]))
+        want = snap_reference(cands, pose)
+        if math.isfinite(want[1]) and want[1] <= max_snap:
+            assert select_seed(pose, cands, max_snap) == want[0]
+        else:
+            with pytest.raises(SeedSnapError) as err:
+                select_seed(pose, cands, max_snap)
+            assert err.value.distance == want[1]
+
+
+def snap_reference(cands, pose):
+    """(nearest candidate, its distance), one candidate at a time, the
+    lexicographically first on ties: centers and squared offsets in the
+    order voxel_to_world and the snap take them. An overflowing offset
+    reads inf."""
+    g = cands.grid
+    best = None
+    for v in sorted(map(tuple, np.argwhere(mask_of(cands)).tolist())):
+        d2 = 0.0
+        for c, o, p in zip(v, g.origin.tolist(), np.asarray(pose).tolist()):
+            d = o + (c + 0.5) * g.resolution - p
+            d2 += d * d
+        if best is None or d2 < best[1]:
+            best = (v, d2)
+    return best[0], math.sqrt(best[1])
+
 
 class TestStepOffsets:
     def test_order(self):
@@ -410,6 +478,62 @@ class TestStepOffsets:
             [1, 0, -3], [1, 0, -2], [1, 0, -1], [1, 0, 0], [1, 0, 1],
             [1, 0, 2], [1, 0, 3],
         ]
+
+
+def adjacency_reference(keys, dims, k):
+    """The bounded-step adjacency of a voxel set, from its (x, y, z)
+    triples one move at a time: (indptr, targets, boundary)."""
+    _, ny, nz = dims
+    triples = [(key // (ny * nz), key // nz % ny, key % nz) for key in keys.tolist()]
+    at = {v: i for i, v in enumerate(triples)}
+    rows, boundary = [], []
+    for x, y, z in triples:
+        row, empty = [], False
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            hits = [at[(x + dx, y + dy, z + dz)] for dz in range(-k, k + 1)
+                    if (x + dx, y + dy, z + dz) in at]
+            row += hits
+            empty |= not hits
+        rows.append(row)
+        boundary.append(empty)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    return indptr, np.array([t for r in rows for t in r], dtype=np.int64), np.array(boundary, dtype=bool)
+
+
+voxel_sets = st.tuples(*[st.integers(1, 8)] * 3).flatmap(
+    lambda dims: st.tuples(st.just(dims), arrays(bool, math.prod(dims)))
+)
+
+
+class TestColumnAdjacency:
+    @given(voxel_sets, st.integers(0, 4))
+    # (0, 2, 0) and (1, 0, 0): consecutive columns of the keys, not neighbors
+    @example(((2, 3, 1), np.array([0, 0, 1, 1, 0, 0], dtype=bool)), 0)
+    # stacked voxels: windows of two and three
+    @example(((2, 1, 6), np.array([0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 0, 0], dtype=bool)), 2)
+    def test_matches_triples(self, voxel_set, k):
+        dims, bits = voxel_set
+        keys = np.flatnonzero(bits)
+        got = _column_adjacency(keys, dims, k)
+        for a, b in zip(got, adjacency_reference(keys, dims, k), strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_build_peak_stays_within_eight_times_the_csr(self, name):
+        # a surface made with the constructor builds its CSR on first use,
+        # as a loaded one does: over its sorted keys, then cut
+        s = built(name, resolution=0.1).surface
+        fresh = Surface(keys=s.keys, seed=s.seed, dims=s.dims, resolution=s.resolution,
+                        origin=s.origin, params=s.params)
+        tracemalloc.start()
+        try:
+            csr = fresh._csr
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sum(a.nbytes for a in csr)
 
 
 def bfs_fifo(mask, seed, k):
