@@ -107,11 +107,8 @@ class DerivedVoxelParams:
     step_voxels: int
     clearance_voxels: int
     inflation_voxels: int
-    resolution: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.resolution) and self.resolution > 0):
-            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
         if self.step_voxels < 0:
             raise ValueError(f"step_voxels must be >= 0, got {self.step_voxels}")
         if self.clearance_voxels < 1:
@@ -136,7 +133,6 @@ class DerivedVoxelParams:
             step_voxels=floor_voxels(params.step_height / resolution),
             clearance_voxels=ceil_voxels(params.clearance_height / resolution),
             inflation_voxels=ceil_voxels(params.inflation_radius / resolution),
-            resolution=resolution,
         )
 
 
@@ -559,30 +555,31 @@ def _cut(csr, order: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class Surface:
-    """Seed-reachable standing voxels with stable ordinals.
+    """The standing voxels one seed reaches, with stable ordinals.
 
     ``keys[i]`` is the flat key (x * ny + y) * nz + z of the i-th voxel in
-    BFS discovery order, its one name from the candidates to the search's
-    tie-break and the surface file, and ``states[i]`` its (x, y, z), decoded
-    once. The column index inverts the keys: the keys, sorted, with the
-    ordinal of each. A column (x, y) is a contiguous, z-ascending run of the
-    sorted keys, so multi-story columns keep every level, and lookups and
-    ``levels`` are binary searches. A state's neighbors in one direction are
-    one run too, and a state with an empty run in some direction is a
-    boundary state. Nothing grid-sized survives extraction: memory scales
-    with the surface. ``keys`` and ``states`` are held read-only as native,
-    C-contiguous int64. Keys that are not integers, not 1-D or outside
-    ``dims``, a duplicate key and a seed that is not a state raise
-    ValueError: a surface always holds its seed. The adjacency of all
-    states is a CSR cut to ordinal order by :func:`_cut`: of the
-    candidates' CSR, by :func:`extract_surface`, which builds that anyway;
-    of the CSR over its own sorted keys, on first use, for a surface made
-    otherwise (:func:`load_surface`, or the constructor). Either way it is
-    kept, and the arrays are the same.
+    BFS discovery order from the seed, ordinal 0: its one name from the
+    candidates to the search's tie-break and the surface file, and
+    ``states[i]`` its (x, y, z), decoded once. The column index inverts the
+    keys: the keys, sorted, with the ordinal of each. A column (x, y) is a
+    contiguous, z-ascending run of the sorted keys, so multi-story columns
+    keep every level, and lookups are binary searches. A state's neighbors
+    in one direction are one run too, and a state with an empty run in
+    some direction is a boundary state. Nothing grid-sized survives
+    extraction: memory scales with the surface. ``keys`` and ``states`` are
+    held read-only as native, C-contiguous int64. Keys that are not
+    integers, not 1-D or outside ``dims``, a duplicate key, no keys (a
+    surface holds its seed), a resolution that is not finite and > 0 and
+    thresholds in meters that do not give ``params`` raise ValueError; the
+    order is checked by :func:`save_surface` and :func:`load_surface`. The
+    adjacency of all states is a CSR cut to ordinal order by :func:`_cut`:
+    of the candidates' CSR, by :func:`extract_surface`, which builds that
+    anyway; of the CSR over its own sorted keys, on first use, for a
+    surface made otherwise (:func:`load_surface`, or the constructor).
+    Either way it is kept, and the arrays are the same.
     """
 
     keys: np.ndarray
-    seed: tuple[int, int, int]
     dims: tuple[int, int, int]
     resolution: float
     origin: np.ndarray
@@ -593,7 +590,19 @@ class Surface:
     _ordinals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
+        if self.extraction is not None:
+            derived = DerivedVoxelParams.from_params(self.extraction, self.resolution)
+            for name, want in vars(derived).items():
+                if getattr(self.params, name) != want:
+                    raise ValueError(
+                        f"params.{name} is {getattr(self.params, name)}, but the "
+                        f"thresholds in meters give {want} at resolution {self.resolution}"
+                    )
         keys = _voxel_keys(self.keys, self.dims)
+        if keys.size == 0:
+            raise ValueError("keys are empty, but a surface holds at least its seed")
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]
         twice = np.nonzero(ordered[1:] == ordered[:-1])[0]
@@ -605,8 +614,11 @@ class Surface:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_sorted", ordered)
         object.__setattr__(self, "_ordinals", order)
-        if self.seed not in self:
-            raise ValueError(f"seed {tuple(self.seed)} is not among the states")
+
+    @property
+    def seed(self) -> tuple[int, int, int]:
+        """The voxel the surface was grown from: ordinal 0."""
+        return tuple(self.states[0].tolist())
 
     @property
     def size(self) -> int:
@@ -620,16 +632,6 @@ class Surface:
         if i < 0:
             raise KeyError(tuple(state))
         return int(self._ordinals[i])
-
-    @property
-    def levels(self) -> dict:
-        """Column (x, y) -> z-ascending standing heights, built on access."""
-        ny, nz = self.dims[1], self.dims[2]
-        columns, starts = np.unique(self._sorted // nz, return_index=True)
-        heights = np.split(self._sorted % nz, starts[1:])
-        return {
-            (c // ny, c % ny): zs for c, zs in zip(columns.tolist(), heights)
-        }
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -658,12 +660,13 @@ def extract_surface(
     seeds: Sequence,
     extraction: ExtractionParams | None = None,
 ) -> Surface:
-    """BFS closure of the seeds over the bounded-step column relation.
+    """BFS closure of one seed over the bounded-step column relation.
 
-    Expansion follows :func:`step_offsets` order and ordinals are assigned
-    in discovery order, so the output is identical across runs and
-    platforms. Seeds landing in one component deduplicate; the first seed
-    is recorded as canonical.
+    ``seeds`` is ``[seed]``, a one-item list kept for the callers written
+    for it; no seed or several raise InvalidSeedError, as does a seed that
+    is not a candidate. Expansion follows :func:`step_offsets` order and
+    ordinals are assigned in discovery order, so the seed is ordinal 0 and
+    the output is identical across runs and platforms.
 
     The adjacency of all candidates is built once, by
     :func:`_column_adjacency` over their sorted flat keys, its rows in step
@@ -675,20 +678,18 @@ def extract_surface(
     dims = candidates.grid.dims
     # the candidates' sorted keys are their own column index
     keys = candidates.keys
-    seed_list = [tuple(int(c) for c in s) for s in seeds]
-    if not seed_list:
-        raise InvalidSeedError("invalid seed: no seeds given")
-    for s in seed_list:
-        if s not in candidates:
-            raise InvalidSeedError(f"invalid seed: {s} is not a candidate voxel")
-    nb = np.array([_find(keys, dims, s) for s in seed_list], dtype=np.int64)
+    if len(seeds) != 1:
+        raise InvalidSeedError(f"invalid seed: one seed is required, got {len(seeds)}")
+    seed = tuple(int(c) for c in seeds[0])
+    at = _find(keys, dims, seed)
+    if at < 0:
+        raise InvalidSeedError(f"invalid seed: {seed} is not a candidate voxel")
 
     csr = _column_adjacency(keys, dims, candidates.params.step_voxels)
-    order = np.concatenate(_bfs(csr[0], csr[1], nb))
+    order = np.concatenate(_bfs(csr[0], csr[1], [at]))
 
     surface = Surface(
         keys=keys[order],
-        seed=seed_list[0],
         dims=dims,
         resolution=candidates.grid.resolution,
         origin=candidates.grid.origin,
@@ -773,16 +774,13 @@ def _params_doc(surface: Surface) -> dict:
 
 def _check_order(surface: Surface) -> None:
     """Prove in one pass over the adjacency that every state reaches the
-    seed: the seed is ordinal 0, and every other state has a neighbor of
-    smaller ordinal. Moves are symmetric, so by induction on the ordinal
-    each state reaches the seed. An order from a BFS of the one seed,
-    which :func:`extract_surface` gives, always passes; a reachable order
-    that is not one can fail. ValueError names the first state that fails.
-    Memory scales with the states.
+    seed, ordinal 0: every other state has a neighbor of smaller ordinal.
+    Moves are symmetric, so by induction on the ordinal each state reaches
+    the seed. An order from a BFS of the seed, which :func:`extract_surface`
+    gives, always passes; a reachable order that is not one can fail, as
+    can keys from the constructor that the seed does not reach. ValueError
+    names the first state that fails. Memory scales with the states.
     """
-    seed = tuple(surface.seed)
-    if surface.ordinal(seed) != 0:
-        raise ValueError(f"seed {seed} is not the first state in the file's order")
     indptr, targets, _ = surface._csr
     starts = indptr[:-1]
     rows = np.flatnonzero(indptr[1:] > starts)
@@ -793,18 +791,18 @@ def _check_order(surface: Surface) -> None:
     if late.size:
         raise ValueError(
             f"state {surface.states[late[0] + 1].tolist()} is not reachable from seed "
-            f"{seed} in the file's order: no neighbor comes before it"
+            f"{surface.seed} in the file's order: no neighbor comes before it"
         )
 
 
 def save_surface(surface: Surface, destination) -> None:
     """Write a surface as one line of JSON, version 2: ``keys`` holds the
     flat keys (x * ny + y) * nz + z of the states in ordinal order, and
-    the seed is an (x, y, z) triple.
+    the seed, the first key's voxel, is an (x, y, z) triple.
 
     A surface whose order :func:`load_surface` would refuse raises
     ValueError naming the first state it refuses, and nothing is written:
-    one from several seeds, say, whose states the first seed does not
+    one made with the constructor, say, whose states the seed does not
     reach or reaches only in another order.
     """
     _check_order(surface)
@@ -830,17 +828,16 @@ def load_surface(source) -> Surface:
     """Read a surface written by :func:`save_surface`, compact or indented.
 
     Only version 2 is read. Its keys go to :class:`Surface` as they are,
-    so keys that are not integers or lie outside ``dims``, a duplicate key
-    and a seed that is not a state (as in a file with no keys) raise
-    SurfaceFormatError, as do dims, voxel params or a seed that are not
-    integers, a resolution, threshold in meters or origin entry that is not
-    a finite number (a fractional, string or boolean value included), voxel
-    params that disagree with the thresholds in meters beside them, and
-    dims that hold no voxel or more than MAX_VOXELS.
+    so what the constructor refuses raises SurfaceFormatError, as do dims,
+    voxel params or a seed that are not integers, a resolution, threshold
+    in meters or origin entry that is not a finite number (a fractional,
+    string or boolean value included), one or two thresholds in meters
+    (all three, or none), and dims that hold no voxel or more than
+    MAX_VOXELS.
 
     So does a file whose order does not prove every state reachable from
-    the seed: the seed must come first, and every other state must have a
-    neighbor before it in the file (see :func:`_check_order`). The file's
+    the seed: the seed must be the first key, and every other state must
+    have a neighbor before it in the file (see :func:`_check_order`). The file's
     order is extraction's BFS discovery order, so one pass over the
     surface's adjacency checks it, with no search; the distance field and
     search graph then reuse that adjacency. The message names the first
@@ -851,38 +848,32 @@ def load_surface(source) -> Surface:
     doc = _read_json(source, "surface file", "surfnav-surface", 2, SurfaceFormatError)
     try:
         p = doc["params"]
-        resolution = _number(doc["resolution"], "resolution", SurfaceFormatError)
         params = DerivedVoxelParams(
             **{name: _integer(p[name], f"params.{name}", SurfaceFormatError)
-               for name in ("step_voxels", "clearance_voxels", "inflation_voxels")},
-            resolution=resolution,
+               for name in ("step_voxels", "clearance_voxels", "inflation_voxels")}
         )
+        names = ("step_height", "clearance_height", "inflation_radius")
         meters = {name: _number(p[name], f"params.{name}", SurfaceFormatError)
-                  for name in ("step_height", "clearance_height", "inflation_radius")
-                  if p.get(name) is not None}
-        extraction = None
-        if len(meters) == 3:
-            extraction = ExtractionParams(**meters)
-            derived = DerivedVoxelParams.from_params(extraction, resolution)
-            for name in ("step_voxels", "clearance_voxels", "inflation_voxels"):
-                if getattr(derived, name) != getattr(params, name):
-                    raise SurfaceFormatError(
-                        f"params.{name} is {getattr(params, name)}, but the "
-                        f"thresholds in meters give {getattr(derived, name)} "
-                        f"at resolution {resolution}"
-                    )
+                  for name in names if p.get(name) is not None}
+        if 0 < len(meters) < 3:
+            missing = " and ".join(f"params.{n}" for n in names if n not in meters)
+            raise SurfaceFormatError(
+                f"params gives {len(meters)} of the 3 thresholds in meters, without "
+                f"{missing}: give all three, or none"
+            )
         dims = _list(doc["dims"], "dims", SurfaceFormatError, _integer, 3)
         _check_voxel_count(dims, SurfaceFormatError, f"dims {dims}")
-        seed = _list(doc["seed"], "seed", SurfaceFormatError, _integer, 3)
+        seed = tuple(_list(doc["seed"], "seed", SurfaceFormatError, _integer, 3))
         surface = Surface(
             keys=doc["keys"],
-            seed=seed,
             dims=dims,
-            resolution=resolution,
+            resolution=_number(doc["resolution"], "resolution", SurfaceFormatError),
             origin=np.array(_list(doc["origin"], "origin", SurfaceFormatError, _number, 3)),
             params=params,
-            extraction=extraction,
+            extraction=ExtractionParams(**meters) if meters else None,
         )
+        if seed != surface.seed:
+            raise ValueError(f"seed {seed} is not the first state in the file's order")
         _check_order(surface)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SurfaceFormatError(f"bad surface file: {exc}") from exc

@@ -1,14 +1,17 @@
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from surfnav import (
     ExtractionParams,
     SearchGraph,
+    Surface,
     build_scene,
     distance_field,
     extract_pipeline,
+    extract_surface,
     preset,
 )
 
@@ -42,6 +45,15 @@ class Built:
         if self._graph is None:
             self._graph = SearchGraph.build(self.surface)
         return self._graph
+
+
+def union_surface(candidates, seed, other):
+    """A surface of two components, made with the Surface constructor: the
+    keys of ``seed``'s surface, then those of ``other``'s. Its seed is
+    ``seed``, which does not reach ``other``, so save_surface refuses it."""
+    a, b = extract_surface(candidates, [seed]), extract_surface(candidates, [other])
+    return Surface(keys=np.concatenate((a.keys, b.keys)), dims=a.dims,
+                   resolution=a.resolution, origin=a.origin, params=a.params)
 
 
 @functools.lru_cache(maxsize=None)

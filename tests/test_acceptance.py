@@ -167,14 +167,17 @@ def test_criterion_06_distance_field_exact(all_presets):
 def test_criterion_07_multi_level_columns_and_cross_floor_path(two_story):
     surface = two_story.surface
     k = surface.params.step_voxels
-    multi = {col: zs for col, zs in surface.levels.items() if len(zs) >= 2}
+    levels = {}
+    for x, y, z in surface.states.tolist():
+        levels.setdefault((x, y), []).append(z)
+    multi = {col: sorted(zs) for col, zs in levels.items() if len(zs) >= 2}
     assert len(multi) >= 1, "at least one column holds two walkable levels"
 
     # plan between the two levels of one column: same (x, y), different
     # floors, so any height-collapsing representation would alias them
     (x, y), zs = sorted(multi.items())[0]
-    low, high = (x, y, int(zs[0])), (x, y, int(zs[-1]))
-    assert int(zs[-1]) - int(zs[0]) >= surface.params.clearance_voxels
+    low, high = (x, y, zs[0]), (x, y, zs[-1])
+    assert zs[-1] - zs[0] >= surface.params.clearance_voxels
     result = plan(surface, two_story.dfield, low, high, graph=two_story.graph)
     diffs = np.diff(result.states, axis=0)
     assert np.all(np.abs(diffs[:, 0]) + np.abs(diffs[:, 1]) == 1)

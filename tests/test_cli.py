@@ -579,7 +579,8 @@ class TestPlan:
          ("float_key", "keys"), ("step_voxels", "step_voxels"),
          ("fractional_dims", "dims"), ("fractional_step", "step_voxels"),
          ("string_resolution", "resolution"), ("string_step_height", "step_height"),
-         ("string_origin", "origin"), ("bool_origin", "origin")],
+         ("string_origin", "origin"), ("bool_origin", "origin"),
+         ("null_clearance_height", "all three, or none")],
     )
     def test_tampered_fields_are_input_errors(self, room, tmp_path, capsys, tamper, field):
         doc = json.loads(open(room["surface"]).read())
@@ -601,6 +602,8 @@ class TestPlan:
             doc["origin"][0] = "0.0"
         elif tamper == "bool_origin":
             doc["origin"][1] = True
+        elif tamper == "null_clearance_height":
+            doc["params"]["clearance_height"] = None
         else:
             doc["params"]["step_voxels"] = 0
         bad = tmp_path / "bad.json"

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import built
+from conftest import built, union_surface
 from surfnav import (
     CandidateSet,
     DerivedVoxelParams,
@@ -39,10 +39,8 @@ from surfnav.extract import _bfs, _column_adjacency
 from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
 
 
-def dv(k=1, kc=3, rad=0, res=0.2):
-    return DerivedVoxelParams(
-        step_voxels=k, clearance_voxels=kc, inflation_voxels=rad, resolution=res
-    )
+def dv(k=1, kc=3, rad=0):
+    return DerivedVoxelParams(step_voxels=k, clearance_voxels=kc, inflation_voxels=rad)
 
 
 def grid_from(occ, res=0.2):
@@ -103,7 +101,6 @@ def assert_adjacency_prebuilt(surface):
     made with the constructor builds from its own keys."""
     assert_same_csr(surface, Surface(
         keys=surface.keys,
-        seed=surface.seed,
         dims=surface.dims,
         resolution=surface.resolution,
         origin=surface.origin,
@@ -525,7 +522,7 @@ class TestColumnAdjacency:
         # a surface made with the constructor builds its CSR on first use,
         # as a loaded one does: over its sorted keys, then cut
         s = built(name, resolution=0.1).surface
-        fresh = Surface(keys=s.keys, seed=s.seed, dims=s.dims, resolution=s.resolution,
+        fresh = Surface(keys=s.keys, dims=s.dims, resolution=s.resolution,
                         origin=s.origin, params=s.params)
         tracemalloc.start()
         try:
@@ -645,12 +642,13 @@ class TestExtractSurface:
         cands = candidate_set(table_grid(), dv())
         with pytest.raises(InvalidSeedError):
             extract_surface(cands, [(4, 4, 1)])  # under the slab
-        with pytest.raises(InvalidSeedError):
-            extract_surface(cands, [])
+        # one seed, never none or several, even in one component
+        for seeds in ([], [(0, 0, 1), (5, 5, 5)], [(0, 0, 1), (11, 11, 1)]):
+            with pytest.raises(InvalidSeedError, match="one seed is required"):
+                extract_surface(cands, seeds)
 
-    def test_multiple_seeds_union_components(self, tmp_path):
-        cands = candidate_set(table_grid(), dv())
-        surface = extract_surface(cands, [(0, 0, 1), (5, 5, 5)])
+    def test_save_refuses_a_second_component(self, tmp_path):
+        surface = union_surface(candidate_set(table_grid(), dv()), (0, 0, 1), (5, 5, 5))
         assert surface.size == 144
         assert surface.seed == (0, 0, 1)
         # the file names one seed, which does not reach the tabletop
@@ -659,13 +657,15 @@ class TestExtractSurface:
             save_surface(surface, p)
         assert not p.exists()
 
-    def test_duplicate_component_seeds_dedupe(self, tmp_path):
-        cands = candidate_set(table_grid(), dv())
-        a = extract_surface(cands, [(0, 0, 1)])
-        b = extract_surface(cands, [(0, 0, 1), (11, 11, 1)])
-        assert a.size == b.size
-        # the second seed is reachable, but the order is not one from the
-        # first seed alone: a file of it could not prove its reachability
+    def test_save_refuses_an_order_no_bfs_gives(self, tmp_path):
+        a = extract_surface(candidate_set(table_grid(), dv()), [(0, 0, 1)])
+        # the far corner moved to ordinal 1: every state is reachable, but
+        # a file of this order could not prove it
+        far = a.ordinal((11, 11, 1))
+        order = [0, far] + [i for i in range(1, a.size) if i != far]
+        b = Surface(keys=a.keys[order], dims=a.dims, resolution=a.resolution,
+                    origin=a.origin, params=a.params)
+        assert b.seed == a.seed and b.size == a.size
         p = tmp_path / "s.json"
         with pytest.raises(ValueError, match=r"state \[11, 11, 1\] is not reachable from "
                                              r"seed \(0, 0, 1\) in the file's order"):
@@ -703,6 +703,7 @@ class TestExtractSurface:
         grid = grid_from(np.zeros((7, 7, 5)))
         cands = from_mask(mask, grid, dv(k=k, kc=k + 1))
         surface = extract_surface(cands, [seed])
+        assert surface.seed == seed == tuple(surface.states[0])
         assert [tuple(s) for s in surface.states.tolist()] == bfs_fifo(mask, seed, k)
         assert_adjacency_prebuilt(surface)
         # random masks put several heights of a neighbor column inside the
@@ -749,13 +750,7 @@ class TestSurfaceAccessors:
         occ[:, :, 0] = True
         occ[2:5, 2:5, 5] = True  # slab with walkable top and free underside
         cands = candidate_set(grid_from(occ), dv())
-        return extract_surface(cands, [(0, 0, 1), (3, 3, 6)])
-
-    def test_levels(self):
-        levels = self.two_level().levels
-        assert levels[(3, 3)].tolist() == [1, 6]
-        assert levels[(0, 0)].tolist() == [1]
-        assert (7, 9) not in levels
+        return union_surface(cands, (0, 0, 1), (3, 3, 6))
 
     def test_z_span(self):
         assert self.two_level().z_span() == 5
@@ -775,6 +770,51 @@ class TestSurfaceAccessors:
         assert stats.total_voxels == 768
         assert stats.surface_size == surface.size
         assert stats.reduction == pytest.approx(1.0 - surface.size / 768)
+
+
+class TestSurfaceConstructor:
+    def meters(self, **changes):
+        """Thresholds in meters that give dv() at 0.2 m, or not, changed."""
+        return ExtractionParams(**{"step_height": 0.3, "clearance_height": 0.5,
+                                   "inflation_radius": 0.0, **changes})
+
+    def args(self, **changes):
+        s = extract_surface(candidate_set(table_grid(), dv()), [(0, 0, 1)])
+        args = dict(keys=s.keys, dims=s.dims, resolution=s.resolution, origin=s.origin,
+                    params=s.params, extraction=self.meters())
+        return {**args, **changes}
+
+    def test_seed_is_the_first_state(self):
+        keys = self.args()["keys"]
+        surface = Surface(**self.args(keys=keys[::-1]))
+        assert surface.seed == tuple(np.unravel_index(keys[-1], surface.dims))
+        assert surface.ordinal(surface.seed) == 0
+
+    @pytest.mark.parametrize("res", [float("nan"), float("inf"), 0.0, -0.2])
+    def test_resolution_must_be_finite_and_positive(self, res):
+        with pytest.raises(ValueError, match="resolution must be finite and > 0"):
+            Surface(**self.args(resolution=res, extraction=None))
+
+    def test_empty_keys_are_refused(self):
+        with pytest.raises(ValueError, match="seed"):
+            Surface(**self.args(keys=np.empty(0, dtype=np.int64)))
+
+    def test_thresholds_must_give_the_voxel_params(self):
+        Surface(**self.args())
+        with pytest.raises(ValueError, match=r"params\.step_voxels is 1, but the thresholds "
+                                             r"in meters give 2 at resolution 0\.2"):
+            Surface(**self.args(extraction=self.meters(step_height=0.5)))
+        with pytest.raises(ValueError, match=r"params\.inflation_voxels is 0, but the "
+                                             r"thresholds in meters give 2"):
+            Surface(**self.args(extraction=self.meters(inflation_radius=0.3)))
+
+    def test_extraction_refuses_thresholds_its_candidates_do_not_use(self, table1):
+        # the surface would save, but its file would never load
+        cands = collision_filter(candidate_set(table1.grid, table1.surface.params))
+        with pytest.raises(ValueError, match=r"params\.step_voxels is 1, but the thresholds "
+                                             r"in meters give 2"):
+            extract_surface(cands, [table1.surface.seed],
+                            extraction=ExtractionParams(step_height=0.5))
 
 
 class TestPipeline:
@@ -897,6 +937,13 @@ class TestSurfaceFile:
             # a threshold is checked even where another is absent
             (lambda doc: doc["params"].update(clearance_height=None, step_height="0.3"),
              "step_height"),
+            # the thresholds in meters are all three, or none
+            (lambda doc: doc["params"].update(clearance_height=None),
+             r"without params\.clearance_height: give all three, or none"),
+            (lambda doc: doc["params"].update(step_height=None, inflation_radius=None),
+             r"without params\.step_height and params\.inflation_radius"),
+            (lambda doc: doc.__setitem__("resolution", 0), "resolution must be finite and > 0"),
+            (lambda doc: doc.__setitem__("resolution", -0.2), "resolution must be finite and > 0"),
             (lambda doc: doc["origin"].__setitem__(1, "0.0"), "origin"),
             (lambda doc: doc["origin"].__setitem__(2, False), "origin"),
             (lambda doc: doc.__setitem__("origin", True), "origin"),
@@ -905,6 +952,8 @@ class TestSurfaceFile:
         ids=["nan_origin", "short_origin", "float_key", "step_voxels", "float_seed",
              "fractional_dims", "bool_inflation", "string_resolution", "bool_resolution",
              "string_step_height", "bool_inflation_radius", "lone_string_step_height",
+             "one_threshold_null", "two_thresholds_null", "zero_resolution",
+             "negative_resolution",
              "string_origin", "bool_origin",
              "bool_origin_list", "bool_seed"],
     )

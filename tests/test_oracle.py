@@ -20,11 +20,11 @@ from surfnav.oracle import (
     recheck_surface_states,
 )
 
+from conftest import union_surface
+
 
 def dv(k=1, kc=3, rad=0):
-    return DerivedVoxelParams(
-        step_voxels=k, clearance_voxels=kc, inflation_voxels=rad, resolution=0.2
-    )
+    return DerivedVoxelParams(step_voxels=k, clearance_voxels=kc, inflation_voxels=rad)
 
 
 def floor_setup(n=6):
@@ -142,7 +142,7 @@ class TestDijkstraReference:
         occ[4:8, 4:8, 4] = True
         grid = OccupancyGrid(0.2, np.zeros(3), occ)
         cands = candidate_set(grid, dv())
-        surface = extract_surface(cands, [(0, 0, 1), (5, 5, 5)])
+        surface = union_surface(cands, (0, 0, 1), (5, 5, 5))
         dfield = distance_field(surface)
         dist = dijkstra_reference(surface, dfield, (0, 0, 1), PlanParams())
         assert np.isinf(dist[surface.ordinal((5, 5, 5))])

@@ -17,7 +17,6 @@ from surfnav import (
     distance_field,
     edge_cost,
     extract_pipeline,
-    extract_surface,
     candidate_set,
     DerivedVoxelParams,
     heuristic,
@@ -29,7 +28,7 @@ from surfnav.extract import Surface
 from surfnav.plan import (
     _ENGINE, _astar, _chain, _cost_table, _heuristic, _interpreted, _search, _walk,
 )
-from conftest import built
+from conftest import built, union_surface
 
 needs_numba = pytest.mark.skipif(_ENGINE != "numba", reason="numba is not importable")
 
@@ -56,13 +55,10 @@ def strip(base, order):
     keys = np.ravel_multi_index((xs.ravel(), ys.ravel(), np.ones(30, np.int64)), dims)[order]
     surface = Surface(
         keys=keys,
-        seed=tuple(int(c) for c in np.unravel_index(keys[0], dims)),
         dims=dims,
         resolution=0.2,
         origin=np.zeros(3),
-        params=DerivedVoxelParams(
-            step_voxels=1, clearance_voxels=2, inflation_voxels=0, resolution=0.2
-        ),
+        params=DerivedVoxelParams(step_voxels=1, clearance_voxels=2, inflation_voxels=0),
     )
     return surface, distance_field(surface)
 
@@ -118,12 +114,9 @@ class TestSuccessors:
         occ[2:5, 2:5, 5] = True
         grid = OccupancyGrid(0.2, np.zeros(3), occ)
         cands = candidate_set(
-            grid,
-            DerivedVoxelParams(
-                step_voxels=1, clearance_voxels=3, inflation_voxels=0, resolution=0.2
-            ),
+            grid, DerivedVoxelParams(step_voxels=1, clearance_voxels=3, inflation_voxels=0)
         )
-        return extract_surface(cands, [(0, 0, 1), (3, 3, 6)])
+        return union_surface(cands, (0, 0, 1), (3, 3, 6))
 
     def test_direction_major_order(self):
         surface, _ = flat(5)
@@ -163,7 +156,6 @@ class TestSuccessors:
         order = np.random.default_rng(rng_seed).permutation(base.size)
         surface = Surface(
             keys=base.keys[order],
-            seed=base.seed,
             dims=base.dims,
             resolution=base.resolution,
             origin=base.origin,
@@ -290,12 +282,9 @@ class TestPlan:
         occ[4:8, 4:8, 4] = True  # detached tabletop
         grid = OccupancyGrid(0.2, np.zeros(3), occ)
         cands = candidate_set(
-            grid,
-            DerivedVoxelParams(
-                step_voxels=1, clearance_voxels=3, inflation_voxels=0, resolution=0.2
-            ),
+            grid, DerivedVoxelParams(step_voxels=1, clearance_voxels=3, inflation_voxels=0)
         )
-        surface = extract_surface(cands, [(0, 0, 1), (5, 5, 5)])
+        surface = union_surface(cands, (0, 0, 1), (5, 5, 5))
         dfield = distance_field(surface)
         with pytest.raises(NoPathError):
             plan(surface, dfield, (0, 0, 1), (5, 5, 5))
@@ -589,7 +578,6 @@ class TestArrayLayout:
     def rebuilt(self, surface, dfield, dtype):
         again = Surface(
             keys=surface.keys.astype(dtype),
-            seed=surface.seed,
             dims=surface.dims,
             resolution=surface.resolution,
             origin=surface.origin,
@@ -631,7 +619,6 @@ class TestArrayLayout:
         with pytest.raises(ValueError, match="keys must be integers"):
             Surface(
                 keys=surface.keys.astype(np.float64),
-                seed=surface.seed,
                 dims=surface.dims,
                 resolution=surface.resolution,
                 origin=surface.origin,
