@@ -111,7 +111,8 @@ def _emit(doc: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-_SEARCH_FIELDS = ("cost", "L", "L_xy", "N_s", "pushes", "stale_pops", "heap_peak", "h_ratio")
+_SEARCH_FIELDS = ("cost", "L", "L_xy", "N_s", "landmarks", "pushes", "stale_pops", "heap_peak",
+                  "h_ratio")
 
 
 def _search_fields(result) -> dict:
@@ -121,7 +122,7 @@ def _search_fields(result) -> dict:
         return dict.fromkeys(_SEARCH_FIELDS)
     return dict(zip(_SEARCH_FIELDS, (
         result.cost, result.metric_length, result.metric_length_xy, result.expanded,
-        result.pushes, result.stale_pops, result.heap_peak, result.h_ratio,
+        result.landmarks, result.pushes, result.stale_pops, result.heap_peak, result.h_ratio,
     )))
 
 

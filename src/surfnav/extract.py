@@ -546,11 +546,18 @@ def _cut(csr, order: np.ndarray):
     indptr, targets, boundary = csr
     ordinal = np.empty(indptr.size - 1, dtype=np.int64)
     ordinal[order] = np.arange(order.size)
-    return (
-        np.concatenate(([0], np.cumsum(np.diff(indptr)[order]))),
-        ordinal[targets[_runs(indptr[order], indptr[order + 1])]],
-        boundary[order],
-    )
+    lo = indptr[order]
+    counts = indptr[order + 1] - lo
+    cut = np.empty(order.size + 1, dtype=np.int64)
+    cut[0] = 0
+    np.cumsum(counts, out=cut[1:])
+    # :func:`_runs` over (lo, lo + counts), with the run starts already in
+    # ``cut`` and the arange added in place; each gather then replaces the
+    # array it reads, so no more than two target-sized arrays are held
+    at = np.repeat(lo - cut[:-1], counts)
+    at += np.arange(at.size)
+    at = targets[at]
+    return cut, ordinal[at], boundary[order]
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,36 @@ records, so paths stay those of the Euclidean search while the Manhattan
 bound expands fewer states. With w_obstacle = 0, ties are not strict and
 an equally cheap path may be returned; its cost is g[goal] either way.
 
+A search graph that has served many queries adds landmark (ALT) bounds
+(Goldberg and Harrelson, "Computing the shortest path: A* search meets
+graph theory", SODA 2005). With the potential
+phi(v) = res * (w_up - w_down) * z(v) / 2 + bias(v) / 2, every edge cost
+splits as c(u -> v) = s(u, v) + phi(v) - phi(u), where
+s(u, v) = (c(u -> v) + c(v -> u)) / 2 is symmetric. The tables hold
+D[v, a], the distance under s from state v to each landmark a, so the
+triangle inequality bounds the cost to the goal t by
+|D[v, a] - D[t, a]| + phi(t) - phi(v), and that bound is consistent.
+Times 1 - 1e-9 it is strictly consistent, with room to spare for the
+tables' rounding, and so is its maximum with the Manhattan bound: the
+path rule above holds, and paths and costs are those of the Manhattan
+search. A query reads the ACTIVE_LANDMARKS landmarks with the largest
+|D[s, a] - D[t, a]| among those that reach both ends; with none, the
+search is the Manhattan one, counters included.
+
+The tables belong to the :class:`SearchGraph`, for the last distance
+field and weights it served: an (n, LANDMARKS) float64 array, 64 * n
+bytes, plus 8 * n for phi. :func:`plan` builds them on a caller's graph
+once its exact searches (epsilon = 1 and w_obstacle > 0, where the bound
+cannot change the path; no others read or pay for tables) have expanded
+LANDMARKS * n states since the last build, about what the build costs:
+one numpy label-correcting sweep per landmark, and one from ordinal 0
+that picks the first, farthest-first. So a graph that serves a few
+queries never pays for tables, a long stream of queries pays once, and a
+call without a graph never builds them. A graph whose edges are not
+symmetric, or whose dz is not its states' height change, gets none. The
+search counters, ``h_ratio`` and ``landmarks`` thus depend on how many
+queries a graph has served; paths, costs and lengths do not.
+
 The search and the path walk are each written once, as plain Python over
 indexable arrays (the search over a heapq of tuples: min f, then max g,
 then lexicographic coordinates, as the flat keys (x * ny + y) * nz + z
@@ -45,13 +75,13 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dfield import DistanceField
 from .errors import NoPathError, OffSurfaceError
-from .extract import Surface, _int64
+from .extract import Surface, _int64, _runs
 
 __all__ = [
     "PathResult",
@@ -62,6 +92,13 @@ __all__ = [
     "plan",
     "successors",
 ]
+
+LANDMARKS = 8  # landmarks in a search graph's tables
+ACTIVE_LANDMARKS = 4  # of those, the ones one query reads
+# scales the landmark bound, so that rounding in the tables never lifts
+# it above a true cost, and every edge pays more than the bound drops
+_SLACK = 1.0 - 1e-9
+
 
 @dataclass(frozen=True)
 class PlanParams:
@@ -133,6 +170,20 @@ def _heuristic(dx, dy, dz, res, w_down):
     return res * math.sqrt(h * h + dz * dz) + res * abs(dz) * w_down
 
 
+def _landmark_bound(table, width, active, table_goal, v, phi_gap):
+    """The landmark bound at ordinal ``v`` before its slack: the largest
+    |D[v, a] - D[goal, a]| over the ``active`` columns a of the flat
+    ``width``-wide table, ``table_goal`` holding D[goal, a], plus
+    ``phi_gap`` = phi(goal) - phi(v). :func:`_astar` calls it."""
+    row = v * width
+    m = 0.0
+    for j in range(len(active)):
+        d = abs(table[row + active[j]] - table_goal[j])
+        if d > m:
+            m = d
+    return m + phi_gap
+
+
 def _euclid(dx, dy, dz, res, w_down):
     """The Euclidean bound, straight-line length plus res * |dz| * w_down:
     no search uses it; :func:`_chain` orders tied predecessors by it."""
@@ -149,16 +200,58 @@ def heuristic(state, goal, params: PlanParams, resolution: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class _Tables:
+    """Landmark tables for one distance field and one set of weights."""
+
+    dfield: DistanceField
+    weights: tuple  # (w_up, w_down, w_obstacle)
+    ordinals: np.ndarray  # (L,): the landmarks
+    table: np.ndarray  # (n, L): D[v, a], distances under the symmetric cost
+    phi: np.ndarray  # (n,): the potential that splits the cost
+
+    def query(self, s: int, t: int) -> tuple:
+        """The landmark arguments of :func:`_astar` from ordinal ``s`` to
+        ``t``: the ACTIVE_LANDMARKS landmarks with the largest
+        |D[s, a] - D[t, a]|, among those that reach both ends."""
+        with np.errstate(invalid="ignore"):  # inf - inf: reaches neither
+            gap = np.abs(self.table[s] - self.table[t])
+        reach = np.flatnonzero(np.isfinite(gap))
+        active = reach[np.argsort(-gap[reach], kind="stable")[:ACTIVE_LANDMARKS]]
+        return (self.table.reshape(-1), self.table.shape[1], active,
+                self.table[t, active], self.phi)
+
+
+@dataclass(eq=False)
+class _Landmarks:
+    """What a search graph keeps for its landmark bound: the tables, which
+    are replaced whole, never edited, and the search work that pays for
+    the next build."""
+
+    expanded: int = 0  # by searches that could read tables, since the last build
+    usable: bool | None = None  # :func:`_tables_hold`, once it has run
+    tables: _Tables | None = None
+
+
+# the landmark arguments of a search that reads no tables
+_NO_LANDMARKS = (np.empty(0), 0, np.empty(0, np.int64), np.empty(0), np.empty(0))
+
+
+@dataclass(frozen=True, eq=False)
 class SearchGraph:
     """CSR adjacency of a surface: edges sorted by (source ordinal,
     direction, height). Independent of planning weights, so one graph
     serves any number of queries. The arrays are held as native,
-    C-contiguous int64, the layout the search reads compiled or not."""
+    C-contiguous int64, the layout the search reads compiled or not.
+
+    The graph also keeps the landmark tables of the last distance field
+    and weights it served, which :func:`plan` builds on it once its
+    searches have paid for them (see the module docstring)."""
 
     indptr: np.ndarray
     targets: np.ndarray
     dz: np.ndarray
     surface: Surface
+    _landmarks: _Landmarks = field(default_factory=_Landmarks, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("indptr", "targets", "dz"):
@@ -175,15 +268,117 @@ class SearchGraph:
         dz = zs[targets] - np.repeat(zs, np.diff(indptr))
         return cls(indptr=indptr, targets=targets, dz=dz, surface=surface)
 
+    def _tables(self, dfield: DistanceField, params: PlanParams, cost_by_dz: np.ndarray,
+                bias: np.ndarray) -> _Tables | None:
+        """The landmark tables for ``dfield`` and ``params``' weights: the
+        ones the graph holds, or new ones, built here once its searches
+        have expanded LANDMARKS states per state since the last build;
+        else None. A graph that the cost split does not hold for never
+        gets any."""
+        lm = self._landmarks
+        weights = (params.w_up, params.w_down, params.w_obstacle)
+        held = lm.tables
+        if held is not None and held.dfield is dfield and held.weights == weights:
+            return held
+        if lm.expanded < LANDMARKS * self.surface.size:
+            return None
+        if lm.usable is None:
+            lm.usable = _tables_hold(self)
+        if not lm.usable:
+            return None
+        zs = self.surface.states[:, 2]
+        res = self.surface.resolution
+        phi = (res * (params.w_up - params.w_down) / 2) * zs + bias / 2
+        ordinals, table = _landmark_tables(self, cost_by_dz + cost_by_dz[::-1], bias)
+        lm.tables = _Tables(dfield, weights, ordinals, table, phi)
+        lm.expanded = 0
+        return lm.tables
+
+
+def _tables_hold(graph: SearchGraph) -> bool:
+    """Whether every edge u -> v of ``graph`` has its reverse v -> u and
+    ``dz`` is each edge's height change, as the cost split of the tables
+    needs: a caller can build a graph for which neither holds."""
+    n = graph.surface.size
+    sources = np.repeat(np.arange(n), np.diff(graph.indptr))
+    zs = graph.surface.states[:, 2]
+    if not np.array_equal(graph.dz, zs[graph.targets] - zs[sources]):
+        return False
+    forward = sources * n + graph.targets
+    forward.sort()
+    backward = graph.targets * n + sources
+    backward.sort()
+    return bool(np.array_equal(forward, backward))
+
+
+def _sweep(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray, source: int) -> np.ndarray:
+    """Distances from ordinal ``source`` under the symmetric cost
+    s(u, v) = (c(u -> v) + c(v -> u)) / 2 = (pair_cost[dz + k] + bias[u]
+    + bias[v]) / 2, summed alike both ways, so s(u, v) == s(v, u) bit for
+    bit; inf where ``source`` does not reach.
+
+    A frontier label-correcting search: each round relaxes the edges of
+    the states whose distance fell in the round before, with the weights
+    gathered for that frontier only, until no distance falls. A state
+    that several edges lowered to the same value enters the next frontier
+    once: each writes its position to ``slot``, and whichever write lands
+    keeps that one.
+    """
+    k = (pair_cost.size - 1) // 2
+    n = graph.surface.size
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    slot = np.empty(n, dtype=np.int64)
+    frontier = np.array([source], dtype=np.int64)
+    while frontier.size:
+        lo = graph.indptr[frontier]
+        hi = graph.indptr[frontier + 1]
+        edges = _runs(lo, hi)
+        u = np.repeat(frontier, hi - lo)
+        v = graph.targets[edges]
+        d = dist[u] + (pair_cost[graph.dz[edges] + k] + (bias[u] + bias[v])) * 0.5
+        fell = d < dist[v]
+        v, d = v[fell], d[fell]
+        np.minimum.at(dist, v, d)
+        v = v[dist[v] == d]
+        at = np.arange(v.size)
+        slot[v] = at
+        frontier = v[slot[v] == at]
+    return dist
+
+
+def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray,
+                     bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Up to LANDMARKS landmarks, farthest-first from ordinal 0 among the
+    states it reaches, and their (n, L) state-major distance table under
+    the symmetric cost of :func:`_sweep`."""
+    # distance to the nearest landmark chosen so far, or to ordinal 0;
+    # -1 where ordinal 0 does not reach, so no landmark is picked there
+    nearest = _sweep(graph, pair_cost, bias, 0)
+    reached = np.isfinite(nearest)
+    nearest[~reached] = -1.0
+    # ordinal 0 stays at 0 and is never picked: every pick is a new state
+    count = min(LANDMARKS, int(np.count_nonzero(reached)) - 1)
+    ordinals = np.empty(count, dtype=np.int64)
+    table = np.empty((graph.surface.size, count))
+    for j in range(count):
+        ordinals[j] = np.argmax(nearest)
+        table[:, j] = _sweep(graph, pair_cost, bias, ordinals[j])
+        np.minimum(nearest, table[:, j], out=nearest)
+    return ordinals, table
+
 
 @dataclass(frozen=True)
 class PathResult:
     """A* output: states in path order (start first), accumulated cost,
     metric lengths in meters, and search effort: states expanded, heap
     pushes (the start's included), stale pops (entries of closed states or
-    superseded g), the largest heap size, and ``h_ratio``, the bound at
-    the start over the cost (1.0 when start equals goal): the nearer to 1,
-    the fewer states the bound lets the search expand."""
+    superseded g), the largest heap size, ``h_ratio``, the bound the search
+    used at the start over the cost (1.0 when start equals goal): the
+    nearer to 1, the fewer states the bound lets the search expand, and
+    ``landmarks``, the number of landmarks that bound read (0: the
+    Manhattan bound alone). ``search_seconds`` times the search alone,
+    without a landmark build the call paid for."""
 
     states: np.ndarray
     cost: float
@@ -194,22 +389,28 @@ class PathResult:
     stale_pops: int
     heap_peak: int
     h_ratio: float
+    landmarks: int
     search_seconds: float
     engine: str
 
 
 def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, goal,
-           epsilon, res, w_down, k, closed):
+           epsilon, res, w_down, k, closed, table, width, active, table_goal, phi):
     """A* over the CSR graph from ordinal ``start`` to ``goal``.
 
     ``g`` (all inf) and ``closed`` (all False) are the caller's per-state
     search state, written in place. Heap entries are (f, -g, flat key,
     ordinal): min f, then max g, then lexicographic coordinates. Pushes of
     one state carry strictly decreasing g, so that order is total over
-    live entries and no insertion counter is needed. Returns (expanded,
-    pushes, stale_pops, heap_peak, found).
+    live entries and no insertion counter is needed. The bound is the
+    Manhattan one, raised to the landmark bound times its slack where that
+    is larger; with no ``active`` landmark (``table``, ``table_goal`` and
+    ``phi`` may then be empty) it is the Manhattan bound alone. Returns
+    (expanded, pushes, stale_pops, heap_peak, found).
     """
     gx, gy, gz = xs[goal], ys[goal], zs[goal]
+    landmarks = len(active) > 0
+    phi_goal = phi[goal] if landmarks else 0.0
     g[start] = 0.0
     # alone in the heap and popped first, the start needs no f or key
     heap = [(0.0, -0.0, 0, start)]
@@ -237,6 +438,11 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, g
             if ng < g[v]:
                 g[v] = ng
                 h = _heuristic(xs[v] - gx, ys[v] - gy, zs[v] - gz, res, w_down)
+                if landmarks:
+                    a = _SLACK * _landmark_bound(table, width, active, table_goal, v,
+                                                 phi_goal - phi[v])
+                    if a > h:
+                        h = a
                 heapq.heappush(heap, (ng + epsilon * h, -ng, keys[v], v))
                 pushes += 1
         # pops happen only at the loop head, so this sees every peak
@@ -314,6 +520,7 @@ except ImportError:
 else:
     # lets the compiled _astar and _chain call them
     register_jitable(_heuristic)
+    register_jitable(_landmark_bound)
     register_jitable(_euclid)
     _search, _walk, _ENGINE = njit(cache=True)(_astar), njit(cache=True)(_chain), "numba"
 
@@ -373,17 +580,25 @@ def plan(
             stale_pops=0,
             heap_peak=0,
             h_ratio=1.0,
+            landmarks=0,
             search_seconds=0.0,
             engine=_ENGINE,
         )
 
+    # tables only where the bound cannot change the path: an exact search
+    # with strict ties. A graph built here serves one search, which expands
+    # at most n states, so it never pays for tables.
+    exact = params.epsilon == 1.0 and params.w_obstacle > 0.0
     if graph is None:
         graph = SearchGraph.build(surface)
     k = surface.params.step_voxels
     res = surface.resolution
     cost_by_dz = _cost_table(params, res, k)
+    bias = dfield._bias(params.w_obstacle)
     s = surface.ordinal(start)
     t = surface.ordinal(goal)
+    tables = graph._tables(dfield, params, cost_by_dz, bias) if exact else None
+    landmarks = _NO_LANDMARKS if tables is None else tables.query(s, t)
 
     states = surface.states
     n = surface.size
@@ -393,7 +608,7 @@ def plan(
         graph.targets,
         graph.dz,
         cost_by_dz,
-        dfield._bias(params.w_obstacle),
+        bias,
         states[:, 0],
         states[:, 1],
         states[:, 2],
@@ -408,8 +623,10 @@ def plan(
     )
     closed = np.zeros(n, np.bool_)
     t0 = time.perf_counter()
-    expanded, pushes, stale_pops, heap_peak, found = _search(*args, closed)
+    expanded, pushes, stale_pops, heap_peak, found = _search(*args, closed, *landmarks)
     elapsed = time.perf_counter() - t0
+    if exact:
+        graph._landmarks.expanded += int(expanded)
 
     # unreachable on a seed-connected surface, but the graph is caller
     # input and the contract needs a typed failure
@@ -422,6 +639,12 @@ def plan(
     path_states = states[np.array(chain, dtype=np.int64)]
     full, xy = _metric_lengths(path_states, res)
     cost = float(g[t])
+    bound = heuristic(start, goal, params, res)
+    active = landmarks[2]
+    if active.size:
+        table, width, _, table_goal, phi = landmarks
+        bound = max(bound, _SLACK * float(
+            _landmark_bound(table, width, active, table_goal, s, phi[t] - phi[s])))
     return PathResult(
         states=path_states,
         cost=cost,
@@ -431,7 +654,8 @@ def plan(
         pushes=int(pushes),
         stale_pops=int(stale_pops),
         heap_peak=int(heap_peak),
-        h_ratio=heuristic(start, goal, params, res) / cost,
+        h_ratio=bound / cost,
+        landmarks=int(active.size),
         search_seconds=elapsed,
         engine=_ENGINE,
     )

@@ -1,8 +1,11 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from surfnav import (
     ExtractionParams,
@@ -19,6 +22,11 @@ settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+# grid dims up to 8 voxels a side, with any set of their voxels
+voxel_sets = st.tuples(*[st.integers(1, 8)] * 3).flatmap(
+    lambda dims: st.tuples(st.just(dims), arrays(bool, math.prod(dims)))
+)
 
 
 class Built:

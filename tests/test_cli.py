@@ -18,8 +18,11 @@ from surfnav import (
     save_scene_spec,
 )
 from surfnav.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, TIMING_KEYS, main
+from surfnav.plan import ACTIVE_LANDMARKS
 
-COUNTERS = ("pushes", "stale_pops", "heap_peak")
+from conftest import built
+
+COUNTERS = ("landmarks", "pushes", "stale_pops", "heap_peak")
 
 
 def run(argv, capsys):
@@ -462,6 +465,7 @@ class TestPlan:
         result = plan(surface, distance_field(surface), a, b, PlanParams())
         assert doc["N_s"] == result.expanded
         assert {k: doc[k] for k in COUNTERS} == {k: getattr(result, k) for k in COUNTERS}
+        assert doc["landmarks"] == 0  # one query does not pay for tables
         assert doc["pushes"] >= doc["N_s"] + doc["stale_pops"] + 1
         assert doc["h_ratio"] == result.h_ratio
 
@@ -642,6 +646,18 @@ class TestBench:
             assert rec["T_s"] >= 0
             assert all(isinstance(rec[k], int) for k in COUNTERS)
             assert 1 <= rec["heap_peak"] <= rec["pushes"]
+
+    def test_long_batch_turns_landmarks_on(self, capsys):
+        # the batch shares one graph: once its searches have expanded
+        # LANDMARKS states per state, the next query builds the tables and
+        # the rest read them; costs do not change
+        doc = report(["bench", "--preset", "table1_fixture", "--queries", "100"], capsys)
+        used = [rec["landmarks"] for rec in doc["per_query"]]
+        assert used[0] == 0 and set(used) == {0, ACTIVE_LANDMARKS}
+        b = built("table1_fixture")
+        assert doc["S_size"] == b.surface.size
+        for rec in doc["per_query"]:
+            assert rec["cost"] == plan(b.surface, b.dfield, rec["start"], rec["goal"]).cost
 
     def test_auto_mode_goes_mixed_with_two_floors(self, capsys):
         doc = report(

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import built, union_surface
+from conftest import built, union_surface, voxel_sets
 from surfnav import (
     CandidateSet,
     DerivedVoxelParams,
@@ -496,11 +496,6 @@ def adjacency_reference(keys, dims, k):
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
     return indptr, np.array([t for r in rows for t in r], dtype=np.int64), np.array(boundary, dtype=bool)
-
-
-voxel_sets = st.tuples(*[st.integers(1, 8)] * 3).flatmap(
-    lambda dims: st.tuples(st.just(dims), arrays(bool, math.prod(dims)))
-)
 
 
 class TestColumnAdjacency:

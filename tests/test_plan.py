@@ -1,9 +1,12 @@
 import heapq
+import importlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from surfnav import (
     DistanceField,
@@ -23,13 +26,17 @@ from surfnav import (
     plan,
     successors,
 )
-from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
+from surfnav.oracle import (
+    _adjacent, _column_map, boundary_distance_reference, dijkstra_reference,
+)
 from surfnav.extract import Surface
 from surfnav.plan import (
-    _ENGINE, _astar, _chain, _cost_table, _heuristic, _interpreted, _search, _walk,
+    ACTIVE_LANDMARKS, LANDMARKS, _ENGINE, _NO_LANDMARKS, _SLACK, _astar, _chain, _cost_table,
+    _heuristic, _interpreted, _landmark_bound, _search, _walk,
 )
-from conftest import built, union_surface
+from conftest import built, union_surface, voxel_sets
 
+plan_module = importlib.import_module("surfnav.plan")
 needs_numba = pytest.mark.skipif(_ENGINE != "numba", reason="numba is not importable")
 
 
@@ -183,6 +190,23 @@ class TestSuccessors:
                 assert graph.dz[e] == surface.states[j, 2] - surface.states[i, 2]
 
 
+def paid_graph(surface):
+    """A new graph of ``surface`` whose searches have paid for landmark
+    tables: the next exact query on it builds them."""
+    graph = SearchGraph.build(surface)
+    graph._landmarks.expanded = LANDMARKS * surface.size
+    return graph
+
+
+def tables_for(surface, dfield, params, graph=None):
+    """The landmark tables ``graph`` (by default a new paid graph of
+    ``surface``) holds or builds for ``dfield`` and ``params``; None if it
+    has none and its searches have not paid for them."""
+    graph = paid_graph(surface) if graph is None else graph
+    cost_by_dz = _cost_table(params, surface.resolution, surface.params.step_voxels)
+    return graph._tables(dfield, params, cost_by_dz, dfield._bias(params.w_obstacle))
+
+
 def search_args(fixture, a, b, params):
     """The arguments :func:`_astar` and :func:`_chain` share, from ordinal
     ``a`` to ``b``, with a fresh ``g``."""
@@ -197,12 +221,13 @@ def search_args(fixture, a, b, params):
     )
 
 
-def run_search(search, walk, fixture, a, b, params=PlanParams()):
+def run_search(search, walk, fixture, a, b, params=PlanParams(), landmarks=_NO_LANDMARKS):
     """Call ``search`` (an :func:`_astar` variant) directly from ordinal
-    ``a`` to ``b``, then ``walk`` (the matching :func:`_chain`); return the
-    search's counters, ``g`` as bytes and the walked chain."""
+    ``a`` to ``b``, reading ``landmarks`` (none by default), then ``walk``
+    (the matching :func:`_chain`); return the search's counters, ``g`` as
+    bytes and the walked chain."""
     args = search_args(fixture, a, b, params)
-    out = search(*args, np.zeros(fixture.surface.size, np.bool_))
+    out = search(*args, np.zeros(fixture.surface.size, np.bool_), *landmarks)
     chain = [int(c) for c in walk(*args)]
     return tuple(int(c) for c in out), args[9].tobytes(), chain
 
@@ -325,10 +350,12 @@ class TestPlan:
     def test_engines_bit_identical(self, table1):
         rng = np.random.default_rng(5)
         interpreted = _interpreted(_astar), _interpreted(_chain)
+        tables = tables_for(table1.surface, table1.dfield, PlanParams())
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            # counters, then g bit for bit, then the path
-            assert (run_search(_search, _walk, table1, a, b)
-                    == run_search(*interpreted, table1, a, b))
+            for landmarks in (_NO_LANDMARKS, tables.query(a, b)):
+                # counters, then g bit for bit, then the path
+                assert (run_search(_search, _walk, table1, a, b, PlanParams(), landmarks)
+                        == run_search(*interpreted, table1, a, b, PlanParams(), landmarks))
 
     @pytest.mark.parametrize("w_obstacle", [0.5, 0.0])
     def test_arrays_and_memoryviews_search_alike(self, table1, w_obstacle):
@@ -339,19 +366,24 @@ class TestPlan:
         params = PlanParams(w_obstacle=w_obstacle)
         rng = np.random.default_rng(5)  # the pairs of test_engines_bit_identical
         engines = [(_astar, _chain), (_interpreted(_astar), _interpreted(_chain))]
+        tables = tables_for(table1.surface, table1.dfield, params)
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            runs = [run_search(*engine, table1, a, b, params) for engine in engines]
-            assert runs[0] == runs[1]  # counters, then g bit for bit, then the path
-            expanded, pushes, stale_pops, heap_peak, found = runs[0][0]
-            assert found
-            # every pop is an expansion, a stale entry or the goal
-            assert pushes >= expanded + stale_pops + (a != b)
-            assert 1 <= heap_peak <= pushes
+            for landmarks in (_NO_LANDMARKS, tables.query(a, b)):
+                runs = [run_search(*engine, table1, a, b, params, landmarks)
+                        for engine in engines]
+                assert runs[0] == runs[1]  # counters, then g bit for bit, then the path
+                expanded, pushes, stale_pops, heap_peak, found = runs[0][0]
+                assert found
+                # every pop is an expansion, a stale entry or the goal
+                assert pushes >= expanded + stale_pops + (a != b)
+                assert 1 <= heap_peak <= pushes
 
     def test_interleaved_queries_match_fresh_ones(self, table1):
         # one graph and distance field serve alternating queries; no search
-        # state may leak from one call into the next
-        surface, dfield, graph = table1.surface, table1.dfield, table1.graph
+        # state may leak from one call into the next. The graph is new, so
+        # its searches stay below the landmark trigger (see TestLandmarks).
+        surface, dfield = table1.surface, table1.dfield
+        graph = SearchGraph.build(surface)
         states = [tuple(s) for s in surface.states[[0, -1, 7, surface.size // 2]].tolist()]
         queries = [(states[0], states[1], PlanParams()),
                    (states[2], states[3], PlanParams(w_obstacle=0.0)),
@@ -471,17 +503,36 @@ class TestPathsFromFinalG:
     w_obstacle > 0 the bound is strictly consistent, and the path must be
     the one a parent-pointer search under the Euclidean bound returns."""
 
+    @staticmethod
+    def assert_paths_match(b, params, graph):
+        """Plan 100 queries on ``graph``; return the landmarks each one
+        with a goal apart from its start read."""
+        surface = b.surface
+        landmarks = []
+        for a, z in query_pairs(b):
+            cost, path = reference_plan(b, a, z, params)
+            result = plan(surface, b.dfield, tuple(surface.states[a]),
+                          tuple(surface.states[z]), params, graph=graph)
+            assert result.cost == cost
+            assert result.states.tobytes() == surface.states[path].tobytes()
+            if a != z:
+                landmarks.append(result.landmarks)
+        return landmarks
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_paths_and_costs_match_parent_pointer_search(self, name):
         b = built(name)
-        surface = b.surface
         for params in WEIGHTS:
-            for a, z in query_pairs(b):
-                cost, path = reference_plan(b, a, z, params)
-                result = plan(surface, b.dfield, tuple(surface.states[a]),
-                              tuple(surface.states[z]), params, graph=b.graph)
-                assert result.cost == cost
-                assert result.states.tobytes() == surface.states[path].tobytes()
+            self.assert_paths_match(b, params, b.graph)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_paths_and_costs_match_with_landmarks(self, name):
+        # every preset is one component, so every query that moves reads
+        # ACTIVE_LANDMARKS landmarks
+        b = built(name)
+        for params in WEIGHTS:
+            landmarks = self.assert_paths_match(b, params, paid_graph(b.surface))
+            assert set(landmarks) == {ACTIVE_LANDMARKS}
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_bound_strictly_consistent(self, name):
@@ -556,10 +607,13 @@ class TestPathsFromFinalG:
             plan(surface, dfield, start, goal, graph=graph)
 
     def test_h_ratio(self, table1):
-        surface, dfield, graph = table1.surface, table1.dfield, table1.graph
+        # a new graph reads no landmarks: the bound is the Manhattan one
+        surface, dfield = table1.surface, table1.dfield
+        graph = SearchGraph.build(surface)
         for a, z in query_pairs(table1, 10):
             start, goal = tuple(surface.states[a]), tuple(surface.states[z])
             result = plan(surface, dfield, start, goal, graph=graph)
+            assert result.landmarks == 0
             if start == goal:
                 assert result.h_ratio == 1.0
             else:
@@ -568,6 +622,215 @@ class TestPathsFromFinalG:
                 assert 0.0 < result.h_ratio <= 1.0
         state = tuple(surface.states[0])
         assert plan(surface, dfield, state, state).h_ratio == 1.0
+
+
+def result_key(r):
+    return (r.cost, r.states.tobytes(), r.metric_length, r.expanded, r.pushes, r.stale_pops,
+            r.heap_peak, r.h_ratio, r.landmarks)
+
+
+class TestLandmarks:
+    """ALT bounds: the tables a search graph builds once its searches have
+    expanded LANDMARKS states per state, the bound they give, and when a
+    graph builds and keeps them."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_bound_strictly_consistent(self, name):
+        # h(u) < c(u -> v) + h(v) on every edge, h the bound the search
+        # reads: Manhattan, raised to the slackened landmark bound
+        b = built(name)
+        surface, graph = b.surface, b.graph
+        res, k = surface.resolution, surface.params.step_voxels
+        sources = np.repeat(np.arange(surface.size), np.diff(graph.indptr))
+        xs, ys, zs = surface.states.T.tolist()
+        for params in WEIGHTS:
+            tables = tables_for(surface, b.dfield, params)
+            cost = (_cost_table(params, res, k)[graph.dz + k]
+                    + b.dfield._bias(params.w_obstacle)[graph.targets])
+            for a, t in query_pairs(b, 6):
+                table, width, active, table_goal, phi = tables.query(a, t)
+                # the landmarks with the largest |D[a, l] - D[t, l]| are active
+                gap = np.abs(tables.table[a] - tables.table[t])
+                assert sorted(gap[active]) == sorted(gap)[-ACTIVE_LANDMARKS:]
+                h = np.array([
+                    max(_heuristic(xs[v] - xs[t], ys[v] - ys[t], zs[v] - zs[t], res,
+                                   params.w_down),
+                        _SLACK * _landmark_bound(table, width, active, table_goal, v,
+                                                 phi[t] - phi[v]))
+                    for v in range(surface.size)])
+                assert np.all(h[sources] < cost + h[graph.targets])
+                assert h[t] == 0.0
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_tables_are_true_costs(self, name):
+        # D[v, a] + phi(v) - phi(a) is the cost of the cheapest path from
+        # landmark a to v
+        b = built(name)
+        surface = b.surface
+        for params in WEIGHTS[:2]:
+            tables = tables_for(surface, b.dfield, params)
+            assert tables.table.shape == (surface.size, LANDMARKS)
+            assert len(set(tables.ordinals.tolist()) | {0}) == LANDMARKS + 1
+            for j, a in enumerate(tables.ordinals.tolist()):
+                want = dijkstra_reference(surface, b.dfield, tuple(surface.states[a]), params)
+                got = tables.table[:, j] + tables.phi - tables.phi[a]
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_counters_match_a_fresh_graph_until_the_trigger(self, table1):
+        surface, dfield = table1.surface, table1.dfield
+        graph = SearchGraph.build(surface)
+        served = 0
+        built_at = None
+        for q, (a, z) in enumerate(query_pairs(table1, 60)):
+            start, goal = tuple(surface.states[a]), tuple(surface.states[z])
+            got = plan(surface, dfield, start, goal, graph=graph)
+            fresh = plan(surface, dfield, start, goal, graph=SearchGraph.build(surface))
+            if served < LANDMARKS * surface.size:
+                assert result_key(got) == result_key(fresh)
+            else:
+                built_at = q if built_at is None else built_at
+                assert (got.cost, got.states.tobytes(), got.metric_length) == (
+                    fresh.cost, fresh.states.tobytes(), fresh.metric_length)
+                assert got.landmarks == (0 if a == z else ACTIVE_LANDMARKS)
+                assert fresh.h_ratio <= got.h_ratio <= 1.0
+            served += got.expanded
+        # the trigger fell within the batch, and the tables were kept
+        assert built_at is not None and graph._landmarks.tables.dfield is dfield
+
+    def test_tables_are_kept_per_field_and_weights(self, table1):
+        surface, dfield = table1.surface, table1.dfield
+        params = PlanParams()
+        graph = paid_graph(surface)
+        table = tables_for(surface, dfield, params, graph).table
+        # held: the same field and weights read the same tables
+        assert tables_for(surface, dfield, params, graph).table is table
+        # new weights: none until the searches pay again, then new tables
+        other = PlanParams(w_obstacle=1.3)
+        assert tables_for(surface, dfield, other, graph) is None
+        graph._landmarks.expanded = LANDMARKS * surface.size
+        assert tables_for(surface, dfield, other, graph).weights == (2.0, 1.0, 1.3)
+        assert not np.array_equal(graph._landmarks.tables.table, table)
+        # a new distance field, equal to the old one, gets new tables too
+        again = distance_field(surface)
+        graph._landmarks.expanded = LANDMARKS * surface.size
+        assert tables_for(surface, again, params, graph).dfield is again
+        assert graph._landmarks.tables.table.tobytes() == table.tobytes()
+
+    def test_exact_strict_searches_alone_pay_and_read(self, table1):
+        # epsilon > 1 or w_obstacle = 0: the bound could change the path,
+        # so those searches neither read tables nor count toward them
+        surface, dfield = table1.surface, table1.dfield
+        graph = paid_graph(surface)
+        a, z = tuple(surface.states[0]), tuple(surface.states[-1])
+        for params in (PlanParams(epsilon=1.5), PlanParams(w_obstacle=0.0)):
+            assert plan(surface, dfield, a, z, params, graph=graph).landmarks == 0
+        assert graph._landmarks.tables is None
+        assert graph._landmarks.expanded == LANDMARKS * surface.size
+        assert plan(surface, dfield, a, z, graph=graph).landmarks == ACTIVE_LANDMARKS
+
+    def test_no_graph_never_builds(self, table1, monkeypatch):
+        # a graph plan() builds for itself serves one query: no tables,
+        # however many such queries run
+        def refuse(*args):
+            raise AssertionError("tables built for a graph=None call")
+
+        monkeypatch.setattr(plan_module, "_landmark_tables", refuse)
+        surface, dfield = table1.surface, table1.dfield
+        expanded = 0
+        for a, z in query_pairs(table1, 60):
+            r = plan(surface, dfield, tuple(surface.states[a]), tuple(surface.states[z]))
+            assert r.landmarks == 0
+            expanded += r.expanded
+        assert expanded >= LANDMARKS * surface.size
+
+    def test_two_components_raise_no_path_without_nan(self, monkeypatch):
+        # landmarks reach the floor only: a query that leaves it reads none,
+        # and no heap entry holds a NaN bound
+        occ = np.zeros((12, 12, 10), dtype=bool)
+        occ[:, :, 0] = True
+        occ[4:8, 4:8, 4] = True  # detached tabletop
+        grid = OccupancyGrid(0.2, np.zeros(3), occ)
+        cands = candidate_set(
+            grid, DerivedVoxelParams(step_voxels=1, clearance_voxels=3, inflation_voxels=0)
+        )
+        surface = union_surface(cands, (0, 0, 1), (5, 5, 5))
+        dfield = distance_field(surface)
+        graph = paid_graph(surface)
+        pushed = []
+
+        class Heap:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heappush(heap, entry):
+                pushed.append(entry[0])
+                heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(plan_module, "heapq", Heap)
+        monkeypatch.setattr(plan_module, "_search", _interpreted(_astar))
+        floor, far, top = (0, 0, 1), (11, 11, 1), (5, 5, 5)
+        assert plan(surface, dfield, floor, far, graph=graph).landmarks == ACTIVE_LANDMARKS
+        assert np.all(np.isfinite(graph._landmarks.tables.table[:128]))
+        assert np.all(np.isinf(graph._landmarks.tables.table[128:]))
+        for start, goal in [(floor, top), (top, floor), (top, (6, 6, 5))]:
+            if start[2] == goal[2]:
+                assert plan(surface, dfield, start, goal, graph=graph).landmarks == 0
+            else:
+                with pytest.raises(NoPathError):
+                    plan(surface, dfield, start, goal, graph=graph)
+        assert pushed and not np.any(np.isnan(pushed))
+
+    def test_graphs_the_cost_split_fails_get_no_tables(self):
+        surface, dfield = flat(5)
+        full = SearchGraph.build(surface)
+        sources = np.repeat(np.arange(surface.size), np.diff(full.indptr))
+        keep = full.targets > sources  # forward edges only
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(sources[keep],
+                                                            minlength=surface.size))])
+        one_way = SearchGraph(indptr, full.targets[keep], full.dz[keep], surface)
+        steep = SearchGraph(full.indptr, full.targets, full.dz + 1, surface)
+        start, goal = tuple(surface.states[0]), tuple(surface.states[-1])
+        for graph in (one_way, steep):
+            graph._landmarks.expanded = LANDMARKS * surface.size
+            try:
+                plan(surface, dfield, start, goal, graph=graph)
+            except NoPathError:
+                pass
+            assert graph._landmarks.usable is False and graph._landmarks.tables is None
+
+    @settings(max_examples=40)
+    @given(voxel_sets, st.integers(0, 3), st.data())
+    def test_paid_tables_keep_costs_and_paths(self, voxel_set, k, data):
+        # a random voxel set, of any number of components: queries run until
+        # they have paid for tables, then each cost is Dijkstra's and each
+        # path a new graph's
+        dims, bits = voxel_set
+        assume(bits.sum() >= 2)
+        surface = Surface(keys=np.flatnonzero(bits), dims=dims, resolution=0.2,
+                          origin=np.zeros(3),
+                          params=DerivedVoxelParams(step_voxels=k, clearance_voxels=k + 1,
+                                                    inflation_voxels=0))
+        dfield = distance_field(surface)
+        graph = SearchGraph.build(surface)
+        states = [tuple(s) for s in surface.states.tolist()]
+        pairs = itertools.cycle(itertools.permutations(range(surface.size), 2))
+        while graph._landmarks.tables is None:
+            a, z = next(pairs)
+            try:
+                plan(surface, dfield, states[a], states[z], graph=graph)
+            except NoPathError:
+                pass
+        end = st.integers(0, surface.size - 1)
+        for a, z in data.draw(st.lists(st.tuples(end, end), min_size=1, max_size=12)):
+            want = dijkstra_reference(surface, dfield, states[a], PlanParams())[z]
+            try:
+                got = plan(surface, dfield, states[a], states[z], graph=graph)
+            except NoPathError:
+                assert want == np.inf
+                continue
+            assert math.isclose(got.cost, want, rel_tol=1e-9, abs_tol=1e-12)
+            fresh = plan(surface, dfield, states[a], states[z])
+            assert (got.cost, got.states.tobytes()) == (fresh.cost, fresh.states.tobytes())
 
 
 class TestArrayLayout:
