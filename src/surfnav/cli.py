@@ -250,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--repeat", type=int, default=1, metavar="R",
-                   help="timing repetitions; with R > 1 the first pass is warmup")
+                   help="passes over the queries; the report is the last one's, "
+                   "the passes before it warm up")
     p.add_argument("--seed-pos", metavar="X,Y,Z",
                    help="world seed pose (default: the preset's hint)")
     _add_extract_flags(p)
@@ -435,18 +436,16 @@ def _cmd_bench(args) -> int:
     mode = _resolve_mode(surface, args.mode)
     pairs = sample_queries(surface, args.queries, mode=mode, rng_seed=args.rng_seed)
 
-    records = []
-    times = np.zeros(len(pairs), dtype=np.float64)
-    timed_reps = 0
-    for rep in range(args.repeat):
-        warmup = args.repeat > 1 and rep == 0
-        rep_records = []
+    # the passes before the last warm up: a graph's landmark tables, once
+    # its searches have paid for them, change the counters of later passes
+    for _ in range(args.repeat):
+        records = []
         for start, goal in pairs:
             try:
                 r = plan(surface, dfield, start, goal, params=plan_params, graph=graph)
             except NoPathError:
                 r = None
-            rep_records.append(
+            records.append(
                 {
                     "start": list(start),
                     "goal": list(goal),
@@ -455,16 +454,7 @@ def _cmd_bench(args) -> int:
                     "T_s": None if r is None else r.search_seconds,
                 }
             )
-        if rep == 0:
-            records = rep_records
-        if not warmup:
-            for i, rec in enumerate(rep_records):
-                times[i] += rec["T_s"] or 0.0
-            timed_reps += 1
-    times /= max(timed_reps, 1)
-    for rec, t in zip(records, times.tolist()):
-        if rec["success"]:
-            rec["T_s"] = t
+    times = np.array([rec["T_s"] or 0.0 for rec in records])
 
     successes = sum(1 for rec in records if rec["success"])
     ok = [rec for rec in records if rec["success"]]

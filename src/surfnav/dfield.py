@@ -18,28 +18,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extract import Surface, _bfs, _int64
+from .extract import Surface, _bfs
 
 __all__ = ["DistanceField", "boundary_states", "distance_field"]
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceField:
-    """Per-state boundary distances, indexed by surface ordinal."""
+    """Per-state boundary distances of ``surface``, indexed by ordinal:
+    the rounds of a BFS from every boundary state."""
 
-    distances: np.ndarray
     surface: Surface
+    distances: np.ndarray = field(init=False)
     # (w_obstacle, bias) of the last planning weight asked for
     _bias_cache: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d = _int64(self.distances, "distances")
-        if d.shape != (self.surface.size,):
-            raise ValueError(
-                f"distances shape {d.shape} does not match surface size {self.surface.size}"
-            )
-        d.setflags(write=False)
-        object.__setattr__(self, "distances", d)
+        indptr, targets, _ = self.surface._csr
+        dist = np.full(self.surface.size, -1, dtype=np.int64)
+        for hops, frontier in enumerate(_bfs(indptr, targets, boundary_states(self.surface))):
+            dist[frontier] = hops
+        # a connected surface with any state has a boundary, so all reachable
+        # states get a distance; isolated anomalies would surface here
+        if np.any(dist < 0):
+            raise AssertionError("distance field left states unreached")
+        dist.setflags(write=False)
+        object.__setattr__(self, "distances", dist)
 
     def at(self, state) -> int:
         return int(self.distances[self.surface.ordinal(state)])
@@ -66,12 +70,4 @@ def boundary_states(surface: Surface) -> np.ndarray:
 
 def distance_field(surface: Surface) -> DistanceField:
     """Multi-source BFS from the boundary over surface connectivity."""
-    indptr, targets, _ = surface._csr
-    dist = np.full(surface.size, -1, dtype=np.int64)
-    for hops, frontier in enumerate(_bfs(indptr, targets, boundary_states(surface))):
-        dist[frontier] = hops
-    # a connected surface with any state has a boundary, so all reachable
-    # states get a distance; isolated anomalies would surface here
-    if np.any(dist < 0):
-        raise AssertionError("distance field left states unreached")
-    return DistanceField(dist, surface)
+    return DistanceField(surface)

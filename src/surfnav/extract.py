@@ -421,20 +421,14 @@ def _bfs(indptr: np.ndarray, targets: np.ndarray, sources) -> list[np.ndarray]:
     return rounds
 
 
-def _int64(a, name: str) -> np.ndarray:
-    """``a`` as a native, C-contiguous int64 array, copied only if it is not
-    one already; ValueError if it holds anything but integers."""
-    a = np.asarray(a)
-    if a.size and a.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
-    return np.ascontiguousarray(a, dtype=np.int64)
-
-
 def _voxel_keys(keys, dims) -> np.ndarray:
-    """A read-only int64 copy of ``keys``, flat keys (x * ny + y) * nz + z
-    of voxels in a grid of ``dims``; ValueError if they are not integers,
-    not 1-D or outside [0, nx * ny * nz)."""
-    keys = np.array(_int64(keys, "keys"))
+    """A read-only native int64 copy of ``keys``, flat keys
+    (x * ny + y) * nz + z of voxels in a grid of ``dims``; ValueError if
+    they are not integers, not 1-D or outside [0, nx * ny * nz)."""
+    keys = np.asarray(keys)
+    if keys.size and keys.dtype.kind not in "iu":
+        raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
+    keys = np.array(keys, dtype=np.int64)
     if keys.ndim != 1:
         raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
     if keys.size and (keys.min() < 0 or keys.max() >= math.prod(dims)):

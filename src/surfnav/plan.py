@@ -52,11 +52,16 @@ cannot change the path; no others read or pay for tables) have expanded
 LANDMARKS * n states since the last build, about what the build costs:
 one numpy label-correcting sweep per landmark, and one from ordinal 0
 that picks the first, farthest-first. So a graph that serves a few
-queries never pays for tables, a long stream of queries pays once, and a
-call without a graph never builds them. A graph whose edges are not
-symmetric, or whose dz is not its states' height change, gets none. The
-search counters, ``h_ratio`` and ``landmarks`` thus depend on how many
-queries a graph has served; paths, costs and lengths do not.
+queries never pays for tables, a long stream of queries pays once, inside
+the one query that crosses the trigger, and a call without a graph never
+builds them. The search counters, ``h_ratio`` and ``landmarks`` thus
+depend on how many queries a graph has served; paths, costs and lengths
+do not.
+
+The path rule needs each edge to raise g: a walk back from the goal then
+ends at the start. :func:`plan` refuses weights under which a path's g
+could reach 2^52 times the cheapest edge, where adding an edge may not
+change it.
 
 The search and the path walk are each written once, as plain Python over
 indexable arrays (the search over a heapq of tuples: min f, then max g,
@@ -81,7 +86,7 @@ import numpy as np
 
 from .dfield import DistanceField
 from .errors import NoPathError, OffSurfaceError
-from .extract import Surface, _int64, _runs
+from .extract import Surface, _runs
 
 __all__ = [
     "PathResult",
@@ -228,7 +233,6 @@ class _Landmarks:
     the next build."""
 
     expanded: int = 0  # by searches that could read tables, since the last build
-    usable: bool | None = None  # :func:`_tables_hold`, once it has run
     tables: _Tables | None = None
 
 
@@ -239,23 +243,27 @@ _NO_LANDMARKS = (np.empty(0), 0, np.empty(0, np.int64), np.empty(0), np.empty(0)
 @dataclass(frozen=True, eq=False)
 class SearchGraph:
     """CSR adjacency of a surface: edges sorted by (source ordinal,
-    direction, height). Independent of planning weights, so one graph
-    serves any number of queries. The arrays are held as native,
-    C-contiguous int64, the layout the search reads compiled or not.
+    direction, height), with each edge's height change ``dz``. ``indptr``
+    and ``targets`` are the surface's own adjacency arrays, native int64.
+    Independent of planning weights, so one graph serves any number of
+    queries; every edge has its reverse, with -dz.
 
     The graph also keeps the landmark tables of the last distance field
     and weights it served, which :func:`plan` builds on it once its
     searches have paid for them (see the module docstring)."""
 
-    indptr: np.ndarray
-    targets: np.ndarray
-    dz: np.ndarray
     surface: Surface
+    indptr: np.ndarray = field(init=False)
+    targets: np.ndarray = field(init=False)
+    dz: np.ndarray = field(init=False)
     _landmarks: _Landmarks = field(default_factory=_Landmarks, init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("indptr", "targets", "dz"):
-            object.__setattr__(self, name, _int64(getattr(self, name), name))
+        indptr, targets, _ = self.surface._csr
+        zs = self.surface.states[:, 2]
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "dz", zs[targets] - np.repeat(zs, np.diff(indptr)))
 
     @property
     def edge_count(self) -> int:
@@ -263,28 +271,20 @@ class SearchGraph:
 
     @classmethod
     def build(cls, surface: Surface) -> "SearchGraph":
-        indptr, targets, _ = surface._csr
-        zs = surface.states[:, 2]
-        dz = zs[targets] - np.repeat(zs, np.diff(indptr))
-        return cls(indptr=indptr, targets=targets, dz=dz, surface=surface)
+        return cls(surface)
 
     def _tables(self, dfield: DistanceField, params: PlanParams, cost_by_dz: np.ndarray,
                 bias: np.ndarray) -> _Tables | None:
         """The landmark tables for ``dfield`` and ``params``' weights: the
         ones the graph holds, or new ones, built here once its searches
         have expanded LANDMARKS states per state since the last build;
-        else None. A graph that the cost split does not hold for never
-        gets any."""
+        else None."""
         lm = self._landmarks
         weights = (params.w_up, params.w_down, params.w_obstacle)
         held = lm.tables
         if held is not None and held.dfield is dfield and held.weights == weights:
             return held
         if lm.expanded < LANDMARKS * self.surface.size:
-            return None
-        if lm.usable is None:
-            lm.usable = _tables_hold(self)
-        if not lm.usable:
             return None
         zs = self.surface.states[:, 2]
         res = self.surface.resolution
@@ -293,22 +293,6 @@ class SearchGraph:
         lm.tables = _Tables(dfield, weights, ordinals, table, phi)
         lm.expanded = 0
         return lm.tables
-
-
-def _tables_hold(graph: SearchGraph) -> bool:
-    """Whether every edge u -> v of ``graph`` has its reverse v -> u and
-    ``dz`` is each edge's height change, as the cost split of the tables
-    needs: a caller can build a graph for which neither holds."""
-    n = graph.surface.size
-    sources = np.repeat(np.arange(n), np.diff(graph.indptr))
-    zs = graph.surface.states[:, 2]
-    if not np.array_equal(graph.dz, zs[graph.targets] - zs[sources]):
-        return False
-    forward = sources * n + graph.targets
-    forward.sort()
-    backward = graph.targets * n + sources
-    backward.sort()
-    return bool(np.array_equal(forward, backward))
 
 
 def _sweep(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray, source: int) -> np.ndarray:
@@ -458,10 +442,10 @@ def _chain(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, g
 
     A predecessor u of v is a neighbour with g[u] + cost(u -> v) == g[v],
     summed as the search sums it; the start wins if it is one, else the
-    smallest (g[u] + epsilon * euclid(u -> goal), -g[u], flat key). On a
-    graph whose edges are not symmetric a state can lack a predecessor, or
-    the walk can loop; it then stops, short of ``start``, at no more
-    states than the graph holds.
+    smallest (g[u] + epsilon * euclid(u -> goal), -g[u], flat key). Every
+    edge raises g, as :func:`plan` ensures, so each step lowers it and the
+    walk ends at ``start``; it stops all the same after as many states as
+    the graph holds, a guard for the compiled walk.
     """
     gx, gy, gz = xs[goal], ys[goal], zs[goal]
     n = len(g)
@@ -554,7 +538,8 @@ def plan(
 
     ``start`` and ``goal`` are voxel triples that must lie on the surface.
     Pass a prebuilt ``graph`` to amortize adjacency construction across
-    queries. The result's ``engine`` names the search that ran.
+    queries. The result's ``engine`` names the search that ran. Weights
+    under which a path's cost could absorb a step raise ValueError.
     """
     if params is None:
         params = PlanParams()
@@ -589,11 +574,17 @@ def plan(
     # with strict ties. A graph built here serves one search, which expands
     # at most n states, so it never pays for tables.
     exact = params.epsilon == 1.0 and params.w_obstacle > 0.0
-    if graph is None:
-        graph = SearchGraph.build(surface)
     k = surface.params.step_voxels
     res = surface.resolution
+    n = surface.size
     cost_by_dz = _cost_table(params, res, k)
+    # a path's g is at most n - 1 edges of the largest cost; below 2^52
+    # times the smallest, res, each edge's cost exceeds g's rounding step
+    if (n - 1) * (float(cost_by_dz.max()) + params.w_obstacle * res) >= 2.0**52 * res:
+        raise ValueError(f"weights {params} give edge costs too far apart for {n} states: "
+                         "a path's cost would not grow with each step")
+    if graph is None:
+        graph = SearchGraph.build(surface)
     bias = dfield._bias(params.w_obstacle)
     s = surface.ordinal(start)
     t = surface.ordinal(goal)
@@ -601,7 +592,6 @@ def plan(
     landmarks = _NO_LANDMARKS if tables is None else tables.query(s, t)
 
     states = surface.states
-    n = surface.size
     g = np.full(n, np.inf)
     args = (
         graph.indptr,
@@ -628,13 +618,14 @@ def plan(
     if exact:
         graph._landmarks.expanded += int(expanded)
 
-    # unreachable on a seed-connected surface, but the graph is caller
-    # input and the contract needs a typed failure
+    # unreachable on a seed-connected surface, but a surface made from
+    # keys may hold several components
     if not found:
         raise NoPathError(f"no path from {start} to {goal}")
     chain = _walk(*args)
     if chain[-1] != s:
-        raise NoPathError(f"no path from {start} to {goal}: the graph's edges are not symmetric")
+        raise NoPathError(f"no path from {start} to {goal} recovered: the walk back "
+                          "from the goal did not reach the start")
     chain.reverse()
     path_states = states[np.array(chain, dtype=np.int64)]
     full, xy = _metric_lengths(path_states, res)

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from surfnav import (
-    DistanceField,
     ExtractionParams,
     boundary_states,
     distance_field,
@@ -69,8 +67,3 @@ class TestDistanceField:
         dfield = distance_field(surface)
         expected = boundary_distance_reference(surface)
         assert np.array_equal(dfield.distances, expected)
-
-    def test_shape_validation(self):
-        surface = flat_surface(3)
-        with pytest.raises(ValueError):
-            DistanceField(np.zeros(surface.size + 1, dtype=np.int64), surface)

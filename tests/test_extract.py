@@ -210,6 +210,7 @@ class TestCandidateSet:
             (np.zeros(4, dtype=bool), "must be integers"),
             (np.array([0.0, 1.0]), "must be integers"),
             (np.array([[0, 1], [2, 3]]), "must be 1-D"),
+            (np.array(5), "must be 1-D"),
             (np.array([0, 2, 2]), "strictly increasing"),
             (np.array([3, 1]), "strictly increasing"),
             (np.array([-1, 0]), "in the grid"),

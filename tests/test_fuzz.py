@@ -8,7 +8,9 @@ bad tokens. All run through ``cli.main`` in-process: ``extract`` reads
 the grid, ``plan`` reads the surface, ``scenegen`` reads the spec and
 ``voxelize`` reads the cloud. Every run must exit 0, 1 or 2 without a
 traceback, and exit 0 only with a surface or grid file that
-``load_surface`` or ``load_grid`` accepts.
+``load_surface`` or ``load_grid`` accepts. ``plan``'s weight flags take
+huge, tiny, negative and non-finite floats on a connected pair, where
+the run must plan or refuse the weights (exit 0 or 2), never fail.
 """
 
 import contextlib
@@ -367,4 +369,25 @@ def test_point_cloud_lines(files, lines, resolution):
     if code == EXIT_OK:
         load_grid(grid)
     else:
+        assert err.startswith("error:"), err
+
+
+# huge weights whose edge costs a path's cost could round away, tiny,
+# negative and non-finite ones, and ordinary ones
+weights = (
+    st.floats(min_value=1e12) | st.floats(0.0, 1e-12) | st.floats(max_value=0.0)
+    | st.floats(0.0, 10.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+@settings(max_examples=FIELD_EXAMPLES)
+@given(values=st.tuples(weights, weights, weights, weights))
+def test_weight_flags(files, values):
+    d = files["dir"]
+    flags = [f"--{name}={v!r}" for name, v in zip(("epsilon", "w-up", "w-down", "w-obs"), values)]
+    code, err = run_cli(["plan", str(d / "room.json"), str(d / "path.xyz"), "--start", SEED_POS,
+                         "--goal", GOAL_POS, *flags])
+    assert "Traceback" not in err, err
+    assert code in (EXIT_OK, EXIT_INPUT), err
+    if code == EXIT_INPUT:
         assert err.startswith("error:"), err

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surfnav import (
-    DistanceField,
     ExtractionParams,
     NoPathError,
     OccupancyGrid,
@@ -24,6 +23,7 @@ from surfnav import (
     DerivedVoxelParams,
     heuristic,
     plan,
+    sample_queries,
     successors,
 )
 from surfnav.oracle import (
@@ -590,21 +590,34 @@ class TestPathsFromFinalG:
                      0, 3, 1.0, 1.0, 0.0, 1)
         assert [int(c) for c in chain] == ([3, 0] if start_linked else [3, 1, 0])
 
-    def test_asymmetric_graph_raises_no_path(self):
-        # a caller-built graph with forward edges only (target ordinal above
-        # the source's): the search reaches the goal, but no edge leads back
-        # to the start from it, so the walk finds no predecessor chain
-        surface, dfield = flat(5)
-        full = SearchGraph.build(surface)
-        sources = np.repeat(np.arange(surface.size), np.diff(full.indptr))
-        keep = full.targets > sources
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(sources[keep],
-                                                            minlength=surface.size))])
-        graph = SearchGraph(indptr, full.targets[keep], full.dz[keep], surface)
-        start, goal = tuple(surface.states[0]), tuple(surface.states[-1])
-        assert plan(surface, dfield, start, goal).states.shape[0] > 1
-        with pytest.raises(NoPathError, match="not symmetric"):
-            plan(surface, dfield, start, goal, graph=graph)
+    @pytest.mark.parametrize("name, weights", [
+        ("spiral_ramp", {"w_up": 1e15}),
+        ("two_story_house", {"w_up": 1e16}),
+        ("two_story_house", {"w_up": 1e16, "w_down": 1e16}),
+    ])
+    def test_weights_that_round_a_step_away_are_refused(self, name, weights):
+        # a climb costs so much more than a flat step that a path's g could
+        # absorb a step: the walk back would stall, so plan() refuses
+        b = built(name)
+        for start, goal in sample_queries(b.surface, 20, "mixed", rng_seed=1):
+            if start != goal:
+                with pytest.raises(ValueError, match="too far apart"):
+                    plan(b.surface, b.dfield, start, goal, PlanParams(**weights),
+                         graph=b.graph)
+
+    @pytest.mark.parametrize("paid", [False, True], ids=["manhattan", "landmarks"])
+    def test_large_weights_below_the_bound_stay_exact(self, paid):
+        b = built("spiral_ramp")
+        params = PlanParams(w_up=1e12)
+        graph = SearchGraph.build(b.surface)
+        if paid:
+            graph._landmarks.expanded = LANDMARKS * b.surface.size
+        for start, goal in sample_queries(b.surface, 20, "mixed", rng_seed=1):
+            got = plan(b.surface, b.dfield, start, goal, params, graph=graph)
+            want = dijkstra_reference(b.surface, b.dfield, start, params)
+            assert math.isclose(got.cost, want[b.surface.ordinal(goal)], rel_tol=1e-12)
+            assert tuple(got.states[0]) == start and tuple(got.states[-1]) == goal
+            assert got.landmarks == (ACTIVE_LANDMARKS if paid and start != goal else 0)
 
     def test_h_ratio(self, table1):
         # a new graph reads no landmarks: the bound is the Manhattan one
@@ -780,24 +793,6 @@ class TestLandmarks:
                     plan(surface, dfield, start, goal, graph=graph)
         assert pushed and not np.any(np.isnan(pushed))
 
-    def test_graphs_the_cost_split_fails_get_no_tables(self):
-        surface, dfield = flat(5)
-        full = SearchGraph.build(surface)
-        sources = np.repeat(np.arange(surface.size), np.diff(full.indptr))
-        keep = full.targets > sources  # forward edges only
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(sources[keep],
-                                                            minlength=surface.size))])
-        one_way = SearchGraph(indptr, full.targets[keep], full.dz[keep], surface)
-        steep = SearchGraph(full.indptr, full.targets, full.dz + 1, surface)
-        start, goal = tuple(surface.states[0]), tuple(surface.states[-1])
-        for graph in (one_way, steep):
-            graph._landmarks.expanded = LANDMARKS * surface.size
-            try:
-                plan(surface, dfield, start, goal, graph=graph)
-            except NoPathError:
-                pass
-            assert graph._landmarks.usable is False and graph._landmarks.tables is None
-
     @settings(max_examples=40)
     @given(voxel_sets, st.integers(0, 3), st.data())
     def test_paid_tables_keep_costs_and_paths(self, voxel_set, k, data):
@@ -834,11 +829,11 @@ class TestLandmarks:
 
 
 class TestArrayLayout:
-    """Surfaces and graphs hold native int64 whatever they are built from,
-    so the compiled and interpreted search can read them; non-integer
-    arrays are refused."""
+    """Surfaces hold native int64 whatever keys they are built from, and
+    so do the graphs and distance fields built from them, so the compiled
+    and interpreted search can read them; non-integer keys are refused."""
 
-    def rebuilt(self, surface, dfield, dtype):
+    def rebuilt(self, surface, dtype):
         again = Surface(
             keys=surface.keys.astype(dtype),
             dims=surface.dims,
@@ -846,19 +841,12 @@ class TestArrayLayout:
             origin=surface.origin,
             params=surface.params,
         )
-        graph = SearchGraph.build(surface)
-        graph = SearchGraph(
-            graph.indptr.astype(dtype),
-            graph.targets.astype(dtype),
-            graph.dz.astype(dtype),
-            again,
-        )
-        return again, DistanceField(dfield.distances.astype(dtype), again), graph
+        return again, distance_field(again), SearchGraph.build(again)
 
     @pytest.mark.parametrize("dtype", ["<i4", ">i8", ">i4"])
     def test_other_integer_layouts_plan_identically(self, dtype):
         surface, dfield = flat(9, post=(4, 4))
-        again, dfield2, graph2 = self.rebuilt(surface, dfield, dtype)
+        again, dfield2, graph2 = self.rebuilt(surface, dtype)
         for arr in (again.keys, again.states, graph2.indptr, graph2.targets, graph2.dz,
                     dfield2.distances):
             assert arr.dtype == np.int64 and arr.dtype.isnative
@@ -887,12 +875,3 @@ class TestArrayLayout:
                 origin=surface.origin,
                 params=surface.params,
             )
-
-    @pytest.mark.parametrize("name", ["indptr", "targets", "dz"])
-    def test_float_graph_arrays_are_refused(self, name):
-        surface, _ = flat(5)
-        graph = SearchGraph.build(surface)
-        arrays = {"indptr": graph.indptr, "targets": graph.targets, "dz": graph.dz}
-        arrays[name] = arrays[name].astype(np.float64)
-        with pytest.raises(ValueError, match=f"{name} must be integers"):
-            SearchGraph(surface=surface, **arrays)
