@@ -34,29 +34,36 @@ graph theory", SODA 2005). With the potential
 phi(v) = res * (w_up - w_down) * z(v) / 2 + bias(v) / 2, every edge cost
 splits as c(u -> v) = s(u, v) + phi(v) - phi(u), where
 s(u, v) = (c(u -> v) + c(v -> u)) / 2 is symmetric. The tables hold
-D[v, a], the distance under s from state v to each landmark a, so the
+D[a, v], the distance under s from each landmark a to state v, so the
 triangle inequality bounds the cost to the goal t by
-|D[v, a] - D[t, a]| + phi(t) - phi(v), and that bound is consistent.
+|D[a, v] - D[a, t]| + phi(t) - phi(v), and that bound is consistent.
 Times 1 - 1e-9 it is strictly consistent, with room to spare for the
 tables' rounding, and so is its maximum with the Manhattan bound: the
 path rule above holds, and paths and costs are those of the Manhattan
 search. A query reads the ACTIVE_LANDMARKS landmarks with the largest
-|D[s, a] - D[t, a]| among those that reach both ends; with none, the
+|D[a, s] - D[a, t]| among those that reach both ends; with none, the
 search is the Manhattan one, counters included.
 
+A query that reads landmarks first computes that bound for every state,
+one float64 array in numpy with the float operations of a per-push
+bound, so each value is the same bit for bit; the search reads bound[v]
+per push. On the 121,137-state plaza the array takes ~2-3 ms and 24 * n
+bytes at its peak. A search without tables builds no array and computes
+the Manhattan bound per push.
+
 The tables belong to the :class:`SearchGraph`, for the last distance
-field and weights it served: an (n, LANDMARKS) float64 array, 64 * n
-bytes, plus 8 * n for phi. :func:`plan` builds them on a caller's graph
-once its exact searches (epsilon = 1 and w_obstacle > 0, where the bound
-cannot change the path; no others read or pay for tables) have expanded
-LANDMARKS * n states since the last build, about what the build costs:
-one numpy label-correcting sweep per landmark, and one from ordinal 0
-that picks the first, farthest-first. So a graph that serves a few
-queries never pays for tables, a long stream of queries pays once, inside
-the one query that crosses the trigger, and a call without a graph never
-builds them. The search counters, ``h_ratio`` and ``landmarks`` thus
-depend on how many queries a graph has served; paths, costs and lengths
-do not.
+field and weights it served: a (LANDMARKS, n) landmark-major float64
+array, one row per sweep, 64 * n bytes, plus 8 * n for phi. :func:`plan`
+builds them on a caller's graph once its exact searches (epsilon = 1
+and w_obstacle > 0, where the bound cannot change the path; no others
+read or pay for tables) have expanded LANDMARKS * n states since the
+last build, about what the build costs: one numpy label-correcting sweep
+per landmark, and one from ordinal 0 that picks the first,
+farthest-first. So a graph that serves a few queries never pays for
+tables, a long stream of queries pays once, inside the one query that
+crosses the trigger, and a call without a graph never builds them. The
+search counters, ``h_ratio`` and ``landmarks`` thus depend on how many
+queries a graph has served; paths, costs and lengths do not.
 
 The path rule needs each edge to raise g: a walk back from the goal then
 ends at the start. :func:`plan` refuses weights under which a path's g
@@ -86,7 +93,7 @@ import numpy as np
 
 from .dfield import DistanceField
 from .errors import NoPathError, OffSurfaceError
-from .extract import Surface, _runs
+from .extract import Surface, _find, _runs
 
 __all__ = [
     "PathResult",
@@ -95,7 +102,6 @@ __all__ = [
     "edge_cost",
     "heuristic",
     "plan",
-    "successors",
 ]
 
 LANDMARKS = 8  # landmarks in a search graph's tables
@@ -136,15 +142,6 @@ class PlanParams:
             raise ValueError(f"w_obstacle must be >= 0, got {self.w_obstacle}")
 
 
-def successors(surface: Surface, state) -> list[tuple[int, int, int]]:
-    """Connected neighbors of the surface state ``state``, direction-major,
-    ascending height."""
-    indptr, targets, _ = surface._csr
-    i = surface.ordinal(state)
-    row = targets[indptr[i] : indptr[i + 1]]
-    return [tuple(s) for s in surface.states[row].tolist()]
-
-
 def _move_cost(dx, dy, dz, params: PlanParams, resolution: float) -> float:
     """Metric length of a move plus |dz| * resolution * (w_up rising,
     w_down falling): every edge-cost term except the target's bias."""
@@ -175,20 +172,6 @@ def _heuristic(dx, dy, dz, res, w_down):
     return res * math.sqrt(h * h + dz * dz) + res * abs(dz) * w_down
 
 
-def _landmark_bound(table, width, active, table_goal, v, phi_gap):
-    """The landmark bound at ordinal ``v`` before its slack: the largest
-    |D[v, a] - D[goal, a]| over the ``active`` columns a of the flat
-    ``width``-wide table, ``table_goal`` holding D[goal, a], plus
-    ``phi_gap`` = phi(goal) - phi(v). :func:`_astar` calls it."""
-    row = v * width
-    m = 0.0
-    for j in range(len(active)):
-        d = abs(table[row + active[j]] - table_goal[j])
-        if d > m:
-            m = d
-    return m + phi_gap
-
-
 def _euclid(dx, dy, dz, res, w_down):
     """The Euclidean bound, straight-line length plus res * |dz| * w_down:
     no search uses it; :func:`_chain` orders tied predecessors by it."""
@@ -211,19 +194,46 @@ class _Tables:
     dfield: DistanceField
     weights: tuple  # (w_up, w_down, w_obstacle)
     ordinals: np.ndarray  # (L,): the landmarks
-    table: np.ndarray  # (n, L): D[v, a], distances under the symmetric cost
+    table: np.ndarray  # (L, n): D[a, v], distances under the symmetric cost
     phi: np.ndarray  # (n,): the potential that splits the cost
 
-    def query(self, s: int, t: int) -> tuple:
-        """The landmark arguments of :func:`_astar` from ordinal ``s`` to
-        ``t``: the ACTIVE_LANDMARKS landmarks with the largest
-        |D[s, a] - D[t, a]|, among those that reach both ends."""
+    def bound(self, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """The landmarks a search from ordinal ``s`` to ``t`` reads, the
+        ACTIVE_LANDMARKS with the largest |D[a, s] - D[a, t]| among those
+        that reach both ends, and the bound :func:`_astar` reads: per state
+        v, the Manhattan bound of :func:`_heuristic`, raised to
+        _SLACK * (max_a |D[a, v] - D[a, t]| + phi(t) - phi(v)) where that is
+        larger, inf where no landmark reaches; both empty with no landmark."""
+        table = self.table
         with np.errstate(invalid="ignore"):  # inf - inf: reaches neither
-            gap = np.abs(self.table[s] - self.table[t])
+            gap = np.abs(table[:, s] - table[:, t])
         reach = np.flatnonzero(np.isfinite(gap))
         active = reach[np.argsort(-gap[reach], kind="stable")[:ACTIVE_LANDMARKS]]
-        return (self.table.reshape(-1), self.table.shape[1], active,
-                self.table[t, active], self.phi)
+        if not active.size:
+            return _NO_LANDMARKS
+        # three n-sized buffers, each used as int64, then as float64 (ints
+        # become floats by copyto, which needs no cast buffer)
+        hh, h, dz = (np.subtract(c, c[t]) for c in self.dfield.surface.states.T)
+        for b in (hh, h, dz):
+            np.abs(b, out=b)
+        hh += h
+        hh *= hh
+        hh += np.multiply(dz, dz, out=h)  # H^2 + dz^2
+        h, m, d = h.view(np.float64), hh.view(np.float64), dz.view(np.float64)
+        np.copyto(h, hh)
+        np.sqrt(h, out=h)
+        h *= self.dfield.surface.resolution
+        np.copyto(m, dz)
+        m *= self.dfield.surface.resolution
+        m *= self.weights[1]
+        h += m  # res * sqrt(H^2 + dz^2) + res * |dz| * w_down
+        m.fill(0.0)
+        for a in active.tolist():
+            np.abs(np.subtract(table[a], table[a, t], out=d), out=d)
+            np.maximum(m, d, out=m)
+        m += np.subtract(self.phi[t], self.phi, out=d)
+        m *= _SLACK
+        return active, np.maximum(h, m, out=h)
 
 
 @dataclass(eq=False)
@@ -236,8 +246,8 @@ class _Landmarks:
     tables: _Tables | None = None
 
 
-# the landmark arguments of a search that reads no tables
-_NO_LANDMARKS = (np.empty(0), 0, np.empty(0, np.int64), np.empty(0), np.empty(0))
+# (active landmarks, bound) of a search that reads no tables
+_NO_LANDMARKS = (np.empty(0, np.int64), np.empty(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,8 +344,8 @@ def _sweep(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray, source: 
 def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray,
                      bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Up to LANDMARKS landmarks, farthest-first from ordinal 0 among the
-    states it reaches, and their (n, L) state-major distance table under
-    the symmetric cost of :func:`_sweep`."""
+    states it reaches, and their (L, n) landmark-major distance table
+    under the symmetric cost of :func:`_sweep`, one row per sweep."""
     # distance to the nearest landmark chosen so far, or to ordinal 0;
     # -1 where ordinal 0 does not reach, so no landmark is picked there
     nearest = _sweep(graph, pair_cost, bias, 0)
@@ -344,11 +354,11 @@ def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray,
     # ordinal 0 stays at 0 and is never picked: every pick is a new state
     count = min(LANDMARKS, int(np.count_nonzero(reached)) - 1)
     ordinals = np.empty(count, dtype=np.int64)
-    table = np.empty((graph.surface.size, count))
+    table = np.empty((count, graph.surface.size))
     for j in range(count):
         ordinals[j] = np.argmax(nearest)
-        table[:, j] = _sweep(graph, pair_cost, bias, ordinals[j])
-        np.minimum(nearest, table[:, j], out=nearest)
+        table[j] = _sweep(graph, pair_cost, bias, ordinals[j])
+        np.minimum(nearest, table[j], out=nearest)
     return ordinals, table
 
 
@@ -361,8 +371,9 @@ class PathResult:
     used at the start over the cost (1.0 when start equals goal): the
     nearer to 1, the fewer states the bound lets the search expand, and
     ``landmarks``, the number of landmarks that bound read (0: the
-    Manhattan bound alone). ``search_seconds`` times the search alone,
-    without a landmark build the call paid for."""
+    Manhattan bound alone). ``search_seconds`` times the search, and the
+    bound array it reads where it reads landmarks, but not a landmark
+    table build the call paid for."""
 
     states: np.ndarray
     cost: float
@@ -379,22 +390,20 @@ class PathResult:
 
 
 def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, goal,
-           epsilon, res, w_down, k, closed, table, width, active, table_goal, phi):
+           epsilon, res, w_down, k, closed, bound):
     """A* over the CSR graph from ordinal ``start`` to ``goal``.
 
     ``g`` (all inf) and ``closed`` (all False) are the caller's per-state
     search state, written in place. Heap entries are (f, -g, flat key,
     ordinal): min f, then max g, then lexicographic coordinates. Pushes of
     one state carry strictly decreasing g, so that order is total over
-    live entries and no insertion counter is needed. The bound is the
-    Manhattan one, raised to the landmark bound times its slack where that
-    is larger; with no ``active`` landmark (``table``, ``table_goal`` and
-    ``phi`` may then be empty) it is the Manhattan bound alone. Returns
+    live entries and no insertion counter is needed. The bound of a state
+    v is ``bound[v]`` (see :meth:`_Tables.bound`); with ``bound`` empty it
+    is the Manhattan one, computed per push. Returns
     (expanded, pushes, stale_pops, heap_peak, found).
     """
     gx, gy, gz = xs[goal], ys[goal], zs[goal]
-    landmarks = len(active) > 0
-    phi_goal = phi[goal] if landmarks else 0.0
+    held = len(bound) > 0
     g[start] = 0.0
     # alone in the heap and popped first, the start needs no f or key
     heap = [(0.0, -0.0, 0, start)]
@@ -421,12 +430,10 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, g
             ng = pg + cost_by_dz[dzs[e] + k] + bias[v]
             if ng < g[v]:
                 g[v] = ng
-                h = _heuristic(xs[v] - gx, ys[v] - gy, zs[v] - gz, res, w_down)
-                if landmarks:
-                    a = _SLACK * _landmark_bound(table, width, active, table_goal, v,
-                                                 phi_goal - phi[v])
-                    if a > h:
-                        h = a
+                if held:
+                    h = bound[v]
+                else:
+                    h = _heuristic(xs[v] - gx, ys[v] - gy, zs[v] - gz, res, w_down)
                 heapq.heappush(heap, (ng + epsilon * h, -ng, keys[v], v))
                 pushes += 1
         # pops happen only at the loop head, so this sees every peak
@@ -504,7 +511,6 @@ except ImportError:
 else:
     # lets the compiled _astar and _chain call them
     register_jitable(_heuristic)
-    register_jitable(_landmark_bound)
     register_jitable(_euclid)
     _search, _walk, _ENGINE = njit(cache=True)(_astar), njit(cache=True)(_chain), "numba"
 
@@ -549,9 +555,11 @@ def plan(
         raise ValueError("graph belongs to a different surface")
     start = tuple(int(c) for c in start)
     goal = tuple(int(c) for c in goal)
-    if start not in surface:
+    at_start = _find(surface._sorted, surface.dims, start)
+    if at_start < 0:
         raise OffSurfaceError(f"state {start} is not on the surface (start)")
-    if goal not in surface:
+    at_goal = _find(surface._sorted, surface.dims, goal)
+    if at_goal < 0:
         raise OffSurfaceError(f"state {goal} is not on the surface (goal)")
 
     if start == goal:
@@ -586,10 +594,8 @@ def plan(
     if graph is None:
         graph = SearchGraph.build(surface)
     bias = dfield._bias(params.w_obstacle)
-    s = surface.ordinal(start)
-    t = surface.ordinal(goal)
+    s, t = int(surface._ordinals[at_start]), int(surface._ordinals[at_goal])
     tables = graph._tables(dfield, params, cost_by_dz, bias) if exact else None
-    landmarks = _NO_LANDMARKS if tables is None else tables.query(s, t)
 
     states = surface.states
     g = np.full(n, np.inf)
@@ -613,7 +619,8 @@ def plan(
     )
     closed = np.zeros(n, np.bool_)
     t0 = time.perf_counter()
-    expanded, pushes, stale_pops, heap_peak, found = _search(*args, closed, *landmarks)
+    active, bound = _NO_LANDMARKS if tables is None else tables.bound(s, t)
+    expanded, pushes, stale_pops, heap_peak, found = _search(*args, closed, bound)
     elapsed = time.perf_counter() - t0
     if exact:
         graph._landmarks.expanded += int(expanded)
@@ -630,12 +637,7 @@ def plan(
     path_states = states[np.array(chain, dtype=np.int64)]
     full, xy = _metric_lengths(path_states, res)
     cost = float(g[t])
-    bound = heuristic(start, goal, params, res)
-    active = landmarks[2]
-    if active.size:
-        table, width, _, table_goal, phi = landmarks
-        bound = max(bound, _SLACK * float(
-            _landmark_bound(table, width, active, table_goal, s, phi[t] - phi[s])))
+    h_start = float(bound[s]) if bound.size else heuristic(start, goal, params, res)
     return PathResult(
         states=path_states,
         cost=cost,
@@ -645,7 +647,7 @@ def plan(
         pushes=int(pushes),
         stale_pops=int(stale_pops),
         heap_peak=int(heap_peak),
-        h_ratio=bound / cost,
+        h_ratio=h_start / cost,
         landmarks=int(active.size),
         search_seconds=elapsed,
         engine=_ENGINE,

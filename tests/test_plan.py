@@ -2,6 +2,7 @@ import heapq
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from surfnav import (
     heuristic,
     plan,
     sample_queries,
-    successors,
 )
 from surfnav.oracle import (
     _adjacent, _column_map, boundary_distance_reference, dijkstra_reference,
@@ -32,7 +32,7 @@ from surfnav.oracle import (
 from surfnav.extract import Surface
 from surfnav.plan import (
     ACTIVE_LANDMARKS, LANDMARKS, _ENGINE, _NO_LANDMARKS, _SLACK, _astar, _chain, _cost_table,
-    _heuristic, _interpreted, _landmark_bound, _search, _walk,
+    _heuristic, _interpreted, _search, _walk,
 )
 from conftest import built, union_surface, voxel_sets
 
@@ -114,6 +114,15 @@ class TestCostModel:
             PlanParams(epsilon=float("inf"))
 
 
+def successors(surface, state):
+    """The neighbors of ``state`` in its row of the surface's own
+    adjacency: direction-major, ascending height."""
+    indptr, targets, _ = surface._csr
+    i = surface.ordinal(state)
+    row = targets[indptr[i] : indptr[i + 1]]
+    return [tuple(s) for s in surface.states[row].tolist()]
+
+
 class TestSuccessors:
     def layered(self):
         occ = np.zeros((8, 8, 12), dtype=bool)
@@ -141,8 +150,8 @@ class TestSuccessors:
         assert (3, 3, 6) not in successors(surface, (2, 3, 1))
 
     def test_graph_matches_successors(self):
-        # graph and successors() share one adjacency, so both are held to
-        # the oracle's independent column map
+        # the graph and the surface's adjacency are one, so both are held
+        # to the oracle's independent column map
         surface = self.layered()
         graph = SearchGraph.build(surface)
         cols = _column_map(surface)
@@ -221,13 +230,13 @@ def search_args(fixture, a, b, params):
     )
 
 
-def run_search(search, walk, fixture, a, b, params=PlanParams(), landmarks=_NO_LANDMARKS):
+def run_search(search, walk, fixture, a, b, params=PlanParams(), bound=_NO_LANDMARKS[1]):
     """Call ``search`` (an :func:`_astar` variant) directly from ordinal
-    ``a`` to ``b``, reading ``landmarks`` (none by default), then ``walk``
-    (the matching :func:`_chain`); return the search's counters, ``g`` as
-    bytes and the walked chain."""
+    ``a`` to ``b``, reading ``bound`` (by default none: the Manhattan bound
+    per push), then ``walk`` (the matching :func:`_chain`); return the
+    search's counters, ``g`` as bytes and the walked chain."""
     args = search_args(fixture, a, b, params)
-    out = search(*args, np.zeros(fixture.surface.size, np.bool_), *landmarks)
+    out = search(*args, np.zeros(fixture.surface.size, np.bool_), bound)
     chain = [int(c) for c in walk(*args)]
     return tuple(int(c) for c in out), args[9].tobytes(), chain
 
@@ -352,10 +361,10 @@ class TestPlan:
         interpreted = _interpreted(_astar), _interpreted(_chain)
         tables = tables_for(table1.surface, table1.dfield, PlanParams())
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            for landmarks in (_NO_LANDMARKS, tables.query(a, b)):
+            for _, bound in (_NO_LANDMARKS, tables.bound(a, b)):
                 # counters, then g bit for bit, then the path
-                assert (run_search(_search, _walk, table1, a, b, PlanParams(), landmarks)
-                        == run_search(*interpreted, table1, a, b, PlanParams(), landmarks))
+                assert (run_search(_search, _walk, table1, a, b, PlanParams(), bound)
+                        == run_search(*interpreted, table1, a, b, PlanParams(), bound))
 
     @pytest.mark.parametrize("w_obstacle", [0.5, 0.0])
     def test_arrays_and_memoryviews_search_alike(self, table1, w_obstacle):
@@ -368,8 +377,8 @@ class TestPlan:
         engines = [(_astar, _chain), (_interpreted(_astar), _interpreted(_chain))]
         tables = tables_for(table1.surface, table1.dfield, params)
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            for landmarks in (_NO_LANDMARKS, tables.query(a, b)):
-                runs = [run_search(*engine, table1, a, b, params, landmarks)
+            for _, bound in (_NO_LANDMARKS, tables.bound(a, b)):
+                runs = [run_search(*engine, table1, a, b, params, bound)
                         for engine in engines]
                 assert runs[0] == runs[1]  # counters, then g bit for bit, then the path
                 expanded, pushes, stale_pops, heap_peak, found = runs[0][0]
@@ -649,30 +658,52 @@ class TestLandmarks:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_bound_strictly_consistent(self, name):
-        # h(u) < c(u -> v) + h(v) on every edge, h the bound the search
+        # h(u) < c(u -> v) + h(v) on every edge, h the array the search
         # reads: Manhattan, raised to the slackened landmark bound
         b = built(name)
         surface, graph = b.surface, b.graph
         res, k = surface.resolution, surface.params.step_voxels
         sources = np.repeat(np.arange(surface.size), np.diff(graph.indptr))
-        xs, ys, zs = surface.states.T.tolist()
         for params in WEIGHTS:
             tables = tables_for(surface, b.dfield, params)
             cost = (_cost_table(params, res, k)[graph.dz + k]
                     + b.dfield._bias(params.w_obstacle)[graph.targets])
             for a, t in query_pairs(b, 6):
-                table, width, active, table_goal, phi = tables.query(a, t)
-                # the landmarks with the largest |D[a, l] - D[t, l]| are active
-                gap = np.abs(tables.table[a] - tables.table[t])
+                active, h = tables.bound(a, t)
+                # the landmarks with the largest |D[l, a] - D[l, t]| are active
+                gap = np.abs(tables.table[:, a] - tables.table[:, t])
                 assert sorted(gap[active]) == sorted(gap)[-ACTIVE_LANDMARKS:]
-                h = np.array([
-                    max(_heuristic(xs[v] - xs[t], ys[v] - ys[t], zs[v] - zs[t], res,
-                                   params.w_down),
-                        _SLACK * _landmark_bound(table, width, active, table_goal, v,
-                                                 phi[t] - phi[v]))
-                    for v in range(surface.size)])
+                assert h.shape == (surface.size,) and h.dtype == np.float64
                 assert np.all(h[sources] < cost + h[graph.targets])
                 assert h[t] == 0.0
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_bound_is_the_per_state_formula(self, name):
+        # the array holds, bit for bit, a bound computed per state in plain
+        # Python floats, as a search without the array would per push: the
+        # Manhattan bound, then the larger of it and the slackened landmark
+        # bound
+        b = built(name)
+        surface = b.surface
+        res = surface.resolution
+        xs, ys, zs = surface.states.T.tolist()
+        for params in WEIGHTS + [PlanParams(w_up=1e12)]:
+            tables = tables_for(surface, b.dfield, params)
+            table, phi = tables.table.tolist(), tables.phi.tolist()
+            for a, t in query_pairs(b, 3):
+                active, got = tables.bound(a, t)
+                want = []
+                for v in range(surface.size):
+                    h = _heuristic(xs[v] - xs[t], ys[v] - ys[t], zs[v] - zs[t], res,
+                                   params.w_down)
+                    m = 0.0
+                    for j in active.tolist():
+                        d = abs(table[j][v] - table[j][t])
+                        if d > m:
+                            m = d
+                    lm = _SLACK * (m + (phi[t] - phi[v]))
+                    want.append(lm if lm > h else h)
+                assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_tables_are_true_costs(self, name):
@@ -682,11 +713,11 @@ class TestLandmarks:
         surface = b.surface
         for params in WEIGHTS[:2]:
             tables = tables_for(surface, b.dfield, params)
-            assert tables.table.shape == (surface.size, LANDMARKS)
+            assert tables.table.shape == (LANDMARKS, surface.size)
             assert len(set(tables.ordinals.tolist()) | {0}) == LANDMARKS + 1
             for j, a in enumerate(tables.ordinals.tolist()):
                 want = dijkstra_reference(surface, b.dfield, tuple(surface.states[a]), params)
-                got = tables.table[:, j] + tables.phi - tables.phi[a]
+                got = tables.table[j] + tables.phi - tables.phi[a]
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_counters_match_a_fresh_graph_until_the_trigger(self, table1):
@@ -783,8 +814,17 @@ class TestLandmarks:
         monkeypatch.setattr(plan_module, "_search", _interpreted(_astar))
         floor, far, top = (0, 0, 1), (11, 11, 1), (5, 5, 5)
         assert plan(surface, dfield, floor, far, graph=graph).landmarks == ACTIVE_LANDMARKS
-        assert np.all(np.isfinite(graph._landmarks.tables.table[:128]))
-        assert np.all(np.isinf(graph._landmarks.tables.table[128:]))
+        tables = graph._landmarks.tables
+        assert np.all(np.isfinite(tables.table[:, :128]))
+        assert np.all(np.isinf(tables.table[:, 128:]))
+        # the bound of a floor query: finite on the floor, inf on the top
+        active, h = tables.bound(surface.ordinal(floor), surface.ordinal(far))
+        assert active.size == ACTIVE_LANDMARKS
+        assert np.all(np.isfinite(h[:128])) and np.all(np.isinf(h[128:]))
+        # one end off the floor: no landmark reaches it, and no bound is held
+        for s, t in [(floor, top), (top, floor), (top, (6, 6, 5))]:
+            active, h = tables.bound(surface.ordinal(s), surface.ordinal(t))
+            assert active.size == 0 and h.size == 0
         for start, goal in [(floor, top), (top, floor), (top, (6, 6, 5))]:
             if start[2] == goal[2]:
                 assert plan(surface, dfield, start, goal, graph=graph).landmarks == 0
@@ -826,6 +866,44 @@ class TestLandmarks:
             assert math.isclose(got.cost, want, rel_tol=1e-9, abs_tol=1e-12)
             fresh = plan(surface, dfield, states[a], states[z])
             assert (got.cost, got.states.tobytes()) == (fresh.cost, fresh.states.tobytes())
+
+
+class TestQueryMemory:
+    """The tracemalloc peak of one plan() call on a graph built earlier.
+    A short query on the plaza_like preset, the largest at 0.2 m, keeps the
+    heap and the path small, so the peak is the per-state arrays plus a
+    few KiB: any further float64 or int64 array of n entries (8n = 58 KB
+    here) would exceed the allowance."""
+
+    SLACK_BYTES = 16 * 1024  # Python objects, the heap, the path
+
+    def peak(self, graph):
+        b = built("plaza_like")
+        surface = b.surface
+        indptr, targets, _ = surface._csr
+        start, goal = (tuple(surface.states[i]) for i in (0, int(targets[indptr[0]])))
+        plan(surface, b.dfield, start, goal, graph=graph)  # the bias, and any tables
+        tracemalloc.start()
+        try:
+            result = plan(surface, b.dfield, start, goal, graph=graph)
+            return tracemalloc.get_traced_memory()[1], result, surface.size
+        finally:
+            tracemalloc.stop()
+
+    def test_without_tables_only_g_and_closed(self):
+        # a search with no tables builds nothing n-sized but g (8n bytes)
+        # and closed (n): the traffic of short probes and of graphs that
+        # never pay for tables
+        peak, result, n = self.peak(SearchGraph.build(built("plaza_like").surface))
+        assert result.landmarks == 0
+        assert peak <= 9 * n + self.SLACK_BYTES
+
+    def test_with_tables_g_closed_and_the_bound(self):
+        # with tables held, the bound adds three n-sized float64 buffers,
+        # one of them the array the search reads: 4.125 * 8n in all
+        peak, result, n = self.peak(paid_graph(built("plaza_like").surface))
+        assert result.landmarks == ACTIVE_LANDMARKS
+        assert peak <= 4.125 * 8 * n + self.SLACK_BYTES
 
 
 class TestArrayLayout:
