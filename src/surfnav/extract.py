@@ -68,7 +68,6 @@ __all__ = [
     "reduction_stats",
     "save_surface",
     "select_seed",
-    "step_offsets",
 ]
 
 
@@ -369,20 +368,6 @@ def _snap(centers: np.ndarray, pose, max_snap: float, what: str) -> int:
     return best
 
 
-_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-def step_offsets(step_voxels: int) -> np.ndarray:
-    """Neighbor offsets in deterministic expansion order: directions +x, -x,
-    +y, -y, and within each dz = -k, ..., +k ascending. It is the order of a
-    :func:`_column_adjacency` row, so the BFS walks the rows as they are.
-    The rows are not built from these offsets: they document the order, as
-    a (4 * (2k + 1), 3) int64 array whose size depends on k alone."""
-    k = step_voxels
-    return np.array([(dx, dy, dz) for dx, dy in _DIRECTIONS for dz in range(-k, k + 1)],
-                    dtype=np.int64)
-
-
 def _runs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Concatenation of the index runs [lo[i], hi[i]), in run order."""
     counts = hi - lo
@@ -443,9 +428,9 @@ def _column_adjacency(keys: np.ndarray, dims, k: int):
 
     ``keys`` are the sorted flat keys (x * ny + y) * nz + z of the set, so
     each column is a contiguous, z-ascending run of them. Row i lists the
-    positions in ``keys`` of voxel i's neighbors in :func:`step_offsets`
-    order: by direction, z-ascending within one; ``boundary[i]`` says that
-    some direction offers voxel i no neighbor.
+    positions in ``keys`` of voxel i's neighbors in step order: by
+    direction, +x, -x, +y, -y, and z-ascending within one, dz = -k, ..., +k;
+    ``boundary[i]`` says that some direction offers voxel i no neighbor.
 
     The runs are sorted by column x * ny + y, so the run of column
     (x, y + 1), if any, is the next run, and one search of the run columns
@@ -475,7 +460,7 @@ def _column_adjacency(keys: np.ndarray, dims, k: int):
     rid = np.cumsum(head) - 1  # each voxel's run
     del head
     many = np.append(np.diff(first) > 1, False)
-    # each run's neighbor run in the directions of _DIRECTIONS, m for none
+    # each run's neighbor run in the directions +x, -x, +y, -y, m for none
     nbr = np.full((4, m), m, dtype=np.int64)
     ny = dims[1]
     up = runs + ny
@@ -665,9 +650,10 @@ def extract_surface(
 
     ``seeds`` is ``[seed]``, a one-item list kept for the callers written
     for it; no seed or several raise InvalidSeedError, as does a seed that
-    is not a candidate. Expansion follows :func:`step_offsets` order and
-    ordinals are assigned in discovery order, so the seed is ordinal 0 and
-    the output is identical across runs and platforms.
+    is not a candidate. Expansion follows the row order of
+    :func:`_column_adjacency` (+x, -x, +y, -y, dz ascending within each)
+    and ordinals are assigned in discovery order, so the seed is ordinal 0
+    and the output is identical across runs and platforms.
 
     The adjacency of all candidates is built once, by
     :func:`_column_adjacency` over their sorted flat keys, its rows in step

@@ -48,8 +48,20 @@ A query that reads landmarks first computes that bound for every state,
 one float64 array in numpy with the float operations of a per-push
 bound, so each value is the same bit for bit; the search reads bound[v]
 per push. On the 121,137-state plaza the array takes ~2-3 ms and 24 * n
-bytes at its peak. A search without tables builds no array and computes
-the Manhattan bound per push.
+bytes at its peak. A search without tables starts on the Manhattan bound
+computed per push, and buys the array only once renting has cost as much
+(the ski-rental rule; Karlin, Manasse, Rudolph and Sleator, "Competitive
+snoopy caching", Algorithmica 1988): after n // PUSH_PRICE pushes it
+pauses before its next pop, computes the Manhattan bound of every state
+in numpy (:func:`_manhattan`, bit for bit the per-push values, 24 * n
+bytes at its peak) and resumes on it. The heap holds the same entries
+either way, so the counters and the path do not change. Short probes
+never pause and build nothing; a long search pays for the array about
+once. PUSH_PRICE was measured on the interpreted engine; the compiled
+one computes a per-push bound far more cheaply, and how the trade falls
+there is unmeasured. A search that reads landmarks never pauses: its
+bound holds other values from the first push, and a change of bound
+mid-search would change the expansion order.
 
 The tables belong to the :class:`SearchGraph`, for the last distance
 field and weights it served: a (LANDMARKS, n) landmark-major float64
@@ -109,6 +121,13 @@ ACTIVE_LANDMARKS = 4  # of those, the ones one query reads
 # scales the landmark bound, so that rounding in the tables never lifts
 # it above a true cost, and every edge pays more than the bound drops
 _SLACK = 1.0 - 1e-9
+# a search without tables computes the Manhattan bound per push, at
+# ~0.3-0.4 us a call against ~0.03 us to read it from an array, which
+# numpy writes at ~6-10 ns a state (interpreted engine, 2-core x86-64):
+# the array costs about as much as n / 33 to n / 43 per-push bounds, so
+# such a search switches to it after n // PUSH_PRICE pushes
+PUSH_PRICE = 32
+_NO_BUDGET = 2**63 - 1  # a push budget no search reaches
 
 
 @dataclass(frozen=True)
@@ -187,6 +206,29 @@ def heuristic(state, goal, params: PlanParams, resolution: float) -> float:
                       resolution, params.w_down)
 
 
+def _manhattan(states: np.ndarray, t: int, res: float, w_down: float) -> np.ndarray:
+    """:func:`_heuristic` from every state to ordinal ``t``, as one (n,)
+    float64 array with the same float operations, so each value is the
+    same bit for bit. Exact while H^2 + dz^2 fits in int64."""
+    # three n-sized buffers, each used as int64, then as float64 (ints
+    # become floats by copyto, which needs no cast buffer)
+    hh, h, dz = (np.subtract(c, c[t]) for c in states.T)
+    for b in (hh, h, dz):
+        np.abs(b, out=b)
+    hh += h
+    hh *= hh
+    hh += np.multiply(dz, dz, out=h)  # H^2 + dz^2
+    h, m = h.view(np.float64), hh.view(np.float64)
+    np.copyto(h, hh)
+    np.sqrt(h, out=h)
+    h *= res
+    np.copyto(m, dz)
+    m *= res
+    m *= w_down
+    h += m  # res * sqrt(H^2 + dz^2) + res * |dz| * w_down
+    return h
+
+
 @dataclass(frozen=True, eq=False)
 class _Tables:
     """Landmark tables for one distance field and one set of weights."""
@@ -211,23 +253,9 @@ class _Tables:
         active = reach[np.argsort(-gap[reach], kind="stable")[:ACTIVE_LANDMARKS]]
         if not active.size:
             return _NO_LANDMARKS
-        # three n-sized buffers, each used as int64, then as float64 (ints
-        # become floats by copyto, which needs no cast buffer)
-        hh, h, dz = (np.subtract(c, c[t]) for c in self.dfield.surface.states.T)
-        for b in (hh, h, dz):
-            np.abs(b, out=b)
-        hh += h
-        hh *= hh
-        hh += np.multiply(dz, dz, out=h)  # H^2 + dz^2
-        h, m, d = h.view(np.float64), hh.view(np.float64), dz.view(np.float64)
-        np.copyto(h, hh)
-        np.sqrt(h, out=h)
-        h *= self.dfield.surface.resolution
-        np.copyto(m, dz)
-        m *= self.dfield.surface.resolution
-        m *= self.weights[1]
-        h += m  # res * sqrt(H^2 + dz^2) + res * |dz| * w_down
-        m.fill(0.0)
+        surface = self.dfield.surface
+        h = _manhattan(surface.states, t, surface.resolution, self.weights[1])
+        m, d = np.zeros_like(h), np.empty_like(h)
         for a in active.tolist():
             np.abs(np.subtract(table[a], table[a, t], out=d), out=d)
             np.maximum(m, d, out=m)
@@ -371,9 +399,10 @@ class PathResult:
     used at the start over the cost (1.0 when start equals goal): the
     nearer to 1, the fewer states the bound lets the search expand, and
     ``landmarks``, the number of landmarks that bound read (0: the
-    Manhattan bound alone). ``search_seconds`` times the search, and the
-    bound array it reads where it reads landmarks, but not a landmark
-    table build the call paid for."""
+    Manhattan bound alone). ``search_seconds`` times the search and any
+    bound array it reads, the landmark one or the Manhattan one a long
+    search without tables switches to, but not a landmark table build the
+    call paid for."""
 
     states: np.ndarray
     cost: float
@@ -389,30 +418,38 @@ class PathResult:
     engine: str
 
 
-def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, goal,
-           epsilon, res, w_down, k, closed, bound):
-    """A* over the CSR graph from ordinal ``start`` to ``goal``.
+def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, goal, epsilon, res,
+           w_down, k, closed, bound, heap, counters, budget):
+    """A* over the CSR graph to ordinal ``goal``, resumed from ``heap``.
 
-    ``g`` (all inf) and ``closed`` (all False) are the caller's per-state
-    search state, written in place. Heap entries are (f, -g, flat key,
-    ordinal): min f, then max g, then lexicographic coordinates. Pushes of
-    one state carry strictly decreasing g, so that order is total over
-    live entries and no insertion counter is needed. The bound of a state
-    v is ``bound[v]`` (see :meth:`_Tables.bound`); with ``bound`` empty it
-    is the Manhattan one, computed per push. Returns
-    (expanded, pushes, stale_pops, heap_peak, found).
+    ``g`` and ``closed`` are the caller's per-state search state, and
+    ``heap`` its open list, all written in place: the caller starts a
+    search with g inf but at the start, 0.0, closed all False and the
+    start alone on the heap. Heap entries are (f, -g, flat key, ordinal):
+    min f, then max g, then lexicographic coordinates. Pushes of one state
+    carry strictly decreasing g, so that order is total over live entries
+    and no insertion counter is needed. The bound of a state v is
+    ``bound[v]`` (see :func:`_manhattan` and :meth:`_Tables.bound`); with
+    ``bound`` empty it is the Manhattan one, computed per push.
+
+    ``counters`` holds (expanded, pushes, stale_pops, heap_peak), read at
+    entry and written back at exit. The search pauses at the head of its
+    loop, before a pop, once ``pushes >= budget``; calling it again on the
+    same state, with any bound of the same values, resumes it as if it had
+    never paused. Returns whether the goal was popped: if not, a non-empty
+    heap means the search paused, an empty one that the goal is out of
+    reach.
     """
     gx, gy, gz = xs[goal], ys[goal], zs[goal]
     held = len(bound) > 0
-    g[start] = 0.0
-    # alone in the heap and popped first, the start needs no f or key
-    heap = [(0.0, -0.0, 0, start)]
-    expanded = 0
-    pushes = 1
-    stale_pops = 0
-    heap_peak = 1
+    expanded = counters[0]
+    pushes = counters[1]
+    stale_pops = counters[2]
+    heap_peak = counters[3]
     found = False
     while heap:
+        if pushes >= budget:
+            break
         _f, neg_g, _key, u = heapq.heappop(heap)
         pg = -neg_g
         if closed[u] or pg != g[u]:
@@ -439,11 +476,15 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, g
         # pops happen only at the loop head, so this sees every peak
         if len(heap) > heap_peak:
             heap_peak = len(heap)
-    return expanded, pushes, stale_pops, heap_peak, found
+    counters[0] = expanded
+    counters[1] = pushes
+    counters[2] = stale_pops
+    counters[3] = heap_peak
+    return found
 
 
-def _chain(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, start, goal,
-           epsilon, res, w_down, k):
+def _chain(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, goal, epsilon, res,
+           w_down, k, start):
     """Ordinals of the path from ``goal`` back to ``start``, read off the
     final ``g`` of :func:`_astar`.
 
@@ -610,7 +651,6 @@ def plan(
         states[:, 2],
         surface.keys,
         g,
-        s,
         t,
         params.epsilon,
         res,
@@ -618,18 +658,29 @@ def plan(
         k,
     )
     closed = np.zeros(n, np.bool_)
+    g[s] = 0.0
+    # alone in the heap and popped first, the start needs no f or key
+    heap = [(0.0, -0.0, 0, s)]
+    counters = np.array([0, 1, 0, 1], np.int64)  # expanded, pushes, stale pops, heap peak
     t0 = time.perf_counter()
     active, bound = _NO_LANDMARKS if tables is None else tables.bound(s, t)
-    expanded, pushes, stale_pops, heap_peak, found = _search(*args, closed, bound)
+    # a search on per-push Manhattan bounds pauses once they have cost
+    # about as much as their array, and resumes on it
+    budget = _NO_BUDGET if bound.size else n // PUSH_PRICE
+    found = _search(*args, closed, bound, heap, counters, budget)
+    if not found and heap:
+        bound = _manhattan(states, t, res, params.w_down)
+        found = _search(*args, closed, bound, heap, counters, _NO_BUDGET)
     elapsed = time.perf_counter() - t0
+    expanded, pushes, stale_pops, heap_peak = counters.tolist()
     if exact:
-        graph._landmarks.expanded += int(expanded)
+        graph._landmarks.expanded += expanded
 
     # unreachable on a seed-connected surface, but a surface made from
     # keys may hold several components
     if not found:
         raise NoPathError(f"no path from {start} to {goal}")
-    chain = _walk(*args)
+    chain = _walk(*args, s)
     if chain[-1] != s:
         raise NoPathError(f"no path from {start} to {goal} recovered: the walk back "
                           "from the goal did not reach the start")
@@ -643,10 +694,10 @@ def plan(
         cost=cost,
         metric_length=full,
         metric_length_xy=xy,
-        expanded=int(expanded),
-        pushes=int(pushes),
-        stale_pops=int(stale_pops),
-        heap_peak=int(heap_peak),
+        expanded=expanded,
+        pushes=pushes,
+        stale_pops=stale_pops,
+        heap_peak=heap_peak,
         h_ratio=h_start / cost,
         landmarks=int(active.size),
         search_seconds=elapsed,

@@ -33,7 +33,6 @@ from surfnav import (
     reduction_stats,
     save_surface,
     select_seed,
-    step_offsets,
 )
 from surfnav.extract import _bfs, _column_adjacency
 from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
@@ -453,6 +452,14 @@ def snap_reference(cands, pose):
         if best is None or d2 < best[1]:
             best = (v, d2)
     return best[0], math.sqrt(best[1])
+
+
+def step_offsets(k):
+    """Neighbor offsets in step order, the order of a
+    :func:`_column_adjacency` row and so of the BFS: directions +x, -x,
+    +y, -y, and within each dz = -k, ..., +k ascending."""
+    return np.array([(dx, dy, dz) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                     for dz in range(-k, k + 1)], dtype=np.int64)
 
 
 class TestStepOffsets:

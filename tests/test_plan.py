@@ -31,8 +31,8 @@ from surfnav.oracle import (
 )
 from surfnav.extract import Surface
 from surfnav.plan import (
-    ACTIVE_LANDMARKS, LANDMARKS, _ENGINE, _NO_LANDMARKS, _SLACK, _astar, _chain, _cost_table,
-    _heuristic, _interpreted, _search, _walk,
+    ACTIVE_LANDMARKS, LANDMARKS, PUSH_PRICE, _ENGINE, _NO_BUDGET, _NO_LANDMARKS, _SLACK, _astar,
+    _chain, _cost_table, _heuristic, _interpreted, _manhattan, _search, _walk,
 )
 from conftest import built, union_surface, voxel_sets
 
@@ -216,39 +216,59 @@ def tables_for(surface, dfield, params, graph=None):
     return graph._tables(dfield, params, cost_by_dz, dfield._bias(params.w_obstacle))
 
 
-def search_args(fixture, a, b, params):
-    """The arguments :func:`_astar` and :func:`_chain` share, from ordinal
-    ``a`` to ``b``, with a fresh ``g``."""
+def search_args(fixture, b, params):
+    """The arguments :func:`_astar` and :func:`_chain` share, to ordinal
+    ``b``, with a fresh ``g``."""
     surface, dfield, graph = fixture.surface, fixture.dfield, fixture.graph
     res, k = surface.resolution, surface.params.step_voxels
     states = surface.states
     return (
         graph.indptr, graph.targets, graph.dz, _cost_table(params, res, k),
         dfield._bias(params.w_obstacle), states[:, 0], states[:, 1], states[:, 2],
-        surface.keys, np.full(surface.size, np.inf), a, b, params.epsilon, res,
+        surface.keys, np.full(surface.size, np.inf), b, params.epsilon, res,
         params.w_down, k,
     )
 
 
-def run_search(search, walk, fixture, a, b, params=PlanParams(), bound=_NO_LANDMARKS[1]):
+def run_search(search, walk, fixture, a, b, params=PlanParams(), bound=_NO_LANDMARKS[1],
+               budget=_NO_BUDGET):
     """Call ``search`` (an :func:`_astar` variant) directly from ordinal
     ``a`` to ``b``, reading ``bound`` (by default none: the Manhattan bound
-    per push), then ``walk`` (the matching :func:`_chain`); return the
-    search's counters, ``g`` as bytes and the walked chain."""
-    args = search_args(fixture, a, b, params)
-    out = search(*args, np.zeros(fixture.surface.size, np.bool_), bound)
-    chain = [int(c) for c in walk(*args)]
-    return tuple(int(c) for c in out), args[9].tobytes(), chain
+    per push), and if it pauses after ``budget`` pushes, resume it on the
+    Manhattan array, as :func:`plan` does; then ``walk`` (the matching
+    :func:`_chain`). Return the search's counters and whether it found the
+    goal, ``g`` as bytes and the walked chain."""
+    args = search_args(fixture, b, params)
+    g = args[9]
+    g[a] = 0.0
+    heap = [(0.0, -0.0, 0, a)]
+    counters = np.array([0, 1, 0, 1], np.int64)
+    closed = np.zeros(fixture.surface.size, np.bool_)
+    found = search(*args, closed, bound, heap, counters, budget)
+    if not found and heap:
+        surface = fixture.surface
+        bound = _manhattan(surface.states, b, surface.resolution, params.w_down)
+        found = search(*args, closed, bound, heap, counters, _NO_BUDGET)
+    chain = [int(c) for c in walk(*args, a)]
+    return (*counters.tolist(), bool(found)), g.tobytes(), chain
+
+
+def bounds(tables, a, b):
+    """(bound, budget) for :func:`run_search` from ordinal ``a`` to ``b``,
+    one of each kind: the Manhattan bound per push, the Manhattan array
+    from the first pop, and the landmark array of ``tables``."""
+    return [(_NO_LANDMARKS[1], _NO_BUDGET), (_NO_LANDMARKS[1], 0),
+            (tables.bound(a, b)[1], _NO_BUDGET)]
 
 
 def reference_plan(fixture, a, b, params):
     """The Euclidean-bound search with a parent per state, as the planner
     ran before it read paths off the final g: kept here as the reference
     its paths must match. Returns (cost, path ordinals)."""
-    args = search_args(fixture, a, b, params)
+    args = search_args(fixture, b, params)
     indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g = (
         memoryview(x) for x in args[:10])
-    _, _, epsilon, res, w_down, k = args[10:]
+    _, epsilon, res, w_down, k = args[10:]
     n = fixture.surface.size
     parent = [-1] * n
     closed = [False] * n
@@ -361,10 +381,10 @@ class TestPlan:
         interpreted = _interpreted(_astar), _interpreted(_chain)
         tables = tables_for(table1.surface, table1.dfield, PlanParams())
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            for _, bound in (_NO_LANDMARKS, tables.bound(a, b)):
+            for bound, budget in bounds(tables, a, b):
                 # counters, then g bit for bit, then the path
-                assert (run_search(_search, _walk, table1, a, b, PlanParams(), bound)
-                        == run_search(*interpreted, table1, a, b, PlanParams(), bound))
+                assert (run_search(_search, _walk, table1, a, b, PlanParams(), bound, budget)
+                        == run_search(*interpreted, table1, a, b, PlanParams(), bound, budget))
 
     @pytest.mark.parametrize("w_obstacle", [0.5, 0.0])
     def test_arrays_and_memoryviews_search_alike(self, table1, w_obstacle):
@@ -377,8 +397,8 @@ class TestPlan:
         engines = [(_astar, _chain), (_interpreted(_astar), _interpreted(_chain))]
         tables = tables_for(table1.surface, table1.dfield, params)
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            for _, bound in (_NO_LANDMARKS, tables.bound(a, b)):
-                runs = [run_search(*engine, table1, a, b, params, bound)
+            for bound, budget in bounds(tables, a, b):
+                runs = [run_search(*engine, table1, a, b, params, bound, budget)
                         for engine in engines]
                 assert runs[0] == runs[1]  # counters, then g bit for bit, then the path
                 expanded, pushes, stale_pops, heap_peak, found = runs[0][0]
@@ -386,6 +406,49 @@ class TestPlan:
                 # every pop is an expansion, a stale entry or the goal
                 assert pushes >= expanded + stale_pops + (a != b)
                 assert 1 <= heap_peak <= pushes
+
+    def test_search_pauses_at_its_budget(self, table1):
+        # the search stops at the loop head once its pushes reach the
+        # budget, before any further pop, and leaves the heap and the
+        # counters to resume from
+        a, b = 0, table1.surface.size - 1
+        args = search_args(table1, b, PlanParams())
+        args[9][a] = 0.0
+        heap = [(0.0, -0.0, 0, a)]
+        counters = np.array([0, 1, 0, 1], np.int64)
+        closed = np.zeros(table1.surface.size, np.bool_)
+        assert not _search(*args, closed, _NO_LANDMARKS[1], heap, counters, 0)
+        assert heap == [(0.0, -0.0, 0, a)] and counters.tolist() == [0, 1, 0, 1]
+        assert not _search(*args, closed, _NO_LANDMARKS[1], heap, counters, 20)
+        expanded, pushes, _, _ = counters.tolist()
+        assert heap and 20 <= pushes < 20 + 4 * (2 * table1.surface.params.step_voxels + 1)
+        assert np.count_nonzero(closed) == expanded
+
+    def test_long_searches_alone_switch_to_the_array(self, monkeypatch):
+        # a search without tables builds the Manhattan array once its
+        # pushes reach n // PUSH_PRICE, a short one never; a search with
+        # tables builds its landmark bound (which holds the Manhattan one)
+        # once, and never pauses
+        b = built("plaza_like")
+        surface = b.surface
+        built_for = []
+
+        def counted(states, t, res, w_down):
+            built_for.append(t)
+            return _manhattan(states, t, res, w_down)
+
+        monkeypatch.setattr(plan_module, "_manhattan", counted)
+        indptr, targets, _ = surface._csr
+        start, near, far = (tuple(surface.states[i])
+                            for i in (0, int(targets[indptr[0]]), surface.size - 1))
+        budget = surface.size // PUSH_PRICE
+        short = plan(surface, b.dfield, start, near, graph=SearchGraph.build(surface))
+        assert short.pushes < budget and built_for == []
+        long = plan(surface, b.dfield, start, far, graph=SearchGraph.build(surface))
+        assert long.pushes > budget and built_for == [surface.size - 1]
+        paid = plan(surface, b.dfield, start, far, graph=paid_graph(surface))
+        assert paid.landmarks == ACTIVE_LANDMARKS and built_for == [surface.size - 1] * 2
+        assert (paid.cost, paid.states.tobytes()) == (long.cost, long.states.tobytes())
 
     def test_interleaved_queries_match_fresh_ones(self, table1):
         # one graph and distance field serve alternating queries; no search
@@ -544,6 +607,36 @@ class TestPathsFromFinalG:
             assert set(landmarks) == {ACTIVE_LANDMARKS}
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_paused_search_resumes_alike(self, name):
+        # a search without tables that pauses and resumes on the Manhattan
+        # array, at once, after n // PUSH_PRICE pushes, or never, gives the
+        # same counters, the same g bit for bit and the same path
+        b = built(name)
+        budget = b.surface.size // PUSH_PRICE
+        paused = 0
+        for params in WEIGHTS:
+            for a, t in query_pairs(b, 8):
+                runs = [run_search(_search, _walk, b, a, t, params, budget=at)
+                        for at in (0, budget, _NO_BUDGET)]
+                assert runs[0] == runs[1] == runs[2]
+                paused += runs[0][0][1] > budget
+        assert paused  # some searches did pass the budget
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_manhattan_array_is_the_per_push_bound(self, name):
+        b = built(name)
+        surface = b.surface
+        res = surface.resolution
+        xs, ys, zs = surface.states.T.tolist()
+        for params in WEIGHTS:
+            for _, t in query_pairs(b, 3):
+                got = _manhattan(surface.states, t, res, params.w_down)
+                want = [_heuristic(xs[v] - xs[t], ys[v] - ys[t], zs[v] - zs[t], res,
+                                   params.w_down) for v in range(surface.size)]
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_bound_strictly_consistent(self, name):
         # the equivalence above needs h(u) < edge cost + h(v) on every edge
         b = built(name)
@@ -596,7 +689,7 @@ class TestPathsFromFinalG:
         keys = np.array([9, 8, 7, 6])
         g = np.array([0.0, 4.0, 2.0, 6.0])
         chain = walk(indptr, targets, dz, cost_by_dz, bias, xs, ys, zs, keys, g,
-                     0, 3, 1.0, 1.0, 0.0, 1)
+                     3, 1.0, 1.0, 0.0, 1, 0)
         assert [int(c) for c in chain] == ([3, 0] if start_linked else [3, 1, 0])
 
     @pytest.mark.parametrize("name, weights", [
@@ -873,15 +966,20 @@ class TestQueryMemory:
     A short query on the plaza_like preset, the largest at 0.2 m, keeps the
     heap and the path small, so the peak is the per-state arrays plus a
     few KiB: any further float64 or int64 array of n entries (8n = 58 KB
-    here) would exceed the allowance."""
+    here) would exceed the allowance. A long query's heap is small while
+    it builds the Manhattan array, and grows into the room the build's
+    two temporary buffers free."""
 
     SLACK_BYTES = 16 * 1024  # Python objects, the heap, the path
 
-    def peak(self, graph):
+    def peak(self, graph, long=False):
+        # short: ordinal 0 to its first neighbour; long: to the state its
+        # breadth-first search reached last
         b = built("plaza_like")
         surface = b.surface
         indptr, targets, _ = surface._csr
-        start, goal = (tuple(surface.states[i]) for i in (0, int(targets[indptr[0]])))
+        goal = surface.size - 1 if long else int(targets[indptr[0]])
+        start, goal = (tuple(surface.states[i]) for i in (0, goal))
         plan(surface, b.dfield, start, goal, graph=graph)  # the bias, and any tables
         tracemalloc.start()
         try:
@@ -891,12 +989,20 @@ class TestQueryMemory:
             tracemalloc.stop()
 
     def test_without_tables_only_g_and_closed(self):
-        # a search with no tables builds nothing n-sized but g (8n bytes)
-        # and closed (n): the traffic of short probes and of graphs that
-        # never pay for tables
+        # a short search with no tables builds nothing n-sized but g (8n
+        # bytes) and closed (n): probes stay below the push budget, so they
+        # never build the Manhattan array
         peak, result, n = self.peak(SearchGraph.build(built("plaza_like").surface))
-        assert result.landmarks == 0
+        assert result.landmarks == 0 and result.pushes < n // PUSH_PRICE
         assert peak <= 9 * n + self.SLACK_BYTES
+
+    def test_long_without_tables_g_closed_and_the_manhattan_array(self):
+        # a long search with no tables pauses at n // PUSH_PRICE pushes and
+        # builds the Manhattan array in three n-sized buffers, then resumes
+        # on one of them: 4.125 * 8n in all
+        peak, result, n = self.peak(SearchGraph.build(built("plaza_like").surface), long=True)
+        assert result.landmarks == 0 and result.pushes > n // PUSH_PRICE
+        assert peak <= 4.125 * 8 * n + self.SLACK_BYTES
 
     def test_with_tables_g_closed_and_the_bound(self):
         # with tables held, the bound adds three n-sized float64 buffers,
