@@ -37,17 +37,17 @@ s(u, v) = (c(u -> v) + c(v -> u)) / 2 is symmetric. The tables hold
 D[a, v], the distance under s from each landmark a to state v, so the
 triangle inequality bounds the cost to the goal t by
 |D[a, v] - D[a, t]| + phi(t) - phi(v), and that bound is consistent.
-Times 1 - 1e-9 it is strictly consistent, with room to spare for the
-tables' rounding, and so is its maximum with the Manhattan bound: the
-path rule above holds, and paths and costs are those of the Manhattan
-search. A query reads the ACTIVE_LANDMARKS landmarks with the largest
-|D[a, s] - D[a, t]| among those that reach both ends; with none, the
+Times a slack of 1 - 1e-9, less for tables of values that round by more,
+it is strictly consistent: the path rule above holds, and paths and
+costs are those of the Manhattan search. A query reads every landmark
+that reaches both ends, not the Manhattan bound (with 16, taking the
+maximum with it cut the plaza's expansions by under 1%); with none, the
 search is the Manhattan one, counters included.
 
 A query that reads landmarks first computes that bound for every state,
 one float64 array in numpy with the float operations of a per-push
 bound, so each value is the same bit for bit; the search reads bound[v]
-per push. On the 121,137-state plaza the array takes ~2-3 ms and 24 * n
+per push. On the 121,137-state plaza the array takes ~2 ms and 16 * n
 bytes at its peak. A search without tables starts on the Manhattan bound
 computed per push, and buys the array only once renting has cost as much
 (the ski-rental rule; Karlin, Manasse, Rudolph and Sleator, "Competitive
@@ -65,17 +65,17 @@ mid-search would change the expansion order.
 
 The tables belong to the :class:`SearchGraph`, for the last distance
 field and weights it served: a (LANDMARKS, n) landmark-major float64
-array, one row per sweep, 64 * n bytes, plus 8 * n for phi. :func:`plan`
+array, one row per sweep, 128 * n bytes, plus 8 * n for phi. :func:`plan`
 builds them on a caller's graph once its exact searches (epsilon = 1
 and w_obstacle > 0, where the bound cannot change the path; no others
-read or pay for tables) have expanded LANDMARKS * n states since the
-last build, about what the build costs: one numpy label-correcting sweep
-per landmark, and one from ordinal 0 that picks the first,
-farthest-first. So a graph that serves a few queries never pays for
-tables, a long stream of queries pays once, inside the one query that
-crosses the trigger, and a call without a graph never builds them. The
-search counters, ``h_ratio`` and ``landmarks`` thus depend on how many
-queries a graph has served; paths, costs and lengths do not.
+read or pay for tables) have expanded BUILD_PRICE * n states since the
+last build, about what the build costs (~0.7 s on the plaza): one numpy
+label-correcting sweep per landmark, and one from ordinal 0 that picks
+the first, farthest-first. So a graph that serves a few queries never
+pays for tables, a long stream of queries pays once, inside the one
+query that crosses the trigger, and a call without a graph never builds
+them. The search counters, ``h_ratio`` and ``landmarks`` thus depend on
+how many queries a graph has served; paths, costs and lengths do not.
 
 The path rule needs each edge to raise g: a walk back from the goal then
 ends at the start. :func:`plan` refuses weights under which a path's g
@@ -116,8 +116,11 @@ __all__ = [
     "plan",
 ]
 
-LANDMARKS = 8  # landmarks in a search graph's tables
-ACTIVE_LANDMARKS = 4  # of those, the ones one query reads
+LANDMARKS = 16  # landmarks in a search graph's tables, all read by each query
+# exact searches pay for tables by expanding BUILD_PRICE states per state,
+# about what the LANDMARKS + 1 sweeps cost: a sweep costs ~0.14 * n expansions
+# on the plaza (~39 ms, at ~2.2 us each) and ~0.23-0.54 * n on 0.1 m maps
+BUILD_PRICE = 8
 # scales the landmark bound, so that rounding in the tables never lifts
 # it above a true cost, and every edge pays more than the bound drops
 _SLACK = 1.0 - 1e-9
@@ -235,33 +238,26 @@ class _Tables:
 
     dfield: DistanceField
     weights: tuple  # (w_up, w_down, w_obstacle)
-    ordinals: np.ndarray  # (L,): the landmarks
     table: np.ndarray  # (L, n): D[a, v], distances under the symmetric cost
     phi: np.ndarray  # (n,): the potential that splits the cost
+    slack: float  # scales the bound: _SLACK, or less for tables of large values
 
     def bound(self, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The landmarks a search from ordinal ``s`` to ``t`` reads, the
-        ACTIVE_LANDMARKS with the largest |D[a, s] - D[a, t]| among those
-        that reach both ends, and the bound :func:`_astar` reads: per state
-        v, the Manhattan bound of :func:`_heuristic`, raised to
-        _SLACK * (max_a |D[a, v] - D[a, t]| + phi(t) - phi(v)) where that is
-        larger, inf where no landmark reaches; both empty with no landmark."""
+        """The rows a search from ordinal ``s`` to ``t`` reads, of every
+        landmark that reaches both ends, and the bound :func:`_astar` reads:
+        per state v, slack * (max_a |D[a, v] - D[a, t]| + phi(t) - phi(v)),
+        inf where no landmark reaches; both empty with no landmark."""
         table = self.table
-        with np.errstate(invalid="ignore"):  # inf - inf: reaches neither
-            gap = np.abs(table[:, s] - table[:, t])
-        reach = np.flatnonzero(np.isfinite(gap))
-        active = reach[np.argsort(-gap[reach], kind="stable")[:ACTIVE_LANDMARKS]]
-        if not active.size:
+        reach = np.flatnonzero(np.isfinite(table[:, s]) & np.isfinite(table[:, t]))
+        if not reach.size:
             return _NO_LANDMARKS
-        surface = self.dfield.surface
-        h = _manhattan(surface.states, t, surface.resolution, self.weights[1])
-        m, d = np.zeros_like(h), np.empty_like(h)
-        for a in active.tolist():
+        m, d = np.zeros_like(self.phi), np.empty_like(self.phi)
+        for a in reach.tolist():
             np.abs(np.subtract(table[a], table[a, t], out=d), out=d)
             np.maximum(m, d, out=m)
         m += np.subtract(self.phi[t], self.phi, out=d)
-        m *= _SLACK
-        return active, np.maximum(h, m, out=h)
+        m *= self.slack
+        return reach, m
 
 
 @dataclass(eq=False)
@@ -274,7 +270,7 @@ class _Landmarks:
     tables: _Tables | None = None
 
 
-# (active landmarks, bound) of a search that reads no tables
+# (landmarks read, bound) of a search that reads no tables
 _NO_LANDMARKS = (np.empty(0, np.int64), np.empty(0))
 
 
@@ -288,7 +284,7 @@ class SearchGraph:
 
     The graph also keeps the landmark tables of the last distance field
     and weights it served, which :func:`plan` builds on it once its
-    searches have paid for them (see the module docstring)."""
+    searches have expanded BUILD_PRICE * n states (see the module docstring)."""
 
     surface: Surface
     indptr: np.ndarray = field(init=False)
@@ -313,22 +309,26 @@ class SearchGraph:
 
     def _tables(self, dfield: DistanceField, params: PlanParams, cost_by_dz: np.ndarray,
                 bias: np.ndarray) -> _Tables | None:
-        """The landmark tables for ``dfield`` and ``params``' weights: the
-        ones the graph holds, or new ones, built here once its searches
-        have expanded LANDMARKS states per state since the last build;
-        else None."""
+        """The landmark tables for ``dfield`` and ``params``' weights: held,
+        or built here once its searches have expanded BUILD_PRICE * n
+        states since the last build; else None."""
         lm = self._landmarks
         weights = (params.w_up, params.w_down, params.w_obstacle)
         held = lm.tables
         if held is not None and held.dfield is dfield and held.weights == weights:
             return held
-        if lm.expanded < LANDMARKS * self.surface.size:
+        if lm.expanded < BUILD_PRICE * self.surface.size:
             return None
-        zs = self.surface.states[:, 2]
         res = self.surface.resolution
-        phi = (res * (params.w_up - params.w_down) / 2) * zs + bias / 2
-        ordinals, table = _landmark_tables(self, cost_by_dz + cost_by_dz[::-1], bias)
-        lm.tables = _Tables(dfield, weights, ordinals, table, phi)
+        phi = (res * (params.w_up - params.w_down) / 2) * self.surface.states[:, 2] + bias / 2
+        table = _landmark_tables(self, cost_by_dz + cost_by_dz[::-1], bias)
+        # the bound's drop along an edge rounds by under 8 ulps of top: the
+        # slack takes 16 off the cheapest edge, res, or no landmark is kept
+        top = float(table.max(initial=0.0, where=np.isfinite(table)) + 2 * np.abs(phi).max())
+        slack = min(_SLACK, 1.0 - 2.0**-48 * top / res)
+        if slack <= 0.0:
+            table = table[:0]
+        lm.tables = _Tables(dfield, weights, table, phi, slack)
         lm.expanded = 0
         return lm.tables
 
@@ -369,11 +369,11 @@ def _sweep(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray, source: 
     return dist
 
 
-def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray,
-                     bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Up to LANDMARKS landmarks, farthest-first from ordinal 0 among the
-    states it reaches, and their (L, n) landmark-major distance table
-    under the symmetric cost of :func:`_sweep`, one row per sweep."""
+def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The (L, n) landmark-major distance table of up to LANDMARKS
+    landmarks, farthest-first from ordinal 0 among the states it reaches,
+    under the symmetric cost of :func:`_sweep`, one row per sweep: a row's
+    one zero is its landmark."""
     # distance to the nearest landmark chosen so far, or to ordinal 0;
     # -1 where ordinal 0 does not reach, so no landmark is picked there
     nearest = _sweep(graph, pair_cost, bias, 0)
@@ -381,13 +381,11 @@ def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray,
     nearest[~reached] = -1.0
     # ordinal 0 stays at 0 and is never picked: every pick is a new state
     count = min(LANDMARKS, int(np.count_nonzero(reached)) - 1)
-    ordinals = np.empty(count, dtype=np.int64)
     table = np.empty((count, graph.surface.size))
     for j in range(count):
-        ordinals[j] = np.argmax(nearest)
-        table[j] = _sweep(graph, pair_cost, bias, ordinals[j])
+        table[j] = _sweep(graph, pair_cost, bias, int(np.argmax(nearest)))
         np.minimum(nearest, table[j], out=nearest)
-    return ordinals, table
+    return table
 
 
 @dataclass(frozen=True)
@@ -398,11 +396,11 @@ class PathResult:
     superseded g), the largest heap size, ``h_ratio``, the bound the search
     used at the start over the cost (1.0 when start equals goal): the
     nearer to 1, the fewer states the bound lets the search expand, and
-    ``landmarks``, the number of landmarks that bound read (0: the
-    Manhattan bound alone). ``search_seconds`` times the search and any
-    bound array it reads, the landmark one or the Manhattan one a long
-    search without tables switches to, but not a landmark table build the
-    call paid for."""
+    ``landmarks``, the number of landmarks that bound read, all that reach
+    both ends (0: the Manhattan bound alone). ``search_seconds`` times the
+    search and any bound array it reads, the landmark one or the Manhattan
+    one a long search without tables switches to, but not a landmark table
+    build the call paid for."""
 
     states: np.ndarray
     cost: float
@@ -663,7 +661,7 @@ def plan(
     heap = [(0.0, -0.0, 0, s)]
     counters = np.array([0, 1, 0, 1], np.int64)  # expanded, pushes, stale pops, heap peak
     t0 = time.perf_counter()
-    active, bound = _NO_LANDMARKS if tables is None else tables.bound(s, t)
+    read, bound = _NO_LANDMARKS if tables is None else tables.bound(s, t)
     # a search on per-push Manhattan bounds pauses once they have cost
     # about as much as their array, and resumes on it
     budget = _NO_BUDGET if bound.size else n // PUSH_PRICE
@@ -699,7 +697,7 @@ def plan(
         stale_pops=stale_pops,
         heap_peak=heap_peak,
         h_ratio=h_start / cost,
-        landmarks=int(active.size),
+        landmarks=int(read.size),
         search_seconds=elapsed,
         engine=_ENGINE,
     )

@@ -9,6 +9,7 @@ import pytest
 
 from surfnav import (
     PlanParams,
+    SearchGraph,
     distance_field,
     load_grid,
     load_surface,
@@ -18,11 +19,27 @@ from surfnav import (
     save_scene_spec,
 )
 from surfnav.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, TIMING_KEYS, main
-from surfnav.plan import ACTIVE_LANDMARKS
+from surfnav.plan import BUILD_PRICE
 
 from conftest import built
 
 COUNTERS = ("landmarks", "pushes", "stale_pops", "heap_peak")
+
+
+def landmarks_reaching(name):
+    """A function of a query's two ends on preset ``name``: how many
+    landmarks of the tables a search graph builds there reach both."""
+    b = built(name)
+    graph = SearchGraph.build(b.surface)
+    graph._landmarks.expanded = BUILD_PRICE * b.surface.size
+    plan(b.surface, b.dfield, tuple(b.surface.states[0]), tuple(b.surface.states[-1]),
+         graph=graph)
+    table = graph._landmarks.tables.table
+
+    def count(start, goal):
+        s, t = b.surface.ordinal(tuple(start)), b.surface.ordinal(tuple(goal))
+        return int(np.count_nonzero(np.isfinite(table[:, s]) & np.isfinite(table[:, t])))
+    return count
 
 
 def run(argv, capsys):
@@ -649,11 +666,17 @@ class TestBench:
 
     def test_long_batch_turns_landmarks_on(self, capsys):
         # the batch shares one graph: once its searches have expanded
-        # LANDMARKS states per state, the next query builds the tables and
-        # the rest read them; costs do not change
+        # BUILD_PRICE states per state, the next query builds the tables
+        # and the rest read every landmark that reaches both ends; costs do
+        # not change
         doc = report(["bench", "--preset", "table1_fixture", "--queries", "100"], capsys)
         used = [rec["landmarks"] for rec in doc["per_query"]]
-        assert used[0] == 0 and set(used) == {0, ACTIVE_LANDMARKS}
+        reaching = landmarks_reaching("table1_fixture")
+        paid = next(i for i, u in enumerate(used) if u)
+        assert paid > 0
+        for rec in doc["per_query"][paid:]:
+            if rec["start"] != rec["goal"]:
+                assert rec["landmarks"] == reaching(rec["start"], rec["goal"])
         b = built("table1_fixture")
         assert doc["S_size"] == b.surface.size
         for rec in doc["per_query"]:
@@ -674,7 +697,8 @@ class TestBench:
                       "--repeat", "3"], capsys)
         assert doc["repeat"] == 3
         records = doc["per_query"]
-        assert all(rec["landmarks"] == ACTIVE_LANDMARKS
+        reaching = landmarks_reaching("two_story_house")
+        assert all(rec["landmarks"] == reaching(rec["start"], rec["goal"])
                    for rec in records if rec["start"] != rec["goal"])
         assert doc["N_s_mean"] == np.mean([rec["N_s"] for rec in records])
         assert doc["T_s_total"] == pytest.approx(sum(rec["T_s"] for rec in records))

@@ -31,7 +31,7 @@ from surfnav.oracle import (
 )
 from surfnav.extract import Surface
 from surfnav.plan import (
-    ACTIVE_LANDMARKS, LANDMARKS, PUSH_PRICE, _ENGINE, _NO_BUDGET, _NO_LANDMARKS, _SLACK, _astar,
+    BUILD_PRICE, LANDMARKS, PUSH_PRICE, _ENGINE, _NO_BUDGET, _NO_LANDMARKS, _SLACK, _astar,
     _chain, _cost_table, _heuristic, _interpreted, _manhattan, _search, _walk,
 )
 from conftest import built, union_surface, voxel_sets
@@ -203,7 +203,7 @@ def paid_graph(surface):
     """A new graph of ``surface`` whose searches have paid for landmark
     tables: the next exact query on it builds them."""
     graph = SearchGraph.build(surface)
-    graph._landmarks.expanded = LANDMARKS * surface.size
+    graph._landmarks.expanded = BUILD_PRICE * surface.size
     return graph
 
 
@@ -427,8 +427,8 @@ class TestPlan:
     def test_long_searches_alone_switch_to_the_array(self, monkeypatch):
         # a search without tables builds the Manhattan array once its
         # pushes reach n // PUSH_PRICE, a short one never; a search with
-        # tables builds its landmark bound (which holds the Manhattan one)
-        # once, and never pauses
+        # tables reads its landmark bound alone, never builds the Manhattan
+        # one, and never pauses
         b = built("plaza_like")
         surface = b.surface
         built_for = []
@@ -447,7 +447,7 @@ class TestPlan:
         long = plan(surface, b.dfield, start, far, graph=SearchGraph.build(surface))
         assert long.pushes > budget and built_for == [surface.size - 1]
         paid = plan(surface, b.dfield, start, far, graph=paid_graph(surface))
-        assert paid.landmarks == ACTIVE_LANDMARKS and built_for == [surface.size - 1] * 2
+        assert paid.landmarks == LANDMARKS and built_for == [surface.size - 1]
         assert (paid.cost, paid.states.tobytes()) == (long.cost, long.states.tobytes())
 
     def test_interleaved_queries_match_fresh_ones(self, table1):
@@ -600,11 +600,11 @@ class TestPathsFromFinalG:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_paths_and_costs_match_with_landmarks(self, name):
         # every preset is one component, so every query that moves reads
-        # ACTIVE_LANDMARKS landmarks
+        # all LANDMARKS landmarks
         b = built(name)
         for params in WEIGHTS:
             landmarks = self.assert_paths_match(b, params, paid_graph(b.surface))
-            assert set(landmarks) == {ACTIVE_LANDMARKS}
+            assert set(landmarks) == {LANDMARKS}
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_paused_search_resumes_alike(self, name):
@@ -709,17 +709,22 @@ class TestPathsFromFinalG:
 
     @pytest.mark.parametrize("paid", [False, True], ids=["manhattan", "landmarks"])
     def test_large_weights_below_the_bound_stay_exact(self, paid):
+        # with tables, the bound's slack grows with their values, so it
+        # stays strictly consistent: paths and costs are those of a new
+        # graph's Manhattan search, bit for bit
         b = built("spiral_ramp")
         params = PlanParams(w_up=1e12)
         graph = SearchGraph.build(b.surface)
         if paid:
-            graph._landmarks.expanded = LANDMARKS * b.surface.size
+            graph._landmarks.expanded = BUILD_PRICE * b.surface.size
         for start, goal in sample_queries(b.surface, 20, "mixed", rng_seed=1):
             got = plan(b.surface, b.dfield, start, goal, params, graph=graph)
             want = dijkstra_reference(b.surface, b.dfield, start, params)
             assert math.isclose(got.cost, want[b.surface.ordinal(goal)], rel_tol=1e-12)
             assert tuple(got.states[0]) == start and tuple(got.states[-1]) == goal
-            assert got.landmarks == (ACTIVE_LANDMARKS if paid and start != goal else 0)
+            assert got.landmarks == (LANDMARKS if paid and start != goal else 0)
+            fresh = plan(b.surface, b.dfield, start, goal, params)
+            assert (got.cost, got.states.tobytes()) == (fresh.cost, fresh.states.tobytes())
 
     def test_h_ratio(self, table1):
         # a new graph reads no landmarks: the bound is the Manhattan one
@@ -746,56 +751,66 @@ def result_key(r):
 
 class TestLandmarks:
     """ALT bounds: the tables a search graph builds once its searches have
-    expanded LANDMARKS states per state, the bound they give, and when a
+    expanded BUILD_PRICE states per state, the bound they give, and when a
     graph builds and keeps them."""
 
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_bound_strictly_consistent(self, name):
-        # h(u) < c(u -> v) + h(v) on every edge, h the array the search
-        # reads: Manhattan, raised to the slackened landmark bound
-        b = built(name)
+    @staticmethod
+    def assert_strictly_consistent(b, params):
+        """h(u) < c(u -> v) + h(v) on every edge and h(t) == 0, h the array
+        the search reads: the slackened landmark bound alone, of every
+        landmark (each preset is one component, so all reach both ends).
+        Returns the tables' slack."""
         surface, graph = b.surface, b.graph
         res, k = surface.resolution, surface.params.step_voxels
         sources = np.repeat(np.arange(surface.size), np.diff(graph.indptr))
+        tables = tables_for(surface, b.dfield, params)
+        cost = (_cost_table(params, res, k)[graph.dz + k]
+                + b.dfield._bias(params.w_obstacle)[graph.targets])
+        for a, t in query_pairs(b, 6):
+            read, h = tables.bound(a, t)
+            assert read.tolist() == list(range(LANDMARKS))
+            assert h.shape == (surface.size,) and h.dtype == np.float64
+            assert np.all(h[sources] < cost + h[graph.targets])
+            assert h[t] == 0.0
+        return tables.slack
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_bound_strictly_consistent(self, name):
         for params in WEIGHTS:
-            tables = tables_for(surface, b.dfield, params)
-            cost = (_cost_table(params, res, k)[graph.dz + k]
-                    + b.dfield._bias(params.w_obstacle)[graph.targets])
-            for a, t in query_pairs(b, 6):
-                active, h = tables.bound(a, t)
-                # the landmarks with the largest |D[l, a] - D[l, t]| are active
-                gap = np.abs(tables.table[:, a] - tables.table[:, t])
-                assert sorted(gap[active]) == sorted(gap)[-ACTIVE_LANDMARKS:]
-                assert h.shape == (surface.size,) and h.dtype == np.float64
-                assert np.all(h[sources] < cost + h[graph.targets])
-                assert h[t] == 0.0
+            assert self.assert_strictly_consistent(built(name), params) == _SLACK
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_bound_alone_strictly_consistent_at_a_steep_climb_weight(self, name):
+        # with w_up = 1e12, phi and the tables reach ~1e11 per level climbed
+        # while a flat edge costs ~0.2: their rounding exceeds 1e-9 of an
+        # edge, and the slack grows to match
+        slack = self.assert_strictly_consistent(built(name), PlanParams(w_up=1e12))
+        assert 0.5 < slack < _SLACK
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_bound_is_the_per_state_formula(self, name):
         # the array holds, bit for bit, a bound computed per state in plain
         # Python floats, as a search without the array would per push: the
-        # Manhattan bound, then the larger of it and the slackened landmark
-        # bound
+        # slackened landmark bound of every landmark that reaches both ends,
+        # with no Manhattan term
         b = built(name)
         surface = b.surface
-        res = surface.resolution
-        xs, ys, zs = surface.states.T.tolist()
         for params in WEIGHTS + [PlanParams(w_up=1e12)]:
             tables = tables_for(surface, b.dfield, params)
             table, phi = tables.table.tolist(), tables.phi.tolist()
             for a, t in query_pairs(b, 3):
                 active, got = tables.bound(a, t)
+                reach = [j for j in range(len(table))
+                         if math.isfinite(table[j][a]) and math.isfinite(table[j][t])]
+                assert active.tolist() == reach
                 want = []
                 for v in range(surface.size):
-                    h = _heuristic(xs[v] - xs[t], ys[v] - ys[t], zs[v] - zs[t], res,
-                                   params.w_down)
                     m = 0.0
-                    for j in active.tolist():
+                    for j in reach:
                         d = abs(table[j][v] - table[j][t])
                         if d > m:
                             m = d
-                    lm = _SLACK * (m + (phi[t] - phi[v]))
-                    want.append(lm if lm > h else h)
+                    want.append(tables.slack * (m + (phi[t] - phi[v])))
                 assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -807,8 +822,11 @@ class TestLandmarks:
         for params in WEIGHTS[:2]:
             tables = tables_for(surface, b.dfield, params)
             assert tables.table.shape == (LANDMARKS, surface.size)
-            assert len(set(tables.ordinals.tolist()) | {0}) == LANDMARKS + 1
-            for j, a in enumerate(tables.ordinals.tolist()):
+            # a row's one zero is its landmark: LANDMARKS states, none ordinal 0
+            ordinals = [int(a) for a in np.argmin(tables.table, axis=1)]
+            assert np.count_nonzero(tables.table == 0.0) == LANDMARKS
+            assert len(set(ordinals) | {0}) == LANDMARKS + 1
+            for j, a in enumerate(ordinals):
                 want = dijkstra_reference(surface, b.dfield, tuple(surface.states[a]), params)
                 got = tables.table[j] + tables.phi - tables.phi[a]
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -822,13 +840,13 @@ class TestLandmarks:
             start, goal = tuple(surface.states[a]), tuple(surface.states[z])
             got = plan(surface, dfield, start, goal, graph=graph)
             fresh = plan(surface, dfield, start, goal, graph=SearchGraph.build(surface))
-            if served < LANDMARKS * surface.size:
+            if served < BUILD_PRICE * surface.size:
                 assert result_key(got) == result_key(fresh)
             else:
                 built_at = q if built_at is None else built_at
                 assert (got.cost, got.states.tobytes(), got.metric_length) == (
                     fresh.cost, fresh.states.tobytes(), fresh.metric_length)
-                assert got.landmarks == (0 if a == z else ACTIVE_LANDMARKS)
+                assert got.landmarks == (0 if a == z else LANDMARKS)
                 assert fresh.h_ratio <= got.h_ratio <= 1.0
             served += got.expanded
         # the trigger fell within the batch, and the tables were kept
@@ -844,12 +862,12 @@ class TestLandmarks:
         # new weights: none until the searches pay again, then new tables
         other = PlanParams(w_obstacle=1.3)
         assert tables_for(surface, dfield, other, graph) is None
-        graph._landmarks.expanded = LANDMARKS * surface.size
+        graph._landmarks.expanded = BUILD_PRICE * surface.size
         assert tables_for(surface, dfield, other, graph).weights == (2.0, 1.0, 1.3)
         assert not np.array_equal(graph._landmarks.tables.table, table)
         # a new distance field, equal to the old one, gets new tables too
         again = distance_field(surface)
-        graph._landmarks.expanded = LANDMARKS * surface.size
+        graph._landmarks.expanded = BUILD_PRICE * surface.size
         assert tables_for(surface, again, params, graph).dfield is again
         assert graph._landmarks.tables.table.tobytes() == table.tobytes()
 
@@ -862,8 +880,8 @@ class TestLandmarks:
         for params in (PlanParams(epsilon=1.5), PlanParams(w_obstacle=0.0)):
             assert plan(surface, dfield, a, z, params, graph=graph).landmarks == 0
         assert graph._landmarks.tables is None
-        assert graph._landmarks.expanded == LANDMARKS * surface.size
-        assert plan(surface, dfield, a, z, graph=graph).landmarks == ACTIVE_LANDMARKS
+        assert graph._landmarks.expanded == BUILD_PRICE * surface.size
+        assert plan(surface, dfield, a, z, graph=graph).landmarks == LANDMARKS
 
     def test_no_graph_never_builds(self, table1, monkeypatch):
         # a graph plan() builds for itself serves one query: no tables,
@@ -878,11 +896,13 @@ class TestLandmarks:
             r = plan(surface, dfield, tuple(surface.states[a]), tuple(surface.states[z]))
             assert r.landmarks == 0
             expanded += r.expanded
-        assert expanded >= LANDMARKS * surface.size
+        assert expanded >= BUILD_PRICE * surface.size
 
-    def test_two_components_raise_no_path_without_nan(self, monkeypatch):
-        # landmarks reach the floor only: a query that leaves it reads none,
-        # and no heap entry holds a NaN bound
+    @staticmethod
+    def floor_and_tabletop(first, second):
+        """A 12 x 12 floor (128 states at z = 1, none under the table) and
+        a detached 4 x 4 tabletop (16 at z = 5), as one surface whose
+        states start with ``first``'s component, then ``second``'s."""
         occ = np.zeros((12, 12, 10), dtype=bool)
         occ[:, :, 0] = True
         occ[4:8, 4:8, 4] = True  # detached tabletop
@@ -890,8 +910,13 @@ class TestLandmarks:
         cands = candidate_set(
             grid, DerivedVoxelParams(step_voxels=1, clearance_voxels=3, inflation_voxels=0)
         )
-        surface = union_surface(cands, (0, 0, 1), (5, 5, 5))
-        dfield = distance_field(surface)
+        surface = union_surface(cands, first, second)
+        return surface, distance_field(surface)
+
+    def test_two_components_raise_no_path_without_nan(self, monkeypatch):
+        # landmarks reach the floor only: a query that leaves it reads none,
+        # and no heap entry holds a NaN bound
+        surface, dfield = self.floor_and_tabletop((0, 0, 1), (5, 5, 5))
         graph = paid_graph(surface)
         pushed = []
 
@@ -906,13 +931,13 @@ class TestLandmarks:
         monkeypatch.setattr(plan_module, "heapq", Heap)
         monkeypatch.setattr(plan_module, "_search", _interpreted(_astar))
         floor, far, top = (0, 0, 1), (11, 11, 1), (5, 5, 5)
-        assert plan(surface, dfield, floor, far, graph=graph).landmarks == ACTIVE_LANDMARKS
+        assert plan(surface, dfield, floor, far, graph=graph).landmarks == LANDMARKS
         tables = graph._landmarks.tables
         assert np.all(np.isfinite(tables.table[:, :128]))
         assert np.all(np.isinf(tables.table[:, 128:]))
         # the bound of a floor query: finite on the floor, inf on the top
         active, h = tables.bound(surface.ordinal(floor), surface.ordinal(far))
-        assert active.size == ACTIVE_LANDMARKS
+        assert active.size == LANDMARKS
         assert np.all(np.isfinite(h[:128])) and np.all(np.isinf(h[128:]))
         # one end off the floor: no landmark reaches it, and no bound is held
         for s, t in [(floor, top), (top, floor), (top, (6, 6, 5))]:
@@ -925,6 +950,44 @@ class TestLandmarks:
                 with pytest.raises(NoPathError):
                     plan(surface, dfield, start, goal, graph=graph)
         assert pushed and not np.any(np.isnan(pushed))
+
+    def test_a_query_reads_every_landmark_that_reaches_both_ends(self):
+        # ordinal 0 on the 16-state tabletop: the tables hold its 15 other
+        # states, and a query reads all 15 on the tabletop and none that
+        # touches the floor
+        surface, dfield = self.floor_and_tabletop((5, 5, 5), (0, 0, 1))
+        graph = paid_graph(surface)
+        states = [tuple(v) for v in surface.states.tolist()]
+        plan(surface, dfield, states[0], states[1], graph=graph)
+        table = graph._landmarks.tables.table
+        assert table.shape == (15, surface.size)
+        read = []
+        for a, z in [(0, 15), (15, 3), (7, 12), (16, 143), (100, 20)]:  # tabletop, then floor
+            got = plan(surface, dfield, states[a], states[z], graph=graph)
+            read.append(got.landmarks)
+            assert got.landmarks == np.count_nonzero(np.isfinite(table[:, a])
+                                                     & np.isfinite(table[:, z]))
+        assert read == [15, 15, 15, 0, 0]
+
+    def test_tables_too_coarse_for_any_slack_hold_no_landmark(self):
+        # a strip at z = 2^20 under w_up = 2^30: phi holds ~res * 2^49, so
+        # its rounding exceeds every edge's cost, and no slack makes the
+        # bound strictly consistent; the tables keep no landmark, and the
+        # search runs on the Manhattan bound alone
+        dims = (3, 10, 2**20 + 2)
+        xs, ys = np.meshgrid(np.arange(3), np.arange(10), indexing="ij")
+        keys = np.ravel_multi_index((xs.ravel(), ys.ravel(), np.full(30, 2**20)), dims)
+        surface = Surface(keys=keys, dims=dims, resolution=0.2, origin=np.zeros(3),
+                          params=DerivedVoxelParams(step_voxels=1, clearance_voxels=2,
+                                                    inflation_voxels=0))
+        dfield = distance_field(surface)
+        params = PlanParams(w_up=2.0**30)
+        tables = tables_for(surface, dfield, params)
+        assert tables.slack <= 0.0 and tables.table.shape == (0, surface.size)
+        a, z = (tuple(v) for v in surface.states[[0, -1]].tolist())
+        got = plan(surface, dfield, a, z, params, graph=paid_graph(surface))
+        fresh = plan(surface, dfield, a, z, params)
+        assert got.landmarks == 0 and result_key(got) == result_key(fresh)
 
     @settings(max_examples=40)
     @given(voxel_sets, st.integers(0, 3), st.data())
@@ -1005,11 +1068,11 @@ class TestQueryMemory:
         assert peak <= 4.125 * 8 * n + self.SLACK_BYTES
 
     def test_with_tables_g_closed_and_the_bound(self):
-        # with tables held, the bound adds three n-sized float64 buffers,
-        # one of them the array the search reads: 4.125 * 8n in all
+        # with tables held, the bound adds two n-sized float64 buffers, one
+        # of them the array the search reads: 3.125 * 8n in all
         peak, result, n = self.peak(paid_graph(built("plaza_like").surface))
-        assert result.landmarks == ACTIVE_LANDMARKS
-        assert peak <= 4.125 * 8 * n + self.SLACK_BYTES
+        assert result.landmarks == LANDMARKS
+        assert peak <= 3.125 * 8 * n + self.SLACK_BYTES
 
 
 class TestArrayLayout:
