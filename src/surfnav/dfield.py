@@ -9,7 +9,7 @@ state. The distance field is the hop count to the nearest boundary
 state: the round in which the one frontier BFS of :mod:`surfnav.extract`,
 started from every boundary state, reaches it over the same CSR the
 search graph uses. Its memory scales with the surface, not the grid.
-Planning uses it to bias paths away from edges and obstacles.
+Planning derives from it, per search graph, a bias away from edges.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ class DistanceField:
 
     surface: Surface
     distances: np.ndarray = field(init=False)
-    # (w_obstacle, bias) of the last planning weight asked for
-    _bias_cache: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         indptr, targets, _ = self.surface._csr
@@ -47,19 +45,6 @@ class DistanceField:
 
     def at(self, state) -> int:
         return int(self.distances[self.surface.ordinal(state)])
-
-    def _bias(self, w_obstacle: float) -> np.ndarray:
-        """Read-only per-state boundary-proximity cost,
-        w_obstacle * resolution / (distance + 1); kept for the last
-        ``w_obstacle``, so a planner pays for it once, not per query."""
-        cached = self._bias_cache
-        if cached is None or cached[0] != w_obstacle:
-            res = self.surface.resolution
-            bias = w_obstacle * res / (self.distances.astype(np.float64) + 1.0)
-            bias.setflags(write=False)
-            cached = (w_obstacle, bias)
-            object.__setattr__(self, "_bias_cache", cached)
-        return cached[1]
 
 
 def boundary_states(surface: Surface) -> np.ndarray:

@@ -162,8 +162,11 @@ class CandidateSet:
 
 def _find(keys: np.ndarray, dims, voxel) -> int:
     """Position of ``voxel`` in the sorted flat ``keys`` of a voxel set
-    over ``dims``, or -1 if it is not in the set."""
+    over ``dims``, or -1 if it is not, as when a coordinate is not an integer."""
+    voxel = tuple(voxel)
     x, y, z = map(int, voxel)
+    if (x, y, z) != voxel:
+        return -1
     nx, ny, nz = dims
     if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
         return -1
@@ -667,10 +670,9 @@ def extract_surface(
     keys = candidates.keys
     if len(seeds) != 1:
         raise InvalidSeedError(f"invalid seed: one seed is required, got {len(seeds)}")
-    seed = tuple(int(c) for c in seeds[0])
-    at = _find(keys, dims, seed)
+    at = _find(keys, dims, seeds[0])
     if at < 0:
-        raise InvalidSeedError(f"invalid seed: {seed} is not a candidate voxel")
+        raise InvalidSeedError(f"invalid seed: {tuple(seeds[0])} is not a candidate voxel")
 
     csr = _column_adjacency(keys, dims, candidates.params.step_voxels)
     order = np.concatenate(_bfs(csr[0], csr[1], [at]))
@@ -737,7 +739,7 @@ def extract_pipeline(
     filtered = collision_filter(cands)
     t2 = time.perf_counter()
     if seed_voxel is not None:
-        seed = tuple(int(c) for c in seed_voxel)
+        seed = seed_voxel
     else:
         seed = select_seed(seed_pose, filtered, max_snap)
     t3 = time.perf_counter()

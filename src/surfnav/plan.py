@@ -63,24 +63,28 @@ there is unmeasured. A search that reads landmarks never pauses: its
 bound holds other values from the first push, and a change of bound
 mid-search would change the expansion order.
 
-The tables belong to the :class:`SearchGraph`, for the last distance
-field and weights it served: a (LANDMARKS, n) landmark-major float64
-array, one row per sweep, 128 * n bytes, plus 8 * n for phi. :func:`plan`
-builds them on a caller's graph once its exact searches (epsilon = 1
-and w_obstacle > 0, where the bound cannot change the path; no others
-read or pay for tables) have expanded BUILD_PRICE * n states since the
-last build, about what the build costs (~0.7 s on the plaza): one numpy
-label-correcting sweep per landmark, and one from ordinal 0 that picks
-the first, farthest-first. So a graph that serves a few queries never
-pays for tables, a long stream of queries pays once, inside the one
-query that crosses the trigger, and a call without a graph never builds
-them. The search counters, ``h_ratio`` and ``landmarks`` thus depend on
-how many queries a graph has served; paths, costs and lengths do not.
+A :class:`SearchGraph` holds what :func:`plan` derives for the weights
+(w_up, w_down, w_obstacle) of its last query, once: the cost by height
+change, the bias, and the landmark tables, LANDMARKS float64 rows of n,
+one per sweep, 128 * n bytes, plus 8 * n for phi.
+:func:`plan` builds the tables once that state's exact searches (epsilon
+= 1 and w_obstacle > 0, where the bound cannot change the path; no others
+read or pay for tables) have expanded BUILD_PRICE * n states, about what
+the build costs (~0.7 s on the plaza): one numpy label-correcting sweep
+per landmark, and one from ordinal 0 that picks the first,
+farthest-first. So a graph that serves a few queries never pays for
+tables, a long stream with one set of weights pays once, inside the query
+that crosses the trigger, and a call without a graph never builds them.
+Other weights replace the held state, tables and all, so a caller that
+alternates weight sets pays for tables per set; a new, equal distance
+field reads it. The search counters, ``h_ratio`` and ``landmarks`` thus
+depend on how many queries a graph has served; paths, costs and lengths
+do not.
 
 The path rule needs each edge to raise g: a walk back from the goal then
 ends at the start. :func:`plan` refuses weights under which a path's g
 could reach 2^52 times the cheapest edge, where adding an edge may not
-change it.
+change it, and keeps the held state.
 
 The search and the path walk are each written once, as plain Python over
 indexable arrays (the search over a heapq of tuples: min f, then max g,
@@ -232,42 +236,64 @@ def _manhattan(states: np.ndarray, t: int, res: float, w_down: float) -> np.ndar
     return h
 
 
-@dataclass(frozen=True, eq=False)
-class _Tables:
-    """Landmark tables for one distance field and one set of weights."""
+@dataclass(eq=False)
+class _Costs:
+    """What a search graph holds for one set of weights: the costs, the
+    expansions of its exact searches, and the tables those pay for."""
 
-    dfield: DistanceField
     weights: tuple  # (w_up, w_down, w_obstacle)
-    table: np.ndarray  # (L, n): D[a, v], distances under the symmetric cost
-    phi: np.ndarray  # (n,): the potential that splits the cost
-    slack: float  # scales the bound: _SLACK, or less for tables of large values
+    cost_by_dz: np.ndarray  # edge cost by height change, excluding the target's bias
+    bias: np.ndarray  # (n,): w_obstacle * res / (boundary distance + 1), read-only
+    expanded: int = 0  # by exact searches
+    table: list | None = None  # L rows of (n,): D[a, v], distances under the symmetric cost
+    phi: np.ndarray | None = None  # (n,): the potential that splits the cost
+    slack: float = _SLACK  # scales the bound: _SLACK, or less for tables of large values
+
+    @classmethod
+    def of(cls, dfield: DistanceField, params: PlanParams) -> "_Costs":
+        """The state for ``params``' weights, with no tables; unchecked."""
+        surface = dfield.surface
+        res = surface.resolution
+        bias = params.w_obstacle * res / (dfield.distances.astype(np.float64) + 1.0)
+        bias.setflags(write=False)
+        return cls((params.w_up, params.w_down, params.w_obstacle),
+                   _cost_table(params, res, surface.params.step_voxels), bias)
+
+    def build(self, graph: "SearchGraph") -> None:
+        """Build the landmark tables of ``graph`` under these weights."""
+        res = graph.surface.resolution
+        w_up, w_down, _ = self.weights
+        phi = (res * (w_up - w_down) / 2) * graph.surface.states[:, 2] + self.bias / 2
+        table = _landmark_tables(graph, self.cost_by_dz + self.cost_by_dz[::-1], self.bias)
+        # the bound's drop along an edge rounds by under 8 ulps of top: the
+        # slack takes 16 off the cheapest edge, res, or no landmark is kept
+        top = float(max((row.max(initial=0.0, where=np.isfinite(row)) for row in table),
+                        default=0.0) + 2 * np.abs(phi).max())
+        slack = min(_SLACK, 1.0 - 2.0**-48 * top / res)
+        if slack <= 0.0:
+            table = table[:0]
+        self.table, self.phi, self.slack = table, phi, slack
 
     def bound(self, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows a search from ordinal ``s`` to ``t`` reads, of every
         landmark that reaches both ends, and the bound :func:`_astar` reads:
         per state v, slack * (max_a |D[a, v] - D[a, t]| + phi(t) - phi(v)),
-        inf where no landmark reaches; both empty with no landmark."""
+        inf where no landmark reaches; both empty with no landmark or no
+        tables."""
         table = self.table
-        reach = np.flatnonzero(np.isfinite(table[:, s]) & np.isfinite(table[:, t]))
-        if not reach.size:
+        if table is None:
+            return _NO_LANDMARKS
+        reach = [a for a, row in enumerate(table)
+                 if math.isfinite(row[s]) and math.isfinite(row[t])]
+        if not reach:
             return _NO_LANDMARKS
         m, d = np.zeros_like(self.phi), np.empty_like(self.phi)
-        for a in reach.tolist():
-            np.abs(np.subtract(table[a], table[a, t], out=d), out=d)
+        for a in reach:
+            np.abs(np.subtract(table[a], table[a][t], out=d), out=d)
             np.maximum(m, d, out=m)
         m += np.subtract(self.phi[t], self.phi, out=d)
         m *= self.slack
-        return reach, m
-
-
-@dataclass(eq=False)
-class _Landmarks:
-    """What a search graph keeps for its landmark bound: the tables, which
-    are replaced whole, never edited, and the search work that pays for
-    the next build."""
-
-    expanded: int = 0  # by searches that could read tables, since the last build
-    tables: _Tables | None = None
+        return np.array(reach, np.int64), m
 
 
 # (landmarks read, bound) of a search that reads no tables
@@ -282,15 +308,14 @@ class SearchGraph:
     Independent of planning weights, so one graph serves any number of
     queries; every edge has its reverse, with -dz.
 
-    The graph also keeps the landmark tables of the last distance field
-    and weights it served, which :func:`plan` builds on it once its
-    searches have expanded BUILD_PRICE * n states (see the module docstring)."""
+    The graph also holds what :func:`plan` derives for the weights of its
+    last query, landmark tables included (see the module docstring)."""
 
     surface: Surface
     indptr: np.ndarray = field(init=False)
     targets: np.ndarray = field(init=False)
     dz: np.ndarray = field(init=False)
-    _landmarks: _Landmarks = field(default_factory=_Landmarks, init=False, repr=False)
+    _held: _Costs | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         indptr, targets, _ = self.surface._csr
@@ -307,30 +332,21 @@ class SearchGraph:
     def build(cls, surface: Surface) -> "SearchGraph":
         return cls(surface)
 
-    def _tables(self, dfield: DistanceField, params: PlanParams, cost_by_dz: np.ndarray,
-                bias: np.ndarray) -> _Tables | None:
-        """The landmark tables for ``dfield`` and ``params``' weights: held,
-        or built here once its searches have expanded BUILD_PRICE * n
-        states since the last build; else None."""
-        lm = self._landmarks
-        weights = (params.w_up, params.w_down, params.w_obstacle)
-        held = lm.tables
-        if held is not None and held.dfield is dfield and held.weights == weights:
-            return held
-        if lm.expanded < BUILD_PRICE * self.surface.size:
-            return None
-        res = self.surface.resolution
-        phi = (res * (params.w_up - params.w_down) / 2) * self.surface.states[:, 2] + bias / 2
-        table = _landmark_tables(self, cost_by_dz + cost_by_dz[::-1], bias)
-        # the bound's drop along an edge rounds by under 8 ulps of top: the
-        # slack takes 16 off the cheapest edge, res, or no landmark is kept
-        top = float(table.max(initial=0.0, where=np.isfinite(table)) + 2 * np.abs(phi).max())
-        slack = min(_SLACK, 1.0 - 2.0**-48 * top / res)
-        if slack <= 0.0:
-            table = table[:0]
-        lm.tables = _Tables(dfield, weights, table, phi, slack)
-        lm.expanded = 0
-        return lm.tables
+    def _costs(self, dfield: DistanceField, params: PlanParams) -> _Costs:
+        """The held state for ``params``' weights, or a new one made from
+        ``dfield`` that replaces it. Weights under which a path's cost
+        could absorb a step raise ValueError and replace nothing."""
+        held = self._held
+        if held is None or held.weights != (params.w_up, params.w_down, params.w_obstacle):
+            held = _Costs.of(dfield, params)
+            n, res = self.surface.size, self.surface.resolution
+            # a path's g is at most n - 1 edges of the largest cost; below 2^52
+            # times the smallest, res, each edge's cost exceeds g's rounding step
+            if (n - 1) * (float(held.cost_by_dz.max()) + params.w_obstacle * res) >= 2.0**52 * res:
+                raise ValueError(f"weights {params} give edge costs too far apart for {n} "
+                                 "states: a path's cost would not grow with each step")
+            object.__setattr__(self, "_held", held)
+        return held
 
 
 def _sweep(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray, source: int) -> np.ndarray:
@@ -369,22 +385,22 @@ def _sweep(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray, source: 
     return dist
 
 
-def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """The (L, n) landmark-major distance table of up to LANDMARKS
-    landmarks, farthest-first from ordinal 0 among the states it reaches,
-    under the symmetric cost of :func:`_sweep`, one row per sweep: a row's
-    one zero is its landmark."""
+def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray) -> list:
+    """The distance rows of up to LANDMARKS landmarks, farthest-first from
+    ordinal 0 among the states it reaches, under the symmetric cost of
+    :func:`_sweep`: a row's one zero is its landmark. Each is the array
+    its sweep returns, which reuses freed heap where one (L, n) array is
+    mapped afresh (+12 MB peak RSS on the 0.048 m plaza)."""
     # distance to the nearest landmark chosen so far, or to ordinal 0;
     # -1 where ordinal 0 does not reach, so no landmark is picked there
     nearest = _sweep(graph, pair_cost, bias, 0)
     reached = np.isfinite(nearest)
     nearest[~reached] = -1.0
     # ordinal 0 stays at 0 and is never picked: every pick is a new state
-    count = min(LANDMARKS, int(np.count_nonzero(reached)) - 1)
-    table = np.empty((count, graph.surface.size))
-    for j in range(count):
-        table[j] = _sweep(graph, pair_cost, bias, int(np.argmax(nearest)))
-        np.minimum(nearest, table[j], out=nearest)
+    table = []
+    for _ in range(min(LANDMARKS, int(np.count_nonzero(reached)) - 1)):
+        table.append(_sweep(graph, pair_cost, bias, int(np.argmax(nearest))))
+        np.minimum(nearest, table[-1], out=nearest)
     return table
 
 
@@ -427,7 +443,7 @@ def _astar(indptr, targets, dzs, cost_by_dz, bias, xs, ys, zs, keys, g, goal, ep
     min f, then max g, then lexicographic coordinates. Pushes of one state
     carry strictly decreasing g, so that order is total over live entries
     and no insertion counter is needed. The bound of a state v is
-    ``bound[v]`` (see :func:`_manhattan` and :meth:`_Tables.bound`); with
+    ``bound[v]`` (see :func:`_manhattan` and :meth:`_Costs.bound`); with
     ``bound`` empty it is the Manhattan one, computed per push.
 
     ``counters`` holds (expanded, pushes, stale_pops, heap_peak), read at
@@ -582,9 +598,10 @@ def plan(
     """Search a path between two surface states.
 
     ``start`` and ``goal`` are voxel triples that must lie on the surface.
-    Pass a prebuilt ``graph`` to amortize adjacency construction across
-    queries. The result's ``engine`` names the search that ran. Weights
-    under which a path's cost could absorb a step raise ValueError.
+    Pass a prebuilt ``graph`` to amortize adjacency construction, and the
+    state derived for the weights, across queries. The result's
+    ``engine`` names the search that ran. Weights under which a path's
+    cost could absorb a step raise ValueError.
     """
     if params is None:
         params = PlanParams()
@@ -592,14 +609,14 @@ def plan(
         raise ValueError("distance field belongs to a different surface")
     if graph is not None and graph.surface is not surface:
         raise ValueError("graph belongs to a different surface")
-    start = tuple(int(c) for c in start)
-    goal = tuple(int(c) for c in goal)
     at_start = _find(surface._sorted, surface.dims, start)
     if at_start < 0:
-        raise OffSurfaceError(f"state {start} is not on the surface (start)")
+        raise OffSurfaceError(f"state {tuple(start)} is not on the surface (start)")
     at_goal = _find(surface._sorted, surface.dims, goal)
     if at_goal < 0:
-        raise OffSurfaceError(f"state {goal} is not on the surface (goal)")
+        raise OffSurfaceError(f"state {tuple(goal)} is not on the surface (goal)")
+    start = tuple(int(c) for c in start)
+    goal = tuple(int(c) for c in goal)
 
     if start == goal:
         return PathResult(
@@ -624,17 +641,12 @@ def plan(
     k = surface.params.step_voxels
     res = surface.resolution
     n = surface.size
-    cost_by_dz = _cost_table(params, res, k)
-    # a path's g is at most n - 1 edges of the largest cost; below 2^52
-    # times the smallest, res, each edge's cost exceeds g's rounding step
-    if (n - 1) * (float(cost_by_dz.max()) + params.w_obstacle * res) >= 2.0**52 * res:
-        raise ValueError(f"weights {params} give edge costs too far apart for {n} states: "
-                         "a path's cost would not grow with each step")
     if graph is None:
         graph = SearchGraph.build(surface)
-    bias = dfield._bias(params.w_obstacle)
+    costs = graph._costs(dfield, params)
+    if exact and costs.table is None and costs.expanded >= BUILD_PRICE * n:
+        costs.build(graph)
     s, t = int(surface._ordinals[at_start]), int(surface._ordinals[at_goal])
-    tables = graph._tables(dfield, params, cost_by_dz, bias) if exact else None
 
     states = surface.states
     g = np.full(n, np.inf)
@@ -642,8 +654,8 @@ def plan(
         graph.indptr,
         graph.targets,
         graph.dz,
-        cost_by_dz,
-        bias,
+        costs.cost_by_dz,
+        costs.bias,
         states[:, 0],
         states[:, 1],
         states[:, 2],
@@ -661,7 +673,7 @@ def plan(
     heap = [(0.0, -0.0, 0, s)]
     counters = np.array([0, 1, 0, 1], np.int64)  # expanded, pushes, stale pops, heap peak
     t0 = time.perf_counter()
-    read, bound = _NO_LANDMARKS if tables is None else tables.bound(s, t)
+    read, bound = costs.bound(s, t) if exact else _NO_LANDMARKS
     # a search on per-push Manhattan bounds pauses once they have cost
     # about as much as their array, and resumes on it
     budget = _NO_BUDGET if bound.size else n // PUSH_PRICE
@@ -672,7 +684,7 @@ def plan(
     elapsed = time.perf_counter() - t0
     expanded, pushes, stale_pops, heap_peak = counters.tolist()
     if exact:
-        graph._landmarks.expanded += expanded
+        costs.expanded += expanded
 
     # unreachable on a seed-connected surface, but a surface made from
     # keys may hold several components

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from surfnav import (
     ExtractionParams,
+    PlanParams,
     SearchGraph,
     Surface,
     build_scene,
@@ -17,6 +18,7 @@ from surfnav import (
     extract_surface,
     preset,
 )
+from surfnav.plan import BUILD_PRICE
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -62,6 +64,15 @@ def union_surface(candidates, seed, other):
     a, b = extract_surface(candidates, [seed]), extract_surface(candidates, [other])
     return Surface(keys=np.concatenate((a.keys, b.keys)), dims=a.dims,
                    resolution=a.resolution, origin=a.origin, params=a.params)
+
+
+def paid_graph(surface, dfield, params=PlanParams()):
+    """A new graph of ``surface`` holding the state for ``params``' weights,
+    whose exact searches have paid for landmark tables: the next exact
+    query with those weights builds them."""
+    graph = SearchGraph.build(surface)
+    graph._costs(dfield, params).expanded = BUILD_PRICE * surface.size
+    return graph
 
 
 @functools.lru_cache(maxsize=None)

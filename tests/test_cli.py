@@ -9,7 +9,6 @@ import pytest
 
 from surfnav import (
     PlanParams,
-    SearchGraph,
     distance_field,
     load_grid,
     load_surface,
@@ -19,9 +18,8 @@ from surfnav import (
     save_scene_spec,
 )
 from surfnav.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, TIMING_KEYS, main
-from surfnav.plan import BUILD_PRICE
 
-from conftest import built
+from conftest import built, paid_graph
 
 COUNTERS = ("landmarks", "pushes", "stale_pops", "heap_peak")
 
@@ -30,11 +28,10 @@ def landmarks_reaching(name):
     """A function of a query's two ends on preset ``name``: how many
     landmarks of the tables a search graph builds there reach both."""
     b = built(name)
-    graph = SearchGraph.build(b.surface)
-    graph._landmarks.expanded = BUILD_PRICE * b.surface.size
+    graph = paid_graph(b.surface, b.dfield)
     plan(b.surface, b.dfield, tuple(b.surface.states[0]), tuple(b.surface.states[-1]),
          graph=graph)
-    table = graph._landmarks.tables.table
+    table = np.array(graph._held.table)
 
     def count(start, goal):
         s, t = b.surface.ordinal(tuple(start)), b.surface.ordinal(tuple(goal))

@@ -29,7 +29,9 @@ from surfnav import (
     distance_field,
     extract_pipeline,
     extract_surface,
+    OffSurfaceError,
     load_surface,
+    plan,
     reduction_stats,
     save_surface,
     select_seed,
@@ -849,6 +851,33 @@ class TestPipeline:
         assert timings.total_seconds == pytest.approx(
             timings.candidate_seconds + timings.collision_seconds + timings.bfs_seconds
         )
+
+
+# (44.7, 42, 5) is not a voxel: its integer part, (44, 42, 5), is a state
+# of table1_fixture, and no lookup may read it as that state
+FRACTIONAL = (44.7, 42, 5)
+
+
+def test_a_fractional_coordinate_is_not_in_a_voxel_set(table1):
+    cands = collision_filter(candidate_set(table1.grid, table1.surface.params))
+    for voxels in (table1.surface, cands):
+        assert (44, 42, 5) in voxels and (44.0, 42, 5.0) in voxels
+        assert FRACTIONAL not in voxels
+
+
+@pytest.mark.parametrize("error, call", [
+    (KeyError, lambda b: b.surface.ordinal(FRACTIONAL)),
+    (KeyError, lambda b: b.dfield.at(FRACTIONAL)),
+    (OffSurfaceError, lambda b: plan(b.surface, b.dfield, FRACTIONAL, b.surface.seed)),
+    (OffSurfaceError, lambda b: plan(b.surface, b.dfield, b.surface.seed, FRACTIONAL)),
+    (InvalidSeedError, lambda b: extract_surface(
+        collision_filter(candidate_set(b.grid, b.surface.params)), [FRACTIONAL])),
+    (InvalidSeedError, lambda b: extract_pipeline(b.grid, ExtractionParams(),
+                                                  seed_voxel=FRACTIONAL)),
+], ids=["ordinal", "at", "plan-start", "plan-goal", "extract_surface", "extract_pipeline"])
+def test_a_fractional_coordinate_is_refused(table1, error, call):
+    with pytest.raises(error):
+        call(table1)
 
 
 class TestSurfaceFile:

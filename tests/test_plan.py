@@ -31,10 +31,10 @@ from surfnav.oracle import (
 )
 from surfnav.extract import Surface
 from surfnav.plan import (
-    BUILD_PRICE, LANDMARKS, PUSH_PRICE, _ENGINE, _NO_BUDGET, _NO_LANDMARKS, _SLACK, _astar,
-    _chain, _cost_table, _heuristic, _interpreted, _manhattan, _search, _walk,
+    BUILD_PRICE, LANDMARKS, PUSH_PRICE, _ENGINE, _NO_BUDGET, _NO_LANDMARKS, _SLACK, _Costs,
+    _astar, _chain, _cost_table, _heuristic, _interpreted, _manhattan, _search, _walk,
 )
-from conftest import built, union_surface, voxel_sets
+from conftest import built, paid_graph, union_surface, voxel_sets
 
 plan_module = importlib.import_module("surfnav.plan")
 needs_numba = pytest.mark.skipif(_ENGINE != "numba", reason="numba is not importable")
@@ -199,34 +199,26 @@ class TestSuccessors:
                 assert graph.dz[e] == surface.states[j, 2] - surface.states[i, 2]
 
 
-def paid_graph(surface):
-    """A new graph of ``surface`` whose searches have paid for landmark
-    tables: the next exact query on it builds them."""
-    graph = SearchGraph.build(surface)
-    graph._landmarks.expanded = BUILD_PRICE * surface.size
-    return graph
-
-
-def tables_for(surface, dfield, params, graph=None):
-    """The landmark tables ``graph`` (by default a new paid graph of
-    ``surface``) holds or builds for ``dfield`` and ``params``; None if it
-    has none and its searches have not paid for them."""
-    graph = paid_graph(surface) if graph is None else graph
-    cost_by_dz = _cost_table(params, surface.resolution, surface.params.step_voxels)
-    return graph._tables(dfield, params, cost_by_dz, dfield._bias(params.w_obstacle))
+def tables_for(surface, dfield, params):
+    """The state a graph of ``surface`` holds for ``params``' weights, with
+    its landmark tables built: made directly, so without :func:`plan`'s
+    check of the weights."""
+    costs = _Costs.of(dfield, params)
+    costs.build(SearchGraph.build(surface))
+    return costs
 
 
 def search_args(fixture, b, params):
     """The arguments :func:`_astar` and :func:`_chain` share, to ordinal
     ``b``, with a fresh ``g``."""
-    surface, dfield, graph = fixture.surface, fixture.dfield, fixture.graph
-    res, k = surface.resolution, surface.params.step_voxels
+    surface, graph = fixture.surface, fixture.graph
+    costs = _Costs.of(fixture.dfield, params)
     states = surface.states
     return (
-        graph.indptr, graph.targets, graph.dz, _cost_table(params, res, k),
-        dfield._bias(params.w_obstacle), states[:, 0], states[:, 1], states[:, 2],
-        surface.keys, np.full(surface.size, np.inf), b, params.epsilon, res,
-        params.w_down, k,
+        graph.indptr, graph.targets, graph.dz, costs.cost_by_dz, costs.bias,
+        states[:, 0], states[:, 1], states[:, 2], surface.keys,
+        np.full(surface.size, np.inf), b, params.epsilon, surface.resolution,
+        params.w_down, surface.params.step_voxels,
     )
 
 
@@ -446,7 +438,7 @@ class TestPlan:
         assert short.pushes < budget and built_for == []
         long = plan(surface, b.dfield, start, far, graph=SearchGraph.build(surface))
         assert long.pushes > budget and built_for == [surface.size - 1]
-        paid = plan(surface, b.dfield, start, far, graph=paid_graph(surface))
+        paid = plan(surface, b.dfield, start, far, graph=paid_graph(surface, b.dfield))
         assert paid.landmarks == LANDMARKS and built_for == [surface.size - 1]
         assert (paid.cost, paid.states.tobytes()) == (long.cost, long.states.tobytes())
 
@@ -474,10 +466,17 @@ class TestPlan:
         assert shared == fresh
 
     def test_bias_built_once_per_weight(self, table1):
+        # a graph derives the bias once per set of weights: a query with
+        # another epsilon or a new, equal distance field reuses it
         surface, dfield = table1.surface, table1.dfield
+        graph = SearchGraph.build(surface)
+        a, z = tuple(surface.states[0]), tuple(surface.states[-1])
         for w in (0.5, 1.3):
-            bias = dfield._bias(w)
-            assert dfield._bias(w) is bias
+            plan(surface, dfield, a, z, PlanParams(w_obstacle=w), graph=graph)
+            bias = graph._held.bias
+            plan(surface, distance_field(surface), z, a, PlanParams(epsilon=1.5, w_obstacle=w),
+                 graph=graph)
+            assert graph._held.bias is bias
             assert not bias.flags.writeable
             expected = w * surface.resolution / (dfield.distances.astype(np.float64) + 1.0)
             assert bias.tobytes() == expected.tobytes()
@@ -603,7 +602,7 @@ class TestPathsFromFinalG:
         # all LANDMARKS landmarks
         b = built(name)
         for params in WEIGHTS:
-            landmarks = self.assert_paths_match(b, params, paid_graph(b.surface))
+            landmarks = self.assert_paths_match(b, params, paid_graph(b.surface, b.dfield, params))
             assert set(landmarks) == {LANDMARKS}
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -644,8 +643,8 @@ class TestPathsFromFinalG:
         res, k = surface.resolution, surface.params.step_voxels
         sources = np.repeat(np.arange(surface.size), np.diff(graph.indptr))
         for params in WEIGHTS:
-            cost = (_cost_table(params, res, k)[graph.dz + k]
-                    + b.dfield._bias(params.w_obstacle)[graph.targets])
+            costs = _Costs.of(b.dfield, params)
+            cost = costs.cost_by_dz[graph.dz + k] + costs.bias[graph.targets]
             for _, z in query_pairs(b, 10):
                 goal = tuple(surface.states[z])
                 h = np.array([heuristic(s, goal, params, res) for s in surface.states.tolist()])
@@ -714,9 +713,7 @@ class TestPathsFromFinalG:
         # graph's Manhattan search, bit for bit
         b = built("spiral_ramp")
         params = PlanParams(w_up=1e12)
-        graph = SearchGraph.build(b.surface)
-        if paid:
-            graph._landmarks.expanded = BUILD_PRICE * b.surface.size
+        graph = paid_graph(b.surface, b.dfield, params) if paid else SearchGraph.build(b.surface)
         for start, goal in sample_queries(b.surface, 20, "mixed", rng_seed=1):
             got = plan(b.surface, b.dfield, start, goal, params, graph=graph)
             want = dijkstra_reference(b.surface, b.dfield, start, params)
@@ -764,8 +761,7 @@ class TestLandmarks:
         res, k = surface.resolution, surface.params.step_voxels
         sources = np.repeat(np.arange(surface.size), np.diff(graph.indptr))
         tables = tables_for(surface, b.dfield, params)
-        cost = (_cost_table(params, res, k)[graph.dz + k]
-                + b.dfield._bias(params.w_obstacle)[graph.targets])
+        cost = tables.cost_by_dz[graph.dz + k] + tables.bias[graph.targets]
         for a, t in query_pairs(b, 6):
             read, h = tables.bound(a, t)
             assert read.tolist() == list(range(LANDMARKS))
@@ -797,7 +793,7 @@ class TestLandmarks:
         surface = b.surface
         for params in WEIGHTS + [PlanParams(w_up=1e12)]:
             tables = tables_for(surface, b.dfield, params)
-            table, phi = tables.table.tolist(), tables.phi.tolist()
+            table, phi = [row.tolist() for row in tables.table], tables.phi.tolist()
             for a, t in query_pairs(b, 3):
                 active, got = tables.bound(a, t)
                 reach = [j for j in range(len(table))
@@ -821,14 +817,15 @@ class TestLandmarks:
         surface = b.surface
         for params in WEIGHTS[:2]:
             tables = tables_for(surface, b.dfield, params)
-            assert tables.table.shape == (LANDMARKS, surface.size)
+            table = np.array(tables.table)
+            assert table.shape == (LANDMARKS, surface.size)
             # a row's one zero is its landmark: LANDMARKS states, none ordinal 0
-            ordinals = [int(a) for a in np.argmin(tables.table, axis=1)]
-            assert np.count_nonzero(tables.table == 0.0) == LANDMARKS
+            ordinals = [int(a) for a in np.argmin(table, axis=1)]
+            assert np.count_nonzero(table == 0.0) == LANDMARKS
             assert len(set(ordinals) | {0}) == LANDMARKS + 1
             for j, a in enumerate(ordinals):
                 want = dijkstra_reference(surface, b.dfield, tuple(surface.states[a]), params)
-                got = tables.table[j] + tables.phi - tables.phi[a]
+                got = table[j] + tables.phi - tables.phi[a]
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_counters_match_a_fresh_graph_until_the_trigger(self, table1):
@@ -850,38 +847,79 @@ class TestLandmarks:
                 assert fresh.h_ratio <= got.h_ratio <= 1.0
             served += got.expanded
         # the trigger fell within the batch, and the tables were kept
-        assert built_at is not None and graph._landmarks.tables.dfield is dfield
+        assert built_at is not None and graph._held.table is not None
 
-    def test_tables_are_kept_per_field_and_weights(self, table1):
+    def test_tables_are_kept_per_weights(self, table1):
         surface, dfield = table1.surface, table1.dfield
-        params = PlanParams()
-        graph = paid_graph(surface)
-        table = tables_for(surface, dfield, params, graph).table
-        # held: the same field and weights read the same tables
-        assert tables_for(surface, dfield, params, graph).table is table
-        # new weights: none until the searches pay again, then new tables
+        graph = paid_graph(surface, dfield)
+        a, z = tuple(surface.states[0]), tuple(surface.states[-1])
+        assert plan(surface, dfield, a, z, graph=graph).landmarks == LANDMARKS
+        held = graph._held
+        table = held.table
+        # held: the same weights read the same tables
+        assert plan(surface, dfield, z, a, graph=graph).landmarks == LANDMARKS
+        assert graph._held is held and held.table is table
+        # new weights: a new held state, with no tables until its searches
+        # pay for them, then new ones
         other = PlanParams(w_obstacle=1.3)
-        assert tables_for(surface, dfield, other, graph) is None
-        graph._landmarks.expanded = BUILD_PRICE * surface.size
-        assert tables_for(surface, dfield, other, graph).weights == (2.0, 1.0, 1.3)
-        assert not np.array_equal(graph._landmarks.tables.table, table)
-        # a new distance field, equal to the old one, gets new tables too
-        again = distance_field(surface)
-        graph._landmarks.expanded = BUILD_PRICE * surface.size
-        assert tables_for(surface, again, params, graph).dfield is again
-        assert graph._landmarks.tables.table.tobytes() == table.tobytes()
+        assert plan(surface, dfield, a, z, other, graph=graph).landmarks == 0
+        assert graph._held.weights == (2.0, 1.0, 1.3) and graph._held.table is None
+        graph._held.expanded = BUILD_PRICE * surface.size
+        assert plan(surface, dfield, a, z, other, graph=graph).landmarks == LANDMARKS
+        assert not np.array_equal(graph._held.table, table)
+        # switching back drops those: the first weights start over
+        assert plan(surface, dfield, a, z, graph=graph).landmarks == 0
+        assert graph._held.weights == (2.0, 1.0, 0.5) and graph._held.table is None
+
+    def test_an_equal_distance_field_reads_the_held_tables(self, table1, monkeypatch):
+        # a distance field is a function of its surface: a new one reads the
+        # tables built under the first, which are built once
+        sweeps = []
+
+        def counted(*args):
+            sweeps.append(args)
+            return landmark_tables(*args)
+
+        landmark_tables = plan_module._landmark_tables
+        monkeypatch.setattr(plan_module, "_landmark_tables", counted)
+        surface, dfield = table1.surface, table1.dfield
+        graph = paid_graph(surface, dfield)
+        a, z = tuple(surface.states[0]), tuple(surface.states[-1])
+        first = plan(surface, dfield, a, z, graph=graph)
+        again = plan(surface, distance_field(surface), a, z, graph=graph)
+        assert first.landmarks == again.landmarks == LANDMARKS
+        assert len(sweeps) == 1
+        assert result_key(again) == result_key(first)
+
+    def test_refused_weights_keep_the_held_tables(self, table1):
+        # weights refused by the 2^52 check replace nothing: the next query
+        # with the held weights still reads their tables
+        surface, dfield = table1.surface, table1.dfield
+        graph = paid_graph(surface, dfield)
+        a, z = tuple(surface.states[0]), tuple(surface.states[-1])
+        assert plan(surface, dfield, a, z, graph=graph).landmarks == LANDMARKS
+        held = graph._held
+        with pytest.raises(ValueError, match="too far apart"):
+            plan(surface, dfield, a, z, PlanParams(w_up=1e16), graph=graph)
+        assert graph._held is held and held.table is not None
+        assert plan(surface, dfield, a, z, graph=graph).landmarks == LANDMARKS
 
     def test_exact_strict_searches_alone_pay_and_read(self, table1):
         # epsilon > 1 or w_obstacle = 0: the bound could change the path,
         # so those searches neither read tables nor count toward them
         surface, dfield = table1.surface, table1.dfield
-        graph = paid_graph(surface)
         a, z = tuple(surface.states[0]), tuple(surface.states[-1])
+        graphs = []
         for params in (PlanParams(epsilon=1.5), PlanParams(w_obstacle=0.0)):
+            graph = paid_graph(surface, dfield, params)
+            held = graph._held
             assert plan(surface, dfield, a, z, params, graph=graph).landmarks == 0
-        assert graph._landmarks.tables is None
-        assert graph._landmarks.expanded == BUILD_PRICE * surface.size
-        assert plan(surface, dfield, a, z, graph=graph).landmarks == LANDMARKS
+            assert graph._held is held and held.table is None
+            assert held.expanded == BUILD_PRICE * surface.size
+            graphs.append(graph)
+        # epsilon = 1.5 ran under the default weights, whose tables the
+        # next exact search builds and reads
+        assert plan(surface, dfield, a, z, graph=graphs[0]).landmarks == LANDMARKS
 
     def test_no_graph_never_builds(self, table1, monkeypatch):
         # a graph plan() builds for itself serves one query: no tables,
@@ -917,7 +955,7 @@ class TestLandmarks:
         # landmarks reach the floor only: a query that leaves it reads none,
         # and no heap entry holds a NaN bound
         surface, dfield = self.floor_and_tabletop((0, 0, 1), (5, 5, 5))
-        graph = paid_graph(surface)
+        graph = paid_graph(surface, dfield)
         pushed = []
 
         class Heap:
@@ -932,9 +970,10 @@ class TestLandmarks:
         monkeypatch.setattr(plan_module, "_search", _interpreted(_astar))
         floor, far, top = (0, 0, 1), (11, 11, 1), (5, 5, 5)
         assert plan(surface, dfield, floor, far, graph=graph).landmarks == LANDMARKS
-        tables = graph._landmarks.tables
-        assert np.all(np.isfinite(tables.table[:, :128]))
-        assert np.all(np.isinf(tables.table[:, 128:]))
+        tables = graph._held
+        table = np.array(tables.table)
+        assert np.all(np.isfinite(table[:, :128]))
+        assert np.all(np.isinf(table[:, 128:]))
         # the bound of a floor query: finite on the floor, inf on the top
         active, h = tables.bound(surface.ordinal(floor), surface.ordinal(far))
         assert active.size == LANDMARKS
@@ -956,10 +995,10 @@ class TestLandmarks:
         # states, and a query reads all 15 on the tabletop and none that
         # touches the floor
         surface, dfield = self.floor_and_tabletop((5, 5, 5), (0, 0, 1))
-        graph = paid_graph(surface)
+        graph = paid_graph(surface, dfield)
         states = [tuple(v) for v in surface.states.tolist()]
         plan(surface, dfield, states[0], states[1], graph=graph)
-        table = graph._landmarks.tables.table
+        table = np.array(graph._held.table)
         assert table.shape == (15, surface.size)
         read = []
         for a, z in [(0, 15), (15, 3), (7, 12), (16, 143), (100, 20)]:  # tabletop, then floor
@@ -983,9 +1022,9 @@ class TestLandmarks:
         dfield = distance_field(surface)
         params = PlanParams(w_up=2.0**30)
         tables = tables_for(surface, dfield, params)
-        assert tables.slack <= 0.0 and tables.table.shape == (0, surface.size)
+        assert tables.slack <= 0.0 and tables.table == []
         a, z = (tuple(v) for v in surface.states[[0, -1]].tolist())
-        got = plan(surface, dfield, a, z, params, graph=paid_graph(surface))
+        got = plan(surface, dfield, a, z, params, graph=paid_graph(surface, dfield, params))
         fresh = plan(surface, dfield, a, z, params)
         assert got.landmarks == 0 and result_key(got) == result_key(fresh)
 
@@ -1005,7 +1044,7 @@ class TestLandmarks:
         graph = SearchGraph.build(surface)
         states = [tuple(s) for s in surface.states.tolist()]
         pairs = itertools.cycle(itertools.permutations(range(surface.size), 2))
-        while graph._landmarks.tables is None:
+        while graph._held is None or graph._held.table is None:
             a, z = next(pairs)
             try:
                 plan(surface, dfield, states[a], states[z], graph=graph)
@@ -1070,7 +1109,8 @@ class TestQueryMemory:
     def test_with_tables_g_closed_and_the_bound(self):
         # with tables held, the bound adds two n-sized float64 buffers, one
         # of them the array the search reads: 3.125 * 8n in all
-        peak, result, n = self.peak(paid_graph(built("plaza_like").surface))
+        b = built("plaza_like")
+        peak, result, n = self.peak(paid_graph(b.surface, b.dfield))
         assert result.landmarks == LANDMARKS
         assert peak <= 3.125 * 8 * n + self.SLACK_BYTES
 
