@@ -126,6 +126,27 @@ def _search_fields(result) -> dict:
     )))
 
 
+def _extraction_fields(grid, surface, timings, t_load: float, t_dfield: float) -> dict:
+    """The report fields of one extraction: the grid and surface sizes,
+    the seed, resolution and thresholds, and the stage times, loading the
+    grid (``T_p``) through the distance field (``T_dfield``)."""
+    stats = reduction_stats(grid, surface)
+    return {
+        "V": stats.total_voxels,
+        "S_size": stats.surface_size,
+        "reduction": stats.reduction,
+        "seed": list(surface.seed),
+        "resolution": surface.resolution,
+        "params": _params_doc(surface),
+        "T_p": t_load,
+        "T_e_candidates": timings.candidate_seconds,
+        "T_e_collision": timings.collision_seconds,
+        "T_e_bfs": timings.bfs_seconds,
+        "T_e": timings.total_seconds,
+        "T_dfield": t_dfield,
+    }
+
+
 def _triple(text: str, kind: str = "pose") -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
@@ -334,24 +355,12 @@ def _cmd_extract(args) -> int:
     save_surface(surface, args.surface)
     if args.export_points:
         _export_states(surface, dfield, args.export_points)
-    stats = reduction_stats(grid, surface)
     _emit(
         {
             "command": "extract",
-            "V": stats.total_voxels,
-            "S_size": stats.surface_size,
-            "reduction": stats.reduction,
-            "seed": list(surface.seed),
+            **_extraction_fields(grid, surface, timings, t_load, t_dfield),
             "dims": list(surface.dims),
-            "resolution": surface.resolution,
-            "params": _params_doc(surface),
             "surface": args.surface,
-            "T_p": t_load,
-            "T_e_candidates": timings.candidate_seconds,
-            "T_e_collision": timings.collision_seconds,
-            "T_e_bfs": timings.bfs_seconds,
-            "T_e": timings.total_seconds,
-            "T_dfield": t_dfield,
         },
         args.output,
     )
@@ -459,16 +468,10 @@ def _cmd_bench(args) -> int:
     successes = sum(1 for rec in records if rec["success"])
     ok = [rec for rec in records if rec["success"]]
     t_search_total = float(times.sum())
-    stats = reduction_stats(grid, surface)
     report = {
         "command": "bench",
         "scene": scene_id,
-        "V": stats.total_voxels,
-        "S_size": stats.surface_size,
-        "reduction": stats.reduction,
-        "resolution": surface.resolution,
-        "seed": list(surface.seed),
-        "params": _params_doc(surface),
+        **_extraction_fields(grid, surface, timings, t_build, t_dfield),
         "plan_params": {
             "epsilon": plan_params.epsilon,
             "w_up": plan_params.w_up,
@@ -485,12 +488,6 @@ def _cmd_bench(args) -> int:
         "L_mean": float(np.mean([r["L"] for r in ok])) if ok else None,
         "cost_mean": float(np.mean([r["cost"] for r in ok])) if ok else None,
         "per_query": records,
-        "T_p": t_build,
-        "T_e_candidates": timings.candidate_seconds,
-        "T_e_collision": timings.collision_seconds,
-        "T_e_bfs": timings.bfs_seconds,
-        "T_e": timings.total_seconds,
-        "T_dfield": t_dfield,
         "T_graph": t_graph,
         "T_s_mean": float(times.mean()) if len(pairs) else 0.0,
         "T_s_std": float(times.std()) if len(pairs) else 0.0,

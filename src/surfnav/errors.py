@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes, so keep the split between input
 problems (bad files, bad specs) and pipeline problems (snap failures,
-unreachable states) intact. The readers at the end open a JSON input
+endpoints off the surface) intact. The readers at the end open a JSON input
 file and check the values read from it: each takes the error class to
 raise, and returns what it read, checked and converted.
 """
@@ -83,7 +83,8 @@ class OffSurfaceError(SurfnavError):
 
 
 class NoPathError(SurfnavError):
-    """No path connects the endpoints (only possible across components)."""
+    """No path connects the endpoints: a guard on the search and the path
+    walk, as the seed of a surface reaches every state."""
 
 
 class SceneSpecError(SurfnavError):

@@ -17,9 +17,10 @@ only a voxel whose neighbor column holds several voxels searches the
 keys, and the build's memory peaks at about four times the CSR's. One
 frontier BFS (:func:`_bfs`) walks such a CSR, for extraction's discovery
 order and the distance field; it finds each round's first appearances by
-a scatter, not a sort. A surface file needs no search: its order is that
-discovery order, and one pass over its CSR proves every state reachable
-from the seed (:func:`_check_order`).
+a scatter, not a sort. A surface's order is that discovery order, so
+checking it needs no search: one pass over its CSR proves every state
+reachable from the seed (:func:`_check_order`), and every
+:class:`Surface` runs it, whether extracted, loaded or constructed.
 
 Candidates search only the bottoms of occupied runs for the voxel that
 ends a clearance column, and the collision disk is dilated row by row
@@ -558,14 +559,16 @@ class Surface:
     extraction: memory scales with the surface. ``keys`` and ``states`` are
     held read-only as native, C-contiguous int64. Keys that are not
     integers, not 1-D or outside ``dims``, a duplicate key, no keys (a
-    surface holds its seed), a resolution that is not finite and > 0 and
-    thresholds in meters that do not give ``params`` raise ValueError; the
-    order is checked by :func:`save_surface` and :func:`load_surface`. The
+    surface holds its seed), a resolution that is not finite and > 0,
+    thresholds in meters that do not give ``params`` and an order that
+    does not prove every state reachable from the seed (:func:`_check_order`;
+    a second component, say, or a random permutation) raise ValueError. The
     adjacency of all states is a CSR cut to ordinal order by :func:`_cut`:
     of the candidates' CSR, by :func:`extract_surface`, which builds that
-    anyway; of the CSR over its own sorted keys, on first use, for a
-    surface made otherwise (:func:`load_surface`, or the constructor).
-    Either way it is kept, and the arrays are the same.
+    anyway and hands it over before the proof reads it; of the CSR over its
+    own sorted keys, built for the proof, for a surface made otherwise
+    (:func:`load_surface`, or the constructor). Either way it is kept, and
+    the arrays are the same.
     """
 
     keys: np.ndarray
@@ -603,6 +606,7 @@ class Surface:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_sorted", ordered)
         object.__setattr__(self, "_ordinals", order)
+        _check_order(self)
 
     @property
     def seed(self) -> tuple[int, int, int]:
@@ -626,8 +630,9 @@ class Surface:
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The adjacency of every state in ordinal order, as
         (indptr, target ordinals, boundary): :func:`_column_adjacency` of
-        the sorted keys, :func:`_cut` to ordinal order. Set by
-        :func:`extract_surface` to the same arrays."""
+        the sorted keys, :func:`_cut` to ordinal order. Built by the
+        constructor's order proof, unless :func:`extract_surface` set it
+        to the same arrays first."""
         csr = _column_adjacency(self._sorted, self.dims, self.params.step_voxels)
         # inverted after the build, so it is not held through the build's peak
         rows = np.empty_like(self._ordinals)
@@ -662,8 +667,9 @@ def extract_surface(
     :func:`_column_adjacency` over their sorted flat keys, its rows in step
     order, and :func:`_bfs` walks it, its rounds giving the ordinals.
     :func:`_cut` of that CSR to the reached states in ordinal order is the
-    surface's adjacency, so the distance field and search graph do not
-    build it again. Memory scales with the candidates, not with the grid.
+    surface's adjacency, so the constructor's order proof, the distance
+    field and the search graph do not build it again. Memory scales with
+    the candidates, not with the grid.
     """
     dims = candidates.grid.dims
     # the candidates' sorted keys are their own column index
@@ -677,7 +683,13 @@ def extract_surface(
     csr = _column_adjacency(keys, dims, candidates.params.step_voxels)
     order = np.concatenate(_bfs(csr[0], csr[1], [at]))
 
-    surface = Surface(
+    surface = Surface.__new__(Surface)
+    # a reached voxel's neighbors are all reached, so the cut keeps them;
+    # held before the constructor runs, so its order proof reads this CSR
+    # and does not build another
+    surface.__dict__["_csr"] = _cut(csr, order)
+    del csr
+    surface.__init__(
         keys=keys[order],
         dims=dims,
         resolution=candidates.grid.resolution,
@@ -685,8 +697,6 @@ def extract_surface(
         params=candidates.params,
         extraction=extraction,
     )
-    # a reached voxel's neighbors are all reached, so the cut keeps them
-    object.__setattr__(surface, "_csr", _cut(csr, order))
     return surface
 
 
@@ -766,9 +776,10 @@ def _check_order(surface: Surface) -> None:
     seed, ordinal 0: every other state has a neighbor of smaller ordinal.
     Moves are symmetric, so by induction on the ordinal each state reaches
     the seed. An order from a BFS of the seed, which :func:`extract_surface`
-    gives, always passes; a reachable order that is not one can fail, as
-    can keys from the constructor that the seed does not reach. ValueError
-    names the first state that fails. Memory scales with the states.
+    gives, always passes; a reachable order that is not one can fail, and
+    keys the seed does not reach always do. The :class:`Surface`
+    constructor runs it; ValueError names the first state that fails and
+    the seed. Memory scales with the states.
     """
     indptr, targets, _ = surface._csr
     starts = indptr[:-1]
@@ -780,7 +791,7 @@ def _check_order(surface: Surface) -> None:
     if late.size:
         raise ValueError(
             f"state {surface.states[late[0] + 1].tolist()} is not reachable from seed "
-            f"{surface.seed} in the file's order: no neighbor comes before it"
+            f"{surface.seed} in ordinal order: no neighbor comes before it"
         )
 
 
@@ -789,12 +800,9 @@ def save_surface(surface: Surface, destination) -> None:
     flat keys (x * ny + y) * nz + z of the states in ordinal order, and
     the seed, the first key's voxel, is an (x, y, z) triple.
 
-    A surface whose order :func:`load_surface` would refuse raises
-    ValueError naming the first state it refuses, and nothing is written:
-    one made with the constructor, say, whose states the seed does not
-    reach or reaches only in another order.
+    Every surface can be written: its constructor proved the order that
+    :func:`load_surface` checks, so this writes no file that it refuses.
     """
-    _check_order(surface)
     doc = {
         "format": "surfnav-surface",
         "version": 2,
@@ -825,14 +833,13 @@ def load_surface(source) -> Surface:
     MAX_VOXELS.
 
     So does a file whose order does not prove every state reachable from
-    the seed: the seed must be the first key, and every other state must
-    have a neighbor before it in the file (see :func:`_check_order`). The file's
-    order is extraction's BFS discovery order, so one pass over the
-    surface's adjacency checks it, with no search; the distance field and
-    search graph then reuse that adjacency. The message names the first
-    state that fails, "state [x, y, z] is not reachable from seed ... in
-    the file's order". :func:`save_surface` runs the same check, so it
-    writes no file that this refuses.
+    the seed, which the constructor refuses (see :func:`_check_order`): the
+    seed must be the first key, and every other state must have a neighbor
+    before it in the file. The file's order is extraction's BFS discovery
+    order, so one pass over the surface's adjacency checks it, with no
+    search; the distance field and search graph then reuse that adjacency.
+    The message names the first state that fails, "state [x, y, z] is not
+    reachable from seed ... in ordinal order".
     """
     doc = _read_json(source, "surface file", "surfnav-surface", 2, SurfaceFormatError)
     try:
@@ -863,7 +870,6 @@ def load_surface(source) -> Surface:
         )
         if seed != surface.seed:
             raise ValueError(f"seed {seed} is not the first state in the file's order")
-        _check_order(surface)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SurfaceFormatError(f"bad surface file: {exc}") from exc
     return surface

@@ -57,9 +57,10 @@ def flood_fill_reference(
     """
     xs, ys, zs = np.unravel_index(candidates.keys, candidates.grid.dims)
     remaining = set(zip(xs.tolist(), ys.tolist(), zs.tolist()))
-    seed = tuple(int(c) for c in seed)
+    seed = tuple(seed)  # as given: a fractional coordinate equals no voxel's
     if seed not in remaining:
         raise ValueError(f"seed {seed} is not a candidate")
+    seed = tuple(int(c) for c in seed)
     reached = {seed}
     remaining.discard(seed)
     changed = True
@@ -176,9 +177,10 @@ def dijkstra_reference(
             vert = 0.0
         return base + vert + params.w_obstacle * r / (int(dist_to_boundary[index[b]]) + 1)
 
-    source = tuple(int(c) for c in source)
+    source = tuple(source)  # as given: a fractional coordinate equals no state's
     if source not in index:
         raise ValueError(f"source {source} is not on the surface")
+    source = tuple(int(c) for c in source)
     dist = np.full(surface.size, np.inf)
     dist[index[source]] = 0.0
     heap = [(0.0, source)]

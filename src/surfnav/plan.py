@@ -39,10 +39,11 @@ triangle inequality bounds the cost to the goal t by
 |D[a, v] - D[a, t]| + phi(t) - phi(v), and that bound is consistent.
 Times a slack of 1 - 1e-9, less for tables of values that round by more,
 it is strictly consistent: the path rule above holds, and paths and
-costs are those of the Manhattan search. A query reads every landmark
-that reaches both ends, not the Manhattan bound (with 16, taking the
-maximum with it cut the plaza's expansions by under 1%); with none, the
-search is the Manhattan one, counters included.
+costs are those of the Manhattan search. A surface's seed reaches every
+state, so every row covers every state, and a query reads every row, not
+the Manhattan bound (with 16, taking the maximum with it cut the plaza's
+expansions by under 1%); with no rows, the search is the Manhattan one,
+counters included.
 
 A query that reads landmarks first computes that bound for every state,
 one float64 array in numpy with the float operations of a per-push
@@ -65,8 +66,8 @@ mid-search would change the expansion order.
 
 A :class:`SearchGraph` holds what :func:`plan` derives for the weights
 (w_up, w_down, w_obstacle) of its last query, once: the cost by height
-change, the bias, and the landmark tables, LANDMARKS float64 rows of n,
-one per sweep, 128 * n bytes, plus 8 * n for phi.
+change, the bias, and the landmark tables, min(LANDMARKS, n - 1)
+float64 rows of n, one per sweep, up to 128 * n bytes, plus 8 * n for phi.
 :func:`plan` builds the tables once that state's exact searches (epsilon
 = 1 and w_obstacle > 0, where the bound cannot change the path; no others
 read or pay for tables) have expanded BUILD_PRICE * n states, about what
@@ -267,37 +268,29 @@ class _Costs:
         table = _landmark_tables(graph, self.cost_by_dz + self.cost_by_dz[::-1], self.bias)
         # the bound's drop along an edge rounds by under 8 ulps of top: the
         # slack takes 16 off the cheapest edge, res, or no landmark is kept
-        top = float(max((row.max(initial=0.0, where=np.isfinite(row)) for row in table),
-                        default=0.0) + 2 * np.abs(phi).max())
+        top = float(max((row.max() for row in table), default=0.0) + 2 * np.abs(phi).max())
         slack = min(_SLACK, 1.0 - 2.0**-48 * top / res)
         if slack <= 0.0:
             table = table[:0]
         self.table, self.phi, self.slack = table, phi, slack
 
-    def bound(self, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows a search from ordinal ``s`` to ``t`` reads, of every
-        landmark that reaches both ends, and the bound :func:`_astar` reads:
-        per state v, slack * (max_a |D[a, v] - D[a, t]| + phi(t) - phi(v)),
-        inf where no landmark reaches; both empty with no landmark or no
-        tables."""
-        table = self.table
-        if table is None:
-            return _NO_LANDMARKS
-        reach = [a for a, row in enumerate(table)
-                 if math.isfinite(row[s]) and math.isfinite(row[t])]
-        if not reach:
-            return _NO_LANDMARKS
+    def bound(self, t: int) -> np.ndarray:
+        """The bound :func:`_astar` reads on a search to ordinal ``t``, from
+        every held row: per state v,
+        slack * (max_a |D[a, v] - D[a, t]| + phi(t) - phi(v)); empty with
+        no rows or no tables."""
+        if not self.table:
+            return _NO_BOUND
         m, d = np.zeros_like(self.phi), np.empty_like(self.phi)
-        for a in reach:
-            np.abs(np.subtract(table[a], table[a][t], out=d), out=d)
+        for row in self.table:
+            np.abs(np.subtract(row, row[t], out=d), out=d)
             np.maximum(m, d, out=m)
         m += np.subtract(self.phi[t], self.phi, out=d)
         m *= self.slack
-        return np.array(reach, np.int64), m
+        return m
 
 
-# (landmarks read, bound) of a search that reads no tables
-_NO_LANDMARKS = (np.empty(0, np.int64), np.empty(0))
+_NO_BOUND = np.empty(0)  # the bound of a search that reads no tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +346,7 @@ def _sweep(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray, source: 
     """Distances from ordinal ``source`` under the symmetric cost
     s(u, v) = (c(u -> v) + c(v -> u)) / 2 = (pair_cost[dz + k] + bias[u]
     + bias[v]) / 2, summed alike both ways, so s(u, v) == s(v, u) bit for
-    bit; inf where ``source`` does not reach.
+    bit. The seed reaches every state, so every distance is finite.
 
     A frontier label-correcting search: each round relaxes the edges of
     the states whose distance fell in the round before, with the weights
@@ -386,19 +379,16 @@ def _sweep(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray, source: 
 
 
 def _landmark_tables(graph: SearchGraph, pair_cost: np.ndarray, bias: np.ndarray) -> list:
-    """The distance rows of up to LANDMARKS landmarks, farthest-first from
-    ordinal 0 among the states it reaches, under the symmetric cost of
-    :func:`_sweep`: a row's one zero is its landmark. Each is the array
-    its sweep returns, which reuses freed heap where one (L, n) array is
-    mapped afresh (+12 MB peak RSS on the 0.048 m plaza)."""
-    # distance to the nearest landmark chosen so far, or to ordinal 0;
-    # -1 where ordinal 0 does not reach, so no landmark is picked there
+    """The distance rows of min(LANDMARKS, n - 1) landmarks, farthest-first
+    from ordinal 0, under the symmetric cost of :func:`_sweep`: a row's one
+    zero is its landmark. Each is the array its sweep returns, which reuses
+    freed heap where one (L, n) array is mapped afresh (+12 MB peak RSS on
+    the 0.048 m plaza)."""
+    # distance to the nearest landmark chosen so far, or to ordinal 0
     nearest = _sweep(graph, pair_cost, bias, 0)
-    reached = np.isfinite(nearest)
-    nearest[~reached] = -1.0
     # ordinal 0 stays at 0 and is never picked: every pick is a new state
     table = []
-    for _ in range(min(LANDMARKS, int(np.count_nonzero(reached)) - 1)):
+    for _ in range(min(LANDMARKS, graph.surface.size - 1)):
         table.append(_sweep(graph, pair_cost, bias, int(np.argmax(nearest))))
         np.minimum(nearest, table[-1], out=nearest)
     return table
@@ -412,8 +402,8 @@ class PathResult:
     superseded g), the largest heap size, ``h_ratio``, the bound the search
     used at the start over the cost (1.0 when start equals goal): the
     nearer to 1, the fewer states the bound lets the search expand, and
-    ``landmarks``, the number of landmarks that bound read, all that reach
-    both ends (0: the Manhattan bound alone). ``search_seconds`` times the
+    ``landmarks``, the number of landmark rows that bound read, every row
+    the graph holds (0: the Manhattan bound alone). ``search_seconds`` times the
     search and any bound array it reads, the landmark one or the Manhattan
     one a long search without tables switches to, but not a landmark table
     build the call paid for."""
@@ -673,7 +663,8 @@ def plan(
     heap = [(0.0, -0.0, 0, s)]
     counters = np.array([0, 1, 0, 1], np.int64)  # expanded, pushes, stale pops, heap peak
     t0 = time.perf_counter()
-    read, bound = costs.bound(s, t) if exact else _NO_LANDMARKS
+    bound = costs.bound(t) if exact else _NO_BOUND
+    landmarks = len(costs.table) if bound.size else 0
     # a search on per-push Manhattan bounds pauses once they have cost
     # about as much as their array, and resumes on it
     budget = _NO_BUDGET if bound.size else n // PUSH_PRICE
@@ -686,8 +677,8 @@ def plan(
     if exact:
         costs.expanded += expanded
 
-    # unreachable on a seed-connected surface, but a surface made from
-    # keys may hold several components
+    # guards: the seed reaches every state of a surface, so the search
+    # finds the goal and the walk back from it ends at the start
     if not found:
         raise NoPathError(f"no path from {start} to {goal}")
     chain = _walk(*args, s)
@@ -709,7 +700,7 @@ def plan(
         stale_pops=stale_pops,
         heap_peak=heap_peak,
         h_ratio=h_start / cost,
-        landmarks=int(read.size),
+        landmarks=landmarks,
         search_seconds=elapsed,
         engine=_ENGINE,
     )

@@ -9,15 +9,16 @@ from hypothesis.extra.numpy import arrays
 
 from surfnav import (
     ExtractionParams,
+    OccupancyGrid,
     PlanParams,
     SearchGraph,
     Surface,
     build_scene,
     distance_field,
     extract_pipeline,
-    extract_surface,
     preset,
 )
+from surfnav.extract import _bfs, _column_adjacency
 from surfnav.plan import BUILD_PRICE
 
 settings.register_profile(
@@ -57,13 +58,31 @@ class Built:
         return self._graph
 
 
-def union_surface(candidates, seed, other):
-    """A surface of two components, made with the Surface constructor: the
-    keys of ``seed``'s surface, then those of ``other``'s. Its seed is
-    ``seed``, which does not reach ``other``, so save_surface refuses it."""
-    a, b = extract_surface(candidates, [seed]), extract_surface(candidates, [other])
-    return Surface(keys=np.concatenate((a.keys, b.keys)), dims=a.dims,
-                   resolution=a.resolution, origin=a.origin, params=a.params)
+def seeded_surface(keys, dims, seed, params):
+    """The surface ``seed`` grows over any voxel set, made with the Surface
+    constructor: the voxels of ``keys``, sorted flat keys over ``dims``,
+    that the voxel ``seed`` among them reaches in steps of up to
+    ``params.step_voxels``, in BFS discovery order from it."""
+    keys = np.asarray(keys, dtype=np.int64)
+    at = np.searchsorted(keys, np.ravel_multi_index(seed, dims))
+    csr = _column_adjacency(keys, dims, params.step_voxels)
+    order = np.concatenate(_bfs(csr[0], csr[1], [at]))
+    return Surface(keys=keys[order], dims=dims, resolution=0.2, origin=np.zeros(3),
+                   params=params)
+
+
+def two_level_grid():
+    """An 8 x 12 floor at z = 0 and a 3 x 3 slab at z = 5 over x, y = 2..4,
+    free beneath, so columns (2..4, 2..4) stand at z = 1 and z = 6, and a
+    stair along x = 3 that stands one voxel higher at each of y = 8, 7, 6
+    and 5 climbs from the floor to the slab top. At step 1 and clearance 3,
+    one seed reaches both levels."""
+    occ = np.zeros((8, 12, 12), dtype=bool)
+    occ[:, :, 0] = True
+    occ[2:5, 2:5, 5] = True
+    for y in range(5, 9):
+        occ[3, y, : 10 - y] = True  # stands at z = 10 - y
+    return OccupancyGrid(0.2, np.zeros(3), occ)
 
 
 def paid_graph(surface, dfield, params=PlanParams()):

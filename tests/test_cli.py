@@ -24,19 +24,14 @@ from conftest import built, paid_graph
 COUNTERS = ("landmarks", "pushes", "stale_pops", "heap_peak")
 
 
-def landmarks_reaching(name):
-    """A function of a query's two ends on preset ``name``: how many
-    landmarks of the tables a search graph builds there reach both."""
+def landmarks_held(name):
+    """How many landmarks the tables a search graph builds on preset
+    ``name`` hold: every query that reads them reads all."""
     b = built(name)
     graph = paid_graph(b.surface, b.dfield)
     plan(b.surface, b.dfield, tuple(b.surface.states[0]), tuple(b.surface.states[-1]),
          graph=graph)
-    table = np.array(graph._held.table)
-
-    def count(start, goal):
-        s, t = b.surface.ordinal(tuple(start)), b.surface.ordinal(tuple(goal))
-        return int(np.count_nonzero(np.isfinite(table[:, s]) & np.isfinite(table[:, t])))
-    return count
+    return len(graph._held.table)
 
 
 def run(argv, capsys):
@@ -664,16 +659,15 @@ class TestBench:
     def test_long_batch_turns_landmarks_on(self, capsys):
         # the batch shares one graph: once its searches have expanded
         # BUILD_PRICE states per state, the next query builds the tables
-        # and the rest read every landmark that reaches both ends; costs do
-        # not change
+        # and the rest read every landmark; costs do not change
         doc = report(["bench", "--preset", "table1_fixture", "--queries", "100"], capsys)
         used = [rec["landmarks"] for rec in doc["per_query"]]
-        reaching = landmarks_reaching("table1_fixture")
+        held = landmarks_held("table1_fixture")
         paid = next(i for i, u in enumerate(used) if u)
         assert paid > 0
         for rec in doc["per_query"][paid:]:
             if rec["start"] != rec["goal"]:
-                assert rec["landmarks"] == reaching(rec["start"], rec["goal"])
+                assert rec["landmarks"] == held
         b = built("table1_fixture")
         assert doc["S_size"] == b.surface.size
         for rec in doc["per_query"]:
@@ -694,9 +688,8 @@ class TestBench:
                       "--repeat", "3"], capsys)
         assert doc["repeat"] == 3
         records = doc["per_query"]
-        reaching = landmarks_reaching("two_story_house")
-        assert all(rec["landmarks"] == reaching(rec["start"], rec["goal"])
-                   for rec in records if rec["start"] != rec["goal"])
+        held = landmarks_held("two_story_house")
+        assert all(rec["landmarks"] == held for rec in records if rec["start"] != rec["goal"])
         assert doc["N_s_mean"] == np.mean([rec["N_s"] for rec in records])
         assert doc["T_s_total"] == pytest.approx(sum(rec["T_s"] for rec in records))
 

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -7,11 +8,11 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import built, union_surface, voxel_sets
+from conftest import built, seeded_surface, two_level_grid, voxel_sets
 from surfnav import (
     CandidateSet,
     DerivedVoxelParams,
@@ -37,6 +38,8 @@ from surfnav import (
     select_seed,
 )
 from surfnav.extract import _bfs, _column_adjacency
+
+extract_module = importlib.import_module("surfnav.extract")
 from surfnav.oracle import _adjacent, _column_map, boundary_distance_reference
 
 
@@ -524,18 +527,17 @@ class TestColumnAdjacency:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_build_peak_stays_within_eight_times_the_csr(self, name):
-        # a surface made with the constructor builds its CSR on first use,
-        # as a loaded one does: over its sorted keys, then cut
+        # a surface made with the constructor builds its CSR for the order
+        # proof, as a loaded one does: over its sorted keys, then cut
         s = built(name, resolution=0.1).surface
-        fresh = Surface(keys=s.keys, dims=s.dims, resolution=s.resolution,
-                        origin=s.origin, params=s.params)
         tracemalloc.start()
         try:
-            csr = fresh._csr
+            fresh = Surface(keys=s.keys, dims=s.dims, resolution=s.resolution,
+                            origin=s.origin, params=s.params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * sum(a.nbytes for a in csr)
+        assert peak <= 8 * sum(a.nbytes for a in fresh.__dict__["_csr"])
 
 
 def bfs_fifo(mask, seed, k):
@@ -652,30 +654,43 @@ class TestExtractSurface:
             with pytest.raises(InvalidSeedError, match="one seed is required"):
                 extract_surface(cands, seeds)
 
-    def test_save_refuses_a_second_component(self, tmp_path):
-        surface = union_surface(candidate_set(table_grid(), dv()), (0, 0, 1), (5, 5, 5))
-        assert surface.size == 144
-        assert surface.seed == (0, 0, 1)
-        # the file names one seed, which does not reach the tabletop
-        p = tmp_path / "s.json"
-        with pytest.raises(ValueError, match=r"state \[5, 5, 5\] is not reachable from seed"):
-            save_surface(surface, p)
-        assert not p.exists()
+    def test_constructor_refuses_a_second_component(self):
+        cands = candidate_set(table_grid(), dv())
+        floor, top = extract_surface(cands, [(0, 0, 1)]), extract_surface(cands, [(5, 5, 5)])
+        assert (floor.size, top.size) == (128, 16)
+        # the floor's keys, then the tabletop's: the seed does not reach it
+        with pytest.raises(ValueError, match=r"state \[5, 5, 5\] is not reachable from seed "
+                                             r"\(0, 0, 1\)"):
+            Surface(keys=np.concatenate((floor.keys, top.keys)), dims=floor.dims,
+                    resolution=floor.resolution, origin=floor.origin, params=floor.params)
 
-    def test_save_refuses_an_order_no_bfs_gives(self, tmp_path):
+    def test_constructor_refuses_an_order_no_bfs_gives(self):
         a = extract_surface(candidate_set(table_grid(), dv()), [(0, 0, 1)])
         # the far corner moved to ordinal 1: every state is reachable, but
-        # a file of this order could not prove it
+        # this order does not prove it
         far = a.ordinal((11, 11, 1))
         order = [0, far] + [i for i in range(1, a.size) if i != far]
-        b = Surface(keys=a.keys[order], dims=a.dims, resolution=a.resolution,
-                    origin=a.origin, params=a.params)
-        assert b.seed == a.seed and b.size == a.size
-        p = tmp_path / "s.json"
         with pytest.raises(ValueError, match=r"state \[11, 11, 1\] is not reachable from "
-                                             r"seed \(0, 0, 1\) in the file's order"):
-            save_surface(b, p)
-        assert not p.exists()
+                                             r"seed \(0, 0, 1\) in ordinal order"):
+            Surface(keys=a.keys[order], dims=a.dims, resolution=a.resolution,
+                    origin=a.origin, params=a.params)
+
+    def test_builds_one_adjacency_and_proves_its_order(self, monkeypatch):
+        # the constructor's order proof reads the candidates' CSR, cut, so
+        # extraction builds the adjacency once and proves the order once
+        calls = []
+
+        def counted(fn):
+            def run(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return run
+
+        for name in ("_column_adjacency", "_check_order"):
+            monkeypatch.setattr(extract_module, name, counted(getattr(extract_module, name)))
+        surface = extract_surface(candidate_set(table_grid(), dv()), [(0, 0, 1)])
+        assert sorted(calls) == ["_check_order", "_column_adjacency"]
+        assert_adjacency_prebuilt(surface)
 
     def test_two_neighbors_in_one_direction_go_up(self):
         # the +x column offers the seed two voxels within the step: the
@@ -751,11 +766,7 @@ def test_every_preset_round_trips(all_presets):
 
 class TestSurfaceAccessors:
     def two_level(self):
-        occ = np.zeros((8, 8, 12), dtype=bool)
-        occ[:, :, 0] = True
-        occ[2:5, 2:5, 5] = True  # slab with walkable top and free underside
-        cands = candidate_set(grid_from(occ), dv())
-        return union_surface(cands, (0, 0, 1), (3, 3, 6))
+        return extract_surface(candidate_set(two_level_grid(), dv()), [(0, 0, 1)])
 
     def test_z_span(self):
         assert self.two_level().z_span() == 5
@@ -771,10 +782,10 @@ class TestSurfaceAccessors:
 
     def test_reduction_stats(self):
         surface = self.two_level()
-        stats = reduction_stats(grid_from(np.zeros((8, 8, 12))), surface)
-        assert stats.total_voxels == 768
+        stats = reduction_stats(two_level_grid(), surface)
+        assert stats.total_voxels == 1152
         assert stats.surface_size == surface.size
-        assert stats.reduction == pytest.approx(1.0 - surface.size / 768)
+        assert stats.reduction == pytest.approx(1.0 - surface.size / 1152)
 
 
 class TestSurfaceConstructor:
@@ -794,6 +805,26 @@ class TestSurfaceConstructor:
         surface = Surface(**self.args(keys=keys[::-1]))
         assert surface.seed == tuple(np.unravel_index(keys[-1], surface.dims))
         assert surface.ordinal(surface.seed) == 0
+
+    @pytest.mark.parametrize("rng_seed", [0, 1, 2])
+    def test_a_permutation_is_refused(self, rng_seed):
+        # a random order of one component's keys: the first state none of
+        # whose neighbors comes before it, found here by the oracle's column
+        # map, is the one named
+        keys = self.args()["keys"]
+        keys = keys[np.random.default_rng(rng_seed).permutation(keys.size)]
+        states = [tuple(v) for v in np.stack(np.unravel_index(keys, (12, 12, 10)), 1).tolist()]
+        cols = _column_map(extract_surface(candidate_set(table_grid(), dv()), [(0, 0, 1)]))
+        seen = {states[0]}
+        for state in states[1:]:
+            if seen.isdisjoint(_adjacent(cols, state, 1)):
+                break
+            seen.add(state)
+        x, y, z = state
+        sx, sy, sz = states[0]
+        with pytest.raises(ValueError, match=rf"state \[{x}, {y}, {z}\] is not reachable from "
+                                             rf"seed \({sx}, {sy}, {sz}\)"):
+            Surface(**self.args(keys=keys))
 
     @pytest.mark.parametrize("res", [float("nan"), float("inf"), 0.0, -0.2])
     def test_resolution_must_be_finite_and_positive(self, res):
@@ -1025,7 +1056,7 @@ class TestSurfaceFile:
         sx, sy, sz = surface.seed
         with pytest.raises(SurfaceFormatError,
                            match=rf"state \[{x}, {y}, {z}\] is not reachable from seed "
-                                 rf"\({sx}, {sy}, {sz}\) in the file's order: no neighbor"):
+                                 rf"\({sx}, {sy}, {sz}\) in ordinal order: no neighbor"):
             load_surface(p)
 
     def test_seed_must_come_first(self, table1, tmp_path):
@@ -1037,6 +1068,33 @@ class TestSurfaceFile:
         with pytest.raises(SurfaceFormatError,
                            match=r"seed \(\d+, \d+, \d+\) is not the first state"):
             load_surface(p)
+
+    @settings(max_examples=60)
+    @given(voxel_sets, st.integers(0, 3), st.data())
+    def test_every_surface_the_constructor_accepts_round_trips(self, voxel_set, k, data):
+        # keys in a seed's BFS order, or in any order, which the constructor
+        # may refuse: what it accepts saves, and loads back equal
+        dims, bits = voxel_set
+        keys = np.flatnonzero(bits)
+        assume(keys.size)
+        params = dv(k=k, kc=k + 1)
+        order = data.draw(st.one_of(st.none(), st.permutations(range(keys.size))))
+        if order is None:
+            seed = np.unravel_index(data.draw(st.sampled_from(keys.tolist())), dims)
+            surface = seeded_surface(keys, dims, seed, params)
+        else:
+            try:
+                surface = Surface(keys=keys[order], dims=dims, resolution=0.2,
+                                  origin=np.zeros(3), params=params)
+            except ValueError as exc:
+                assert "no neighbor comes before it" in str(exc)
+                return
+        buf = io.StringIO()
+        save_surface(surface, buf)
+        back = load_surface(io.StringIO(buf.getvalue()))
+        assert np.array_equal(back.keys, surface.keys)
+        assert np.array_equal(back.states, surface.states)
+        assert_same_csr(back, surface)
 
     def test_loads_the_indented_layout(self, tmp_path):
         # a version-2 file indented by hand loads like the compact one

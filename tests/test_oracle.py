@@ -9,6 +9,7 @@ from surfnav import (
     OccupancyGrid,
     PlanParams,
     candidate_set,
+    collision_filter,
     distance_field,
     extract_surface,
 )
@@ -20,7 +21,7 @@ from surfnav.oracle import (
     recheck_surface_states,
 )
 
-from conftest import union_surface
+from conftest import built
 
 
 def dv(k=1, kc=3, rad=0):
@@ -136,17 +137,6 @@ class TestDijkstraReference:
         assert fwd[top] == pytest.approx(climb, rel=1e-12)
         assert rev[top] == pytest.approx(descend, rel=1e-12)
 
-    def test_unreachable_is_inf(self):
-        occ = np.zeros((12, 12, 10), dtype=bool)
-        occ[:, :, 0] = True
-        occ[4:8, 4:8, 4] = True
-        grid = OccupancyGrid(0.2, np.zeros(3), occ)
-        cands = candidate_set(grid, dv())
-        surface = union_surface(cands, (0, 0, 1), (5, 5, 5))
-        dfield = distance_field(surface)
-        dist = dijkstra_reference(surface, dfield, (0, 0, 1), PlanParams())
-        assert np.isinf(dist[surface.ordinal((5, 5, 5))])
-
     def test_bad_source(self):
         _, _, surface = floor_setup(4)
         dfield = distance_field(surface)
@@ -175,3 +165,17 @@ class TestRecheck:
     def test_report_str(self):
         report = OracleReport(subject="x", checked=3, mismatches=((1, "y"),))
         assert "1 mismatches" in str(report)
+
+
+# (44.7, 42, 5) is not a voxel: its integer part, (44, 42, 5), is a state
+# of table1_fixture, and neither oracle may read it as that state
+@pytest.mark.parametrize("call", [
+    lambda b: flood_fill_reference(collision_filter(candidate_set(b.grid, b.surface.params)),
+                                   (44.7, 42, 5), b.surface.params.step_voxels),
+    lambda b: dijkstra_reference(b.surface, b.dfield, (44.7, 42, 5), PlanParams()),
+], ids=["flood_fill", "dijkstra"])
+def test_a_fractional_voxel_is_refused(call):
+    b = built("table1_fixture")
+    assert (44, 42, 5) in b.surface
+    with pytest.raises(ValueError, match=r"\(44\.7, 42, 5\) is not"):
+        call(b)

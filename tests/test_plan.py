@@ -6,12 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surfnav import (
     ExtractionParams,
-    NoPathError,
     OccupancyGrid,
     OffSurfaceError,
     PRESET_NAMES,
@@ -31,10 +30,10 @@ from surfnav.oracle import (
 )
 from surfnav.extract import Surface
 from surfnav.plan import (
-    BUILD_PRICE, LANDMARKS, PUSH_PRICE, _ENGINE, _NO_BUDGET, _NO_LANDMARKS, _SLACK, _Costs,
+    BUILD_PRICE, LANDMARKS, PUSH_PRICE, _ENGINE, _NO_BOUND, _NO_BUDGET, _SLACK, _Costs,
     _astar, _chain, _cost_table, _heuristic, _interpreted, _manhattan, _search, _walk,
 )
-from conftest import built, paid_graph, union_surface, voxel_sets
+from conftest import built, paid_graph, seeded_surface, two_level_grid, voxel_sets
 
 plan_module = importlib.import_module("surfnav.plan")
 needs_numba = pytest.mark.skipif(_ENGINE != "numba", reason="numba is not importable")
@@ -53,20 +52,15 @@ def flat(n=10, post=None):
     return surface, distance_field(surface)
 
 
-def strip(base, order):
-    """A flat 3 x 10 strip at y = base .. base + 9, its ordinals in
-    ``order``, made with the Surface constructor on a grid 2^21 + 16 wide
-    in y that is never allocated."""
+def strip(base, seed):
+    """A flat 3 x 10 strip at y = base .. base + 9, its ordinals in BFS
+    order from the voxel ``seed``, made with the Surface constructor on a
+    grid 2^21 + 16 wide in y that is never allocated."""
     dims = (3, 2**21 + 16, 3)
     xs, ys = np.meshgrid(np.arange(3), np.arange(base, base + 10), indexing="ij")
-    keys = np.ravel_multi_index((xs.ravel(), ys.ravel(), np.ones(30, np.int64)), dims)[order]
-    surface = Surface(
-        keys=keys,
-        dims=dims,
-        resolution=0.2,
-        origin=np.zeros(3),
-        params=DerivedVoxelParams(step_voxels=1, clearance_voxels=2, inflation_voxels=0),
-    )
+    keys = np.ravel_multi_index((xs.ravel(), ys.ravel(), np.ones(30, np.int64)), dims)
+    surface = seeded_surface(keys, dims, seed, DerivedVoxelParams(
+        step_voxels=1, clearance_voxels=2, inflation_voxels=0))
     return surface, distance_field(surface)
 
 
@@ -124,15 +118,12 @@ def successors(surface, state):
 
 
 class TestSuccessors:
-    def layered(self):
-        occ = np.zeros((8, 8, 12), dtype=bool)
-        occ[:, :, 0] = True
-        occ[2:5, 2:5, 5] = True
-        grid = OccupancyGrid(0.2, np.zeros(3), occ)
+    def layered(self, seed=(0, 0, 1)):
         cands = candidate_set(
-            grid, DerivedVoxelParams(step_voxels=1, clearance_voxels=3, inflation_voxels=0)
+            two_level_grid(),
+            DerivedVoxelParams(step_voxels=1, clearance_voxels=3, inflation_voxels=0),
         )
-        return union_surface(cands, (0, 0, 1), (3, 3, 6))
+        return seeded_surface(cands.keys, cands.grid.dims, seed, cands.params)
 
     def test_direction_major_order(self):
         surface, _ = flat(5)
@@ -165,18 +156,14 @@ class TestSuccessors:
 
     @pytest.mark.parametrize("rng_seed", [0, 1, 2])
     def test_shuffled_constructor_cut_matches_oracle(self, rng_seed):
-        # ordinals in no BFS order: the constructor's CSR is the sorted
-        # keys' CSR cut to ordinal order, so every row must still be the
-        # state's own neighbors in the oracle's order
+        # ordinals in BFS order from a random seed, not in key order: the
+        # constructor's CSR is the sorted keys' CSR cut to ordinal order, so
+        # every row must still be the state's own neighbors in the oracle's
+        # order
         base = self.layered()
-        order = np.random.default_rng(rng_seed).permutation(base.size)
-        surface = Surface(
-            keys=base.keys[order],
-            dims=base.dims,
-            resolution=base.resolution,
-            origin=base.origin,
-            params=base.params,
-        )
+        seed = tuple(base.states[np.random.default_rng(rng_seed).integers(base.size)])
+        surface = self.layered(seed)
+        assert surface.seed == seed and not np.all(np.diff(surface.keys) > 0)
         indptr, targets, _ = surface._csr
         cols = _column_map(surface)
         k = surface.params.step_voxels
@@ -222,7 +209,7 @@ def search_args(fixture, b, params):
     )
 
 
-def run_search(search, walk, fixture, a, b, params=PlanParams(), bound=_NO_LANDMARKS[1],
+def run_search(search, walk, fixture, a, b, params=PlanParams(), bound=_NO_BOUND,
                budget=_NO_BUDGET):
     """Call ``search`` (an :func:`_astar` variant) directly from ordinal
     ``a`` to ``b``, reading ``bound`` (by default none: the Manhattan bound
@@ -245,12 +232,11 @@ def run_search(search, walk, fixture, a, b, params=PlanParams(), bound=_NO_LANDM
     return (*counters.tolist(), bool(found)), g.tobytes(), chain
 
 
-def bounds(tables, a, b):
-    """(bound, budget) for :func:`run_search` from ordinal ``a`` to ``b``,
-    one of each kind: the Manhattan bound per push, the Manhattan array
-    from the first pop, and the landmark array of ``tables``."""
-    return [(_NO_LANDMARKS[1], _NO_BUDGET), (_NO_LANDMARKS[1], 0),
-            (tables.bound(a, b)[1], _NO_BUDGET)]
+def bounds(tables, b):
+    """(bound, budget) for :func:`run_search` to ordinal ``b``, one of each
+    kind: the Manhattan bound per push, the Manhattan array from the first
+    pop, and the landmark array of ``tables``."""
+    return [(_NO_BOUND, _NO_BUDGET), (_NO_BOUND, 0), (tables.bound(b), _NO_BUDGET)]
 
 
 def reference_plan(fixture, a, b, params):
@@ -323,6 +309,8 @@ class TestPlan:
             plan(surface, dfield, (2, 2, 1), (0, 0, 5))
 
     def test_no_path_across_components(self):
+        # a surface is one component: keys that hold a second one are
+        # refused, and a state of the other one is off the surface
         occ = np.zeros((12, 12, 10), dtype=bool)
         occ[:, :, 0] = True
         occ[4:8, 4:8, 4] = True  # detached tabletop
@@ -330,10 +318,13 @@ class TestPlan:
         cands = candidate_set(
             grid, DerivedVoxelParams(step_voxels=1, clearance_voxels=3, inflation_voxels=0)
         )
-        surface = union_surface(cands, (0, 0, 1), (5, 5, 5))
-        dfield = distance_field(surface)
-        with pytest.raises(NoPathError):
-            plan(surface, dfield, (0, 0, 1), (5, 5, 5))
+        floor = seeded_surface(cands.keys, grid.dims, (0, 0, 1), cands.params)
+        top = seeded_surface(cands.keys, grid.dims, (5, 5, 5), cands.params)
+        with pytest.raises(ValueError, match=r"state \[5, 5, 5\] is not reachable from seed"):
+            Surface(keys=np.concatenate((floor.keys, top.keys)), dims=grid.dims,
+                    resolution=0.2, origin=np.zeros(3), params=cands.params)
+        with pytest.raises(OffSurfaceError, match=r"\(goal\)"):
+            plan(floor, distance_field(floor), (0, 0, 1), (5, 5, 5))
 
     def test_cost_is_sum_of_edge_costs(self):
         surface, dfield = flat(9, post=(4, 4))
@@ -373,7 +364,7 @@ class TestPlan:
         interpreted = _interpreted(_astar), _interpreted(_chain)
         tables = tables_for(table1.surface, table1.dfield, PlanParams())
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            for bound, budget in bounds(tables, a, b):
+            for bound, budget in bounds(tables, b):
                 # counters, then g bit for bit, then the path
                 assert (run_search(_search, _walk, table1, a, b, PlanParams(), bound, budget)
                         == run_search(*interpreted, table1, a, b, PlanParams(), bound, budget))
@@ -389,7 +380,7 @@ class TestPlan:
         engines = [(_astar, _chain), (_interpreted(_astar), _interpreted(_chain))]
         tables = tables_for(table1.surface, table1.dfield, params)
         for a, b in rng.integers(0, table1.surface.size, size=(10, 2)).tolist():
-            for bound, budget in bounds(tables, a, b):
+            for bound, budget in bounds(tables, b):
                 runs = [run_search(*engine, table1, a, b, params, bound, budget)
                         for engine in engines]
                 assert runs[0] == runs[1]  # counters, then g bit for bit, then the path
@@ -409,9 +400,9 @@ class TestPlan:
         heap = [(0.0, -0.0, 0, a)]
         counters = np.array([0, 1, 0, 1], np.int64)
         closed = np.zeros(table1.surface.size, np.bool_)
-        assert not _search(*args, closed, _NO_LANDMARKS[1], heap, counters, 0)
+        assert not _search(*args, closed, _NO_BOUND, heap, counters, 0)
         assert heap == [(0.0, -0.0, 0, a)] and counters.tolist() == [0, 1, 0, 1]
-        assert not _search(*args, closed, _NO_LANDMARKS[1], heap, counters, 20)
+        assert not _search(*args, closed, _NO_BOUND, heap, counters, 20)
         expanded, pushes, _, _ = counters.tolist()
         assert heap and 20 <= pushes < 20 + 4 * (2 * table1.surface.params.step_voxels + 1)
         assert np.count_nonzero(closed) == expanded
@@ -512,13 +503,14 @@ class TestPlan:
     def test_tie_break_past_2_pow_21(self, w_obstacle):
         # the tie-break orders coordinates lexicographically at any y: the
         # same strip far up the y axis plans the same paths, translated
-        order = np.random.default_rng(3).permutation(30)  # ordinals != key order
         params = PlanParams(w_obstacle=w_obstacle)
         for (x0, y0), (x1, y1) in [((0, 0), (2, 9)), ((2, 0), (0, 9)),
                                    ((0, 9), (2, 0)), ((2, 9), (0, 0))]:
             runs = []
             for base in (0, 2**21):
-                surface, dfield = strip(base, order)
+                # a seed mid-strip: ordinals != key order
+                surface, dfield = strip(base, (1, base + 4, 1))
+                assert not np.all(np.diff(surface.keys) > 0)
                 result = plan(surface, dfield, (x0, base + y0, 1), (x1, base + y1, 1), params)
                 runs.append((
                     result.cost,
@@ -755,16 +747,15 @@ class TestLandmarks:
     def assert_strictly_consistent(b, params):
         """h(u) < c(u -> v) + h(v) on every edge and h(t) == 0, h the array
         the search reads: the slackened landmark bound alone, of every
-        landmark (each preset is one component, so all reach both ends).
-        Returns the tables' slack."""
+        landmark. Returns the tables' slack."""
         surface, graph = b.surface, b.graph
         res, k = surface.resolution, surface.params.step_voxels
         sources = np.repeat(np.arange(surface.size), np.diff(graph.indptr))
         tables = tables_for(surface, b.dfield, params)
+        assert len(tables.table) == LANDMARKS
         cost = tables.cost_by_dz[graph.dz + k] + tables.bias[graph.targets]
-        for a, t in query_pairs(b, 6):
-            read, h = tables.bound(a, t)
-            assert read.tolist() == list(range(LANDMARKS))
+        for _, t in query_pairs(b, 6):
+            h = tables.bound(t)
             assert h.shape == (surface.size,) and h.dtype == np.float64
             assert np.all(h[sources] < cost + h[graph.targets])
             assert h[t] == 0.0
@@ -787,23 +778,20 @@ class TestLandmarks:
     def test_bound_is_the_per_state_formula(self, name):
         # the array holds, bit for bit, a bound computed per state in plain
         # Python floats, as a search without the array would per push: the
-        # slackened landmark bound of every landmark that reaches both ends,
-        # with no Manhattan term
+        # slackened landmark bound of every landmark, with no Manhattan term
         b = built(name)
         surface = b.surface
         for params in WEIGHTS + [PlanParams(w_up=1e12)]:
             tables = tables_for(surface, b.dfield, params)
             table, phi = [row.tolist() for row in tables.table], tables.phi.tolist()
-            for a, t in query_pairs(b, 3):
-                active, got = tables.bound(a, t)
-                reach = [j for j in range(len(table))
-                         if math.isfinite(table[j][a]) and math.isfinite(table[j][t])]
-                assert active.tolist() == reach
+            assert len(table) == LANDMARKS
+            for _, t in query_pairs(b, 3):
+                got = tables.bound(t)
                 want = []
                 for v in range(surface.size):
                     m = 0.0
-                    for j in reach:
-                        d = abs(table[j][v] - table[j][t])
+                    for row in table:
+                        d = abs(row[v] - row[t])
                         if d > m:
                             m = d
                     want.append(tables.slack * (m + (phi[t] - phi[v])))
@@ -936,77 +924,24 @@ class TestLandmarks:
             expanded += r.expanded
         assert expanded >= BUILD_PRICE * surface.size
 
-    @staticmethod
-    def floor_and_tabletop(first, second):
-        """A 12 x 12 floor (128 states at z = 1, none under the table) and
-        a detached 4 x 4 tabletop (16 at z = 5), as one surface whose
-        states start with ``first``'s component, then ``second``'s."""
+    def test_a_query_reads_every_landmark_that_reaches_both_ends(self):
+        # the seed reaches every state, so every landmark reaches both ends
+        # of every query: on the 16-state tabletop the tables hold its 15
+        # states other than ordinal 0, and every query reads all 15
         occ = np.zeros((12, 12, 10), dtype=bool)
         occ[:, :, 0] = True
         occ[4:8, 4:8, 4] = True  # detached tabletop
-        grid = OccupancyGrid(0.2, np.zeros(3), occ)
-        cands = candidate_set(
-            grid, DerivedVoxelParams(step_voxels=1, clearance_voxels=3, inflation_voxels=0)
-        )
-        surface = union_surface(cands, first, second)
-        return surface, distance_field(surface)
-
-    def test_two_components_raise_no_path_without_nan(self, monkeypatch):
-        # landmarks reach the floor only: a query that leaves it reads none,
-        # and no heap entry holds a NaN bound
-        surface, dfield = self.floor_and_tabletop((0, 0, 1), (5, 5, 5))
-        graph = paid_graph(surface, dfield)
-        pushed = []
-
-        class Heap:
-            heappop = staticmethod(heapq.heappop)
-
-            @staticmethod
-            def heappush(heap, entry):
-                pushed.append(entry[0])
-                heapq.heappush(heap, entry)
-
-        monkeypatch.setattr(plan_module, "heapq", Heap)
-        monkeypatch.setattr(plan_module, "_search", _interpreted(_astar))
-        floor, far, top = (0, 0, 1), (11, 11, 1), (5, 5, 5)
-        assert plan(surface, dfield, floor, far, graph=graph).landmarks == LANDMARKS
-        tables = graph._held
-        table = np.array(tables.table)
-        assert np.all(np.isfinite(table[:, :128]))
-        assert np.all(np.isinf(table[:, 128:]))
-        # the bound of a floor query: finite on the floor, inf on the top
-        active, h = tables.bound(surface.ordinal(floor), surface.ordinal(far))
-        assert active.size == LANDMARKS
-        assert np.all(np.isfinite(h[:128])) and np.all(np.isinf(h[128:]))
-        # one end off the floor: no landmark reaches it, and no bound is held
-        for s, t in [(floor, top), (top, floor), (top, (6, 6, 5))]:
-            active, h = tables.bound(surface.ordinal(s), surface.ordinal(t))
-            assert active.size == 0 and h.size == 0
-        for start, goal in [(floor, top), (top, floor), (top, (6, 6, 5))]:
-            if start[2] == goal[2]:
-                assert plan(surface, dfield, start, goal, graph=graph).landmarks == 0
-            else:
-                with pytest.raises(NoPathError):
-                    plan(surface, dfield, start, goal, graph=graph)
-        assert pushed and not np.any(np.isnan(pushed))
-
-    def test_a_query_reads_every_landmark_that_reaches_both_ends(self):
-        # ordinal 0 on the 16-state tabletop: the tables hold its 15 other
-        # states, and a query reads all 15 on the tabletop and none that
-        # touches the floor
-        surface, dfield = self.floor_and_tabletop((5, 5, 5), (0, 0, 1))
+        cands = candidate_set(OccupancyGrid(0.2, np.zeros(3), occ), DerivedVoxelParams(
+            step_voxels=1, clearance_voxels=3, inflation_voxels=0))
+        surface = seeded_surface(cands.keys, cands.grid.dims, (5, 5, 5), cands.params)
+        dfield = distance_field(surface)
         graph = paid_graph(surface, dfield)
         states = [tuple(v) for v in surface.states.tolist()]
-        plan(surface, dfield, states[0], states[1], graph=graph)
+        read = [plan(surface, dfield, states[a], states[z], graph=graph).landmarks
+                for a, z in [(0, 1), (0, 15), (15, 3), (7, 12)]]
         table = np.array(graph._held.table)
-        assert table.shape == (15, surface.size)
-        read = []
-        for a, z in [(0, 15), (15, 3), (7, 12), (16, 143), (100, 20)]:  # tabletop, then floor
-            got = plan(surface, dfield, states[a], states[z], graph=graph)
-            read.append(got.landmarks)
-            assert got.landmarks == np.count_nonzero(np.isfinite(table[:, a])
-                                                     & np.isfinite(table[:, z]))
-        assert read == [15, 15, 15, 0, 0]
+        assert table.shape == (15, 16) and np.all(np.isfinite(table))
+        assert read == [15, 15, 15, 15]
 
     def test_tables_too_coarse_for_any_slack_hold_no_landmark(self):
         # a strip at z = 2^20 under w_up = 2^30: phi holds ~res * 2^49, so
@@ -1031,36 +966,58 @@ class TestLandmarks:
     @settings(max_examples=40)
     @given(voxel_sets, st.integers(0, 3), st.data())
     def test_paid_tables_keep_costs_and_paths(self, voxel_set, k, data):
-        # a random voxel set, of any number of components: queries run until
-        # they have paid for tables, then each cost is Dijkstra's and each
-        # path a new graph's
+        # the surface a random seed grows over a random voxel set: queries
+        # run until they have paid for tables, then each cost is Dijkstra's
+        # and each path a new graph's
         dims, bits = voxel_set
-        assume(bits.sum() >= 2)
-        surface = Surface(keys=np.flatnonzero(bits), dims=dims, resolution=0.2,
-                          origin=np.zeros(3),
-                          params=DerivedVoxelParams(step_voxels=k, clearance_voxels=k + 1,
-                                                    inflation_voxels=0))
+        keys = np.flatnonzero(bits)
+        assume(keys.size)
+        seed = np.unravel_index(data.draw(st.sampled_from(keys.tolist())), dims)
+        surface = seeded_surface(keys, dims, seed, DerivedVoxelParams(
+            step_voxels=k, clearance_voxels=k + 1, inflation_voxels=0))
+        assume(surface.size >= 2)
         dfield = distance_field(surface)
         graph = SearchGraph.build(surface)
         states = [tuple(s) for s in surface.states.tolist()]
         pairs = itertools.cycle(itertools.permutations(range(surface.size), 2))
         while graph._held is None or graph._held.table is None:
             a, z = next(pairs)
-            try:
-                plan(surface, dfield, states[a], states[z], graph=graph)
-            except NoPathError:
-                pass
+            plan(surface, dfield, states[a], states[z], graph=graph)
         end = st.integers(0, surface.size - 1)
         for a, z in data.draw(st.lists(st.tuples(end, end), min_size=1, max_size=12)):
             want = dijkstra_reference(surface, dfield, states[a], PlanParams())[z]
-            try:
-                got = plan(surface, dfield, states[a], states[z], graph=graph)
-            except NoPathError:
-                assert want == np.inf
-                continue
+            got = plan(surface, dfield, states[a], states[z], graph=graph)
             assert math.isclose(got.cost, want, rel_tol=1e-9, abs_tol=1e-12)
             fresh = plan(surface, dfield, states[a], states[z])
             assert (got.cost, got.states.tobytes()) == (fresh.cost, fresh.states.tobytes())
+
+    @settings(max_examples=40)
+    @given(voxel_sets, st.integers(0, 3), st.none() | st.randoms())
+    # two components in key order: no surface holds both
+    @example(((4, 1, 1), np.array([1, 1, 0, 1], dtype=bool)), 0, None)
+    def test_every_exact_query_reads_every_held_row(self, voxel_set, k, shuffle):
+        # keys in key order or shuffled, wherever the constructor accepts
+        # them: on a paid graph, each exact query that moves reads every row
+        # the graph holds
+        dims, bits = voxel_set
+        keys = np.flatnonzero(bits).tolist()
+        assume(len(keys) >= 2)
+        if shuffle is not None:
+            shuffle.shuffle(keys)
+        try:
+            surface = Surface(keys=keys, dims=dims, resolution=0.2, origin=np.zeros(3),
+                              params=DerivedVoxelParams(step_voxels=k, clearance_voxels=k + 1,
+                                                        inflation_voxels=0))
+        except ValueError as exc:
+            assert "no neighbor comes before it" in str(exc)
+            return
+        dfield = distance_field(surface)
+        graph = paid_graph(surface, dfield)
+        states = [tuple(s) for s in surface.states.tolist()]
+        for a, z in itertools.permutations(range(min(surface.size, 6)), 2):
+            for start, goal in ((states[a], states[z]), (states[-1 - a], states[-1 - z])):
+                got = plan(surface, dfield, start, goal, graph=graph)
+                assert got.landmarks == len(graph._held.table)
 
 
 class TestQueryMemory:
